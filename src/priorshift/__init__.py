@@ -32,25 +32,17 @@ from .harness import (
 )
 from .latent import (
     Codebook,
-    LabelTrack,
     LatentSequence,
     Standardizer,
     fit_standardizer,
     load_dataset,
     save_dataset,
-    snap_to_codebook,
-    standardize,
-    upsample_nearest,
 )
 from .prior import (
     ConditionalGMM,
     PosteriorGrid,
-    exact_eps,
     gaussian_posterior_moments,
-    native_class_prob,
-    noised_marginal_logpdf,
     posterior_grid,
-    sample_prior,
 )
 from .sampler import (
     SamplerConfig,

@@ -2,8 +2,8 @@
 
 Every command takes one ``--seed`` and derives all of its randomness from
 named substreams of it, so identical invocations produce byte-identical
-outputs regardless of thread count.  Logs go to stderr; result files and
-machine-readable verify lines go where the flags point.
+outputs.  Logs go to stderr; result files and machine-readable verify
+lines go where the flags point.
 """
 from __future__ import annotations
 
@@ -108,21 +108,42 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
+
+def _read_train_config(path: str) -> dict:
+    """TrainConfig overrides from a JSON object, each value checked against
+    its field's type; any problem is a usage error naming the field."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: training config must be a JSON object")
+    unknown = sorted(set(doc) - set(_TRAIN_DEFAULTS))
+    if unknown:
+        raise UsageError(f"{path}: unknown training config keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        default = _TRAIN_DEFAULTS[key]
+        if isinstance(default, tuple):
+            want = "a list of integers"
+            ok = isinstance(value, list) and all(type(w) is int for w in value)
+        elif isinstance(default, float):
+            want, ok = "a number", type(value) in (int, float)
+        else:
+            want, ok = "an integer", type(value) is int
+        if not ok:
+            raise UsageError(f"{path}: field {key!r} must be {want}, got {value!r}")
+        if isinstance(default, tuple):
+            doc[key] = tuple(value)
+    return doc
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     kwargs: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        unknown = sorted(set(doc) - _TRAIN_FIELDS)
-        if unknown:
-            raise UsageError(f"unknown training config keys: {', '.join(unknown)}")
-        for key in ("hidden", "residual_hidden"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        kwargs = doc
+        kwargs = _read_train_config(args.config)
     kwargs["seed"] = args.seed
     if args.epochs is not None:
         kwargs["epochs"] = args.epochs
@@ -161,14 +182,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.diagnostics is not None:
         diag_path = _out_path(args.diagnostics, args.force)
     ctx = build_context(world, sched, bundle)
-    cfg = SamplerConfig(
-        t_start=args.t_start,
-        eps_source="exact" if bundle is None else "model",
-        seed=args.seed,
-        predict_residual=bundle is not None,
-        snap=not args.no_snap,
-    )
-    results = convert_sequences(seqs, ctx, cfg, threads=args.threads)
+    cfg = SamplerConfig(t_start=args.t_start, seed=args.seed, snap=not args.no_snap)
+    results = convert_sequences(seqs, ctx, cfg)
     save_dataset([seq for seq, _ in results], out, n_labels)
     if diag_path is not None:
         with open(diag_path, "w", encoding="utf-8") as fh:
@@ -191,7 +206,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = sweep(
         world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
         snap=not args.no_snap, stratify_labels=args.stratify_labels,
-        threads=args.threads,
     )
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(table.to_csv())
@@ -290,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corruption steps before the reverse pass (0..T)")
     p.add_argument("--no-snap", action="store_true", help="skip codebook quantization")
     p.add_argument("--diagnostics", default=None, help="per-sequence metrics CSV path")
-    p.add_argument("--threads", type=int, default=1)
     _add_schedule_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_convert)
@@ -306,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-snap", action="store_true")
     p.add_argument("--stratify-labels", action="store_true",
                    help="average per-label means instead of pooled frames")
-    p.add_argument("--threads", type=int, default=1)
     _add_schedule_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_sweep)

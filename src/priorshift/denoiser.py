@@ -6,11 +6,14 @@ plus an additive label embedding) modulates every hidden layer through a
 FiLM transform gamma * a + delta, whose scale and shift are linear in the
 conditioning vector and initialized to the identity.  The residual head
 maps concatenated encoder features and the reconstructed clean frame to a
-second-stage correction.  All gradients are derived by hand; the only
-array machinery used is numpy.
+second-stage correction.  Both are the same MLP core, the head without
+FiLM.  Each parameter set keeps its tensors as named views into one flat
+float64 buffer, so Adam updates it with whole-buffer operations.  All
+gradients are derived by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +24,6 @@ from .schedule import Schedule, alpha_bar_array, linear_schedule
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
 
-# Reference hyperparameters of the transformer-scale variant this
-# feed-forward engine stands in for; recorded for anyone scaling up.
-FULL_SCALE_REFERENCE = {
-    "arch": "transformer",
-    "layers": 6,
-    "heads": 8,
-    "model_dim": 1024,
-    "ffn_dim": 2048,
-    "dropout": 0.1,
-    "lr": 5e-5,
-    "batch_size": 64,
-    "epochs": 360,
-}
 
 
 @dataclass(frozen=True)
@@ -69,6 +59,28 @@ class TrainConfig:
             raise ValueError(f"time_dim must be even, got {self.time_dim}")
 
 
+class FlatTensors(dict):
+    """Zero-filled named tensors stored as views into one contiguous float64
+    buffer.
+
+    ``flat`` holds every value in key order; each entry is a reshaped slice
+    of it, so an in-place change to either is seen by the other.  Assigning
+    a new array to a key would detach it, so update entries in place.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes))
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    def zeros_like(self) -> "FlatTensors":
+        return FlatTensors({name: arr.shape for name, arr in self.items()})
+
+
 @dataclass
 class DenoiserParams:
     dim: int
@@ -76,14 +88,14 @@ class DenoiserParams:
     hidden: tuple[int, ...]
     cond_dim: int
     time_dim: int
-    tensors: dict[str, np.ndarray] = field(repr=False)
+    tensors: FlatTensors = field(repr=False)
 
 
 @dataclass
 class ResidualParams:
     dim: int
     hidden: tuple[int, ...]
-    tensors: dict[str, np.ndarray] = field(repr=False)
+    tensors: FlatTensors = field(repr=False)
 
 
 @dataclass
@@ -129,6 +141,20 @@ def _residual_shapes(dim: int, hidden: tuple[int, ...]) -> dict[str, tuple[int, 
     return shapes
 
 
+def _init_tensors(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> FlatTensors:
+    """Draw in key order: scaled-normal weight matrices, small label
+    embeddings, zero biases, and FiLM gains of one (identity modulation)."""
+    t = FlatTensors(shapes)
+    for name, arr in t.items():
+        if name == "label_emb":
+            arr[...] = 0.1 * rng.standard_normal(arr.shape)
+        elif name.endswith("_w"):
+            arr[...] = rng.standard_normal(arr.shape) / np.sqrt(arr.shape[1])
+        elif name.endswith("_film_gb"):
+            arr[...] = 1.0
+    return t
+
+
 def init_denoiser(
     dim: int,
     n_labels: int,
@@ -140,21 +166,7 @@ def init_denoiser(
     """Scaled-normal weights, zero biases; FiLM starts as the identity map."""
     if time_dim % 2:
         raise ValueError(f"time_dim must be even, got {time_dim}")
-    t: dict[str, np.ndarray] = {}
-    t["label_emb"] = 0.1 * rng.standard_normal((n_labels, cond_dim))
-    t["time_w"] = rng.standard_normal((cond_dim, time_dim)) / np.sqrt(time_dim)
-    t["time_b"] = np.zeros(cond_dim)
-    n_in = dim
-    for i, n_out in enumerate(hidden):
-        t[f"layer{i}_w"] = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        t[f"layer{i}_b"] = np.zeros(n_out)
-        t[f"layer{i}_film_gw"] = np.zeros((n_out, cond_dim))
-        t[f"layer{i}_film_gb"] = np.ones(n_out)
-        t[f"layer{i}_film_dw"] = np.zeros((n_out, cond_dim))
-        t[f"layer{i}_film_db"] = np.zeros(n_out)
-        n_in = n_out
-    t["out_w"] = rng.standard_normal((dim, n_in)) / np.sqrt(n_in)
-    t["out_b"] = np.zeros(dim)
+    t = _init_tensors(_denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim), rng)
     return DenoiserParams(
         dim=dim, n_labels=n_labels, hidden=tuple(hidden),
         cond_dim=cond_dim, time_dim=time_dim, tensors=t,
@@ -162,14 +174,7 @@ def init_denoiser(
 
 
 def init_residual(dim: int, hidden: tuple[int, ...], rng: np.random.Generator) -> ResidualParams:
-    t: dict[str, np.ndarray] = {}
-    n_in = 2 * dim
-    for i, n_out in enumerate(hidden):
-        t[f"layer{i}_w"] = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        t[f"layer{i}_b"] = np.zeros(n_out)
-        n_in = n_out
-    t["out_w"] = rng.standard_normal((dim, n_in)) / np.sqrt(n_in)
-    t["out_b"] = np.zeros(dim)
+    t = _init_tensors(_residual_shapes(dim, hidden), rng)
     return ResidualParams(dim=dim, hidden=tuple(hidden), tensors=t)
 
 
@@ -219,59 +224,70 @@ def _check_inputs(params: DenoiserParams, x: np.ndarray, labels: np.ndarray) -> 
 
 
 def _forward_cached(
-    params: DenoiserParams,
+    params: DenoiserParams | ResidualParams,
     x: np.ndarray,
-    t,
-    labels: np.ndarray,
-    masks: list[np.ndarray] | None,
+    t=None,
+    labels: np.ndarray | None = None,
+    masks: list[np.ndarray] | None = None,
 ):
+    """The MLP core shared by the denoiser and the residual head.
+
+    A parameter set with a label embedding is FiLM-conditioned on the
+    timesteps ``t`` and ``labels``; one without it is a plain SiLU MLP.
+    """
     T = params.tensors
-    tvec = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-    temb = time_embedding(tvec, params.time_dim)
-    cond = temb @ T["time_w"].T + T["time_b"] + T["label_emb"][labels]
+    temb = cond = None
+    if "label_emb" in T:
+        tvec = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
+        temb = time_embedding(tvec, params.time_dim)
+        cond = temb @ T["time_w"].T + T["time_b"] + T["label_emb"][labels]
     h = x
     layers = []
     for i in range(len(params.hidden)):
         a = h @ T[f"layer{i}_w"].T + T[f"layer{i}_b"]
-        gamma = cond @ T[f"layer{i}_film_gw"].T + T[f"layer{i}_film_gb"]
-        delta = cond @ T[f"layer{i}_film_dw"].T + T[f"layer{i}_film_db"]
-        m = gamma * a + delta
+        gamma, m = None, a
+        if cond is not None:
+            gamma = cond @ T[f"layer{i}_film_gw"].T + T[f"layer{i}_film_gb"]
+            delta = cond @ T[f"layer{i}_film_dw"].T + T[f"layer{i}_film_db"]
+            m = gamma * a + delta
         z, s = _silu(m)
         layers.append((h, a, gamma, m, s))
         h = z if masks is None else z * masks[i]
-    eps_hat = h @ T["out_w"].T + T["out_b"]
-    cache = (x, temb, cond, labels, layers, h, masks)
-    return eps_hat, cache
+    out = h @ T["out_w"].T + T["out_b"]
+    cache = (temb, cond, labels, layers, h, masks)
+    return out, cache
 
 
-def _backward(params: DenoiserParams, cache, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given its gradient w.r.t. the network output."""
+def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray) -> FlatTensors:
+    """Gradients of a scalar loss given its gradient w.r.t. the network output,
+    in the same flat layout as the parameters."""
     T = params.tensors
-    x, temb, cond, labels, layers, h_last, masks = cache
-    grads: dict[str, np.ndarray] = {}
-    grads["out_w"] = g_out.T @ h_last
-    grads["out_b"] = g_out.sum(axis=0)
+    temb, cond, labels, layers, h_last, masks = cache
+    grads = T.zeros_like()
+    grads["out_w"][...] = g_out.T @ h_last
+    grads["out_b"][...] = g_out.sum(axis=0)
     g_h = g_out @ T["out_w"]
-    g_cond = np.zeros_like(cond)
+    g_cond = None if cond is None else np.zeros_like(cond)
     for i in reversed(range(len(params.hidden))):
         h_in, a, gamma, m, s = layers[i]
         g_z = g_h if masks is None else g_h * masks[i]
         g_m = g_z * _silu_grad(m, s)
-        g_gamma = g_m * a
-        g_a = g_m * gamma
-        grads[f"layer{i}_film_gw"] = g_gamma.T @ cond
-        grads[f"layer{i}_film_gb"] = g_gamma.sum(axis=0)
-        grads[f"layer{i}_film_dw"] = g_m.T @ cond
-        grads[f"layer{i}_film_db"] = g_m.sum(axis=0)
-        g_cond += g_gamma @ T[f"layer{i}_film_gw"] + g_m @ T[f"layer{i}_film_dw"]
-        grads[f"layer{i}_w"] = g_a.T @ h_in
-        grads[f"layer{i}_b"] = g_a.sum(axis=0)
+        g_a = g_m
+        if cond is not None:
+            g_gamma = g_m * a
+            g_a = g_m * gamma
+            grads[f"layer{i}_film_gw"][...] = g_gamma.T @ cond
+            grads[f"layer{i}_film_gb"][...] = g_gamma.sum(axis=0)
+            grads[f"layer{i}_film_dw"][...] = g_m.T @ cond
+            grads[f"layer{i}_film_db"][...] = g_m.sum(axis=0)
+            g_cond += g_gamma @ T[f"layer{i}_film_gw"] + g_m @ T[f"layer{i}_film_dw"]
+        grads[f"layer{i}_w"][...] = g_a.T @ h_in
+        grads[f"layer{i}_b"][...] = g_a.sum(axis=0)
         g_h = g_a @ T[f"layer{i}_w"]
-    grads["time_w"] = g_cond.T @ temb
-    grads["time_b"] = g_cond.sum(axis=0)
-    g_emb = np.zeros_like(T["label_emb"])
-    np.add.at(g_emb, labels, g_cond)
-    grads["label_emb"] = g_emb
+    if cond is not None:
+        grads["time_w"][...] = g_cond.T @ temb
+        grads["time_b"][...] = g_cond.sum(axis=0)
+        np.add.at(grads["label_emb"], labels, g_cond)
     return grads
 
 
@@ -306,35 +322,6 @@ def forward(
     return eps_hat[0] if single else eps_hat
 
 
-def _residual_forward(phi: ResidualParams, u: np.ndarray):
-    T = phi.tensors
-    h = u
-    layers = []
-    for i in range(len(phi.hidden)):
-        a = h @ T[f"layer{i}_w"].T + T[f"layer{i}_b"]
-        z, s = _silu(a)
-        layers.append((h, a, s))
-        h = z
-    out = h @ T["out_w"].T + T["out_b"]
-    return out, (layers, h)
-
-
-def _residual_backward(phi: ResidualParams, cache, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    T = phi.tensors
-    layers, h_last = cache
-    grads: dict[str, np.ndarray] = {}
-    grads["out_w"] = g_out.T @ h_last
-    grads["out_b"] = g_out.sum(axis=0)
-    g_h = g_out @ T["out_w"]
-    for i in reversed(range(len(phi.hidden))):
-        h_in, a, s = layers[i]
-        g_a = g_h * _silu_grad(a, s)
-        grads[f"layer{i}_w"] = g_a.T @ h_in
-        grads[f"layer{i}_b"] = g_a.sum(axis=0)
-        g_h = g_a @ T[f"layer{i}_w"]
-    return grads
-
-
 def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     """Second-stage residual from encoder features and first-stage frames."""
     h = np.asarray(h, dtype=np.float64)
@@ -347,7 +334,7 @@ def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarr
         raise ValueError(
             f"feature shape {h.shape} and frame shape {zc1.shape} must both be (n, {phi.dim})"
         )
-    out, _ = _residual_forward(phi, np.concatenate([h, zc1], axis=1))
+    out, _ = _forward_cached(phi, np.concatenate([h, zc1], axis=1))
     return out[0] if single else out
 
 
@@ -394,7 +381,7 @@ def loss_diff(
     sched: Schedule,
     rng: np.random.Generator,
     dropout: float = 0.0,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, FlatTensors]:
     """Denoising loss and gradients; timesteps uniform, noise standard normal."""
     x0 = np.asarray(x0, dtype=np.float64)
     labels = np.asarray(labels)
@@ -425,10 +412,10 @@ def _loss_total_core(
     xhat0 = (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
     if destd is not None:
         xhat0 = xhat0 * destd.std + destd.mean
-    zhat, rcache = _residual_forward(phi, np.concatenate([h, xhat0], axis=1))
+    zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1))
     rr = zhat - zc2
     rloss = float((rr * rr).mean())
-    rgrads = _residual_backward(phi, rcache, (2.0 * lam / rr.size) * rr)
+    rgrads = _backward(phi, rcache, (2.0 * lam / rr.size) * rr)
     return dloss + lam * rloss, tgrads, rgrads
 
 
@@ -444,7 +431,7 @@ def loss_total(
     rng: np.random.Generator,
     dropout: float = 0.0,
     destd: Standardizer | None = None,
-) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> tuple[float, FlatTensors, FlatTensors]:
     """Joint loss: denoising term plus ``lam`` times the residual regression.
 
     ``destd`` maps the reconstructed clean frame back to raw scale before
@@ -464,40 +451,36 @@ def loss_total(
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Moment estimates for one flat parameter buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_tensors(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in tensors.items()},
-            v={k: np.zeros_like(a) for k, a in tensors.items()},
-        )
+    def for_buffer(cls, flat: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
 def adam_step(
-    tensors: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    flat: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of a flat parameter buffer, in place."""
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
-    for name in tensors:
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * (grads * grads)
+    flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def train(
@@ -531,8 +514,8 @@ def train(
     dim = x0.shape[1]
     theta = init_denoiser(dim, n_labels, cfg.hidden, cfg.cond_dim, cfg.time_dim, rng)
     phi = init_residual(dim, cfg.residual_hidden, rng)
-    st_theta = AdamState.for_tensors(theta.tensors)
-    st_phi = AdamState.for_tensors(phi.tensors)
+    st_theta = AdamState.for_buffer(theta.tensors.flat)
+    st_phi = AdamState.for_buffer(phi.tensors.flat)
     n = x0.shape[0]
     curve: list[float] = []
     for epoch in range(cfg.epochs):
@@ -549,8 +532,10 @@ def train(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch offset {start}"
                 )
-            adam_step(theta.tensors, tg, st_theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            adam_step(phi.tensors, rg, st_phi, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(theta.tensors.flat, tg.flat, st_theta, cfg.lr, cfg.beta1, cfg.beta2,
+                      cfg.adam_eps)
+            adam_step(phi.tensors.flat, rg.flat, st_phi, cfg.lr, cfg.beta1, cfg.beta2,
+                      cfg.adam_eps)
             total += loss * idx.size
         curve.append(total / n)
         if progress is not None:
@@ -664,15 +649,18 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
         time_dim = int(_read_kv(fh, "time_dim")[0])
         hidden = _parse_hidden(_read_kv(fh, "hidden")[0])
         res_hidden = _parse_hidden(_read_kv(fh, "residual_hidden")[0])
-        shapes: dict[str, tuple[int, ...]] = {}
-        shapes.update({
-            f"den.{k}": s
-            for k, s in _denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim).items()
-        })
-        shapes.update({f"res.{k}": s for k, s in _residual_shapes(dim, res_hidden).items()})
-        shapes["std.mean"] = (dim,)
-        shapes["std.scale"] = (dim,)
-        tensors: dict[str, np.ndarray] = {}
+        theta = DenoiserParams(
+            dim=dim, n_labels=n_labels, hidden=hidden, cond_dim=cond_dim, time_dim=time_dim,
+            tensors=FlatTensors(_denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim)),
+        )
+        phi = ResidualParams(
+            dim=dim, hidden=res_hidden, tensors=FlatTensors(_residual_shapes(dim, res_hidden)),
+        )
+        std = {"mean": np.empty(dim), "scale": np.empty(dim)}
+        targets = {f"den.{k}": v for k, v in theta.tensors.items()}
+        targets.update({f"res.{k}": v for k, v in phi.tensors.items()})
+        targets.update({f"std.{k}": v for k, v in std.items()})
+        seen: set[str] = set()
         while True:
             line = fh.readline()
             if not line:
@@ -684,25 +672,20 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
             if len(parts) != 3 or parts[0] != "tensor":
                 raise ValueError(f"{path}: bad tensor header {line!r}")
             name, size = parts[1], int(parts[2])
-            if name not in shapes:
+            if name not in targets:
                 raise ValueError(f"{path}: unknown tensor {name!r}")
             values = np.array([float(v) for v in fh.readline().split()], dtype=np.float64)
-            expect = shapes[name]
-            if size != values.size or values.size != int(np.prod(expect)):
+            target = targets[name]
+            if size != values.size or values.size != target.size:
                 raise ValueError(
-                    f"{path}: tensor {name!r} has {values.size} values, expected {expect}"
+                    f"{path}: tensor {name!r} has {values.size} values, expected {target.shape}"
                 )
-            tensors[name] = values.reshape(expect)
-        missing = sorted(set(shapes) - set(tensors))
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+            target[...] = values.reshape(target.shape)
+            seen.add(name)
+        missing = sorted(set(targets) - seen)
         if missing:
             raise ValueError(f"{path}: missing tensors {missing}")
-    theta = DenoiserParams(
-        dim=dim, n_labels=n_labels, hidden=hidden, cond_dim=cond_dim, time_dim=time_dim,
-        tensors={k[len("den."):]: v for k, v in tensors.items() if k.startswith("den.")},
-    )
-    phi = ResidualParams(
-        dim=dim, hidden=res_hidden,
-        tensors={k[len("res."):]: v for k, v in tensors.items() if k.startswith("res.")},
-    )
-    std = Standardizer(mean=tensors["std.mean"], std=tensors["std.scale"])
-    return ModelBundle(theta=theta, phi=phi, standardizer=std), sched
+    standardizer = Standardizer(mean=std["mean"], std=std["scale"])
+    return ModelBundle(theta=theta, phi=phi, standardizer=standardizer), sched

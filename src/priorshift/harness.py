@@ -9,7 +9,7 @@ likelihood-versus-prior picture.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -216,13 +216,12 @@ def sweep(
     sched: Schedule,
     snap: bool = True,
     stratify_labels: bool = False,
-    threads: int = 1,
 ) -> SweepTable:
     """Convert one shifted dataset at each start step and aggregate metrics.
 
     The evaluation set and every per-sequence noise substream are fixed by
     ``seed`` alone, so rows differ only through the start step (paired
-    noise across rows) and repeated runs are identical at any thread count.
+    noise across rows) and repeated runs are identical.
     """
     if not t_starts:
         raise ValueError("t_starts is empty")
@@ -236,14 +235,8 @@ def sweep(
     labels = np.concatenate([np.asarray(s.labels) for s in data])
     rows = []
     for ts in t_starts:
-        cfg = SamplerConfig(
-            t_start=int(ts),
-            eps_source="exact" if bundle is None else "model",
-            seed=seed,
-            predict_residual=bundle is not None,
-            snap=snap,
-        )
-        results = convert_sequences(data, ctx, cfg, threads=threads)
+        cfg = SamplerConfig(t_start=int(ts), seed=seed, snap=snap)
+        results = convert_sequences(data, ctx, cfg)
         out = np.concatenate([seq.frames for seq, _ in results], axis=0)
         l2d, cos, prob = frame_metrics(inp, out, labels, world.native, world.l2)
         if stratify_labels:
@@ -344,19 +337,48 @@ def save_world(world: World, path: str) -> None:
         fh.write("\n")
 
 
+def _spec_from_json(obj: dict) -> WorldSpec:
+    unknown = sorted(set(obj) - {f.name for f in fields(WorldSpec)})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
+    return WorldSpec(**obj)
+
+
+def _standardizer_from_json(obj: dict) -> Standardizer:
+    return Standardizer(
+        mean=np.array(obj["mean"], dtype=np.float64),
+        std=np.array(obj["std"], dtype=np.float64),
+    )
+
+
+def _world_field(path: str, doc: dict, name: str, build):
+    """Build one top-level field; a missing or malformed one is named in the error."""
+    if name not in doc:
+        raise ValueError(f"{path}: missing field {name!r}")
+    try:
+        return build(doc[name])
+    except KeyError as exc:
+        raise ValueError(f"{path}: field {name!r} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {name!r}: {exc}") from None
+
+
 def load_world(path: str) -> World:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != WORLD_MAGIC:
-        raise ValueError(f"{path}: not a world file (format {doc.get('format')!r})")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != WORLD_MAGIC:
+        raise ValueError(f"{path}: not a world file (format {fmt!r})")
     return World(
-        spec=WorldSpec(**doc["spec"]),
-        native=_gmm_from_json(doc["native"]),
-        l2=_gmm_from_json(doc["l2"]),
-        codebook=Codebook(entries=np.array(doc["codebook"], dtype=np.float64)),
-        standardizer=Standardizer(
-            mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-            std=np.array(doc["standardizer"]["std"], dtype=np.float64),
+        spec=_world_field(path, doc, "spec", _spec_from_json),
+        native=_world_field(path, doc, "native", _gmm_from_json),
+        l2=_world_field(path, doc, "l2", _gmm_from_json),
+        codebook=_world_field(
+            path, doc, "codebook", lambda obj: Codebook(entries=np.array(obj, dtype=np.float64))
         ),
-        attempts=int(doc["attempts"]),
+        standardizer=_world_field(path, doc, "standardizer", _standardizer_from_json),
+        attempts=_world_field(path, doc, "attempts", int),
     )

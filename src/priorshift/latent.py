@@ -1,8 +1,8 @@
 """Latent frame sequences and the operations that shape them.
 
 Covers per-dimension standardization, nearest-entry codebook quantization,
-nearest-neighbor label upsampling, and the line-delimited dataset format
-used to move sequences between commands.
+and the line-delimited dataset format used to move sequences between
+commands.
 """
 from __future__ import annotations
 
@@ -84,13 +84,6 @@ class Codebook:
         return int(self.entries.shape[1])
 
 
-@dataclass(frozen=True)
-class LabelTrack:
-    """Condition labels at source frame resolution."""
-
-    labels: np.ndarray
-
-
 def fit_standardizer(dataset: Iterable[LatentSequence]) -> Standardizer:
     """Pool all frames and fit population mean and scale per dimension."""
     stacks = [np.asarray(seq.frames, dtype=np.float64) for seq in dataset]
@@ -125,31 +118,6 @@ def destandardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
     return frames * s.std + s.mean
 
 
-def standardize(seq: LatentSequence, s: Standardizer) -> LatentSequence:
-    """Standardize the frame track; labels and auxiliary tracks pass through."""
-    return LatentSequence(
-        id=seq.id, labels=seq.labels, frames=standardize_frames(seq.frames, s),
-        zc2=seq.zc2, h=seq.h,
-    )
-
-
-def destandardize(seq: LatentSequence, s: Standardizer) -> LatentSequence:
-    return LatentSequence(
-        id=seq.id, labels=seq.labels, frames=destandardize_frames(seq.frames, s),
-        zc2=seq.zc2, h=seq.h,
-    )
-
-
-def snap_to_codebook(frame: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray]:
-    """Nearest entry under squared Euclidean distance; ties take the lowest index."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (cb.dim,):
-        raise ValueError(f"frame shape {frame.shape} does not match codebook dim {cb.dim}")
-    diff = cb.entries - frame
-    idx = int(np.argmin((diff * diff).sum(axis=1)))
-    return idx, np.array(cb.entries[idx], dtype=np.float64)
-
-
 def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized snap of an (n, d) block; returns (indices, snapped frames)."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -158,23 +126,6 @@ def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarra
     diff = frames[:, None, :] - cb.entries[None, :, :]
     idx = (diff * diff).sum(axis=2).argmin(axis=1)
     return idx, np.array(cb.entries[idx], dtype=np.float64)
-
-
-def upsample_nearest(track: LabelTrack, target_len: int) -> np.ndarray:
-    """Resample labels to ``target_len`` by nearest source position.
-
-    Output slot i reads source index floor((i + 0.5) * L / target_len),
-    evaluated exactly in integers.
-    """
-    labels = np.asarray(track.labels)
-    L = labels.shape[0]
-    if L < 1:
-        raise ValueError("label track is empty")
-    if target_len < 1:
-        raise ValueError(f"target length must be >= 1, got {target_len}")
-    i = np.arange(target_len, dtype=np.int64)
-    src = (2 * i + 1) * L // (2 * target_len)
-    return labels[src]
 
 
 # Dataset file format: one sequence per line, tab-separated fields

@@ -123,16 +123,6 @@ def _noised_params(p: ConditionalGMM, ab: float) -> tuple[np.ndarray, np.ndarray
     return np.sqrt(ab) * p.means, ab * p.variances + (1.0 - ab)
 
 
-def sample_prior(p: ConditionalGMM, label: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n frames from the label's mixture."""
-    label = _check_label(p, label)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    comp = rng.choice(p.n_components, size=n, p=p.weights[label])
-    eps = rng.standard_normal((n, p.dim))
-    return p.means[label][comp] + np.sqrt(p.variances[label][comp]) * eps
-
-
 def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one frame per entry of ``labels``, in order, from a single stream."""
     labels = _check_labels(p, labels)
@@ -152,11 +142,6 @@ def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.nda
     return logsumexp(lw + lc, axis=1)
 
 
-def logpdf(p: ConditionalGMM, label: int, x: np.ndarray) -> float:
-    label = _check_label(p, label)
-    return float(logpdf_batch(p, np.array([label]), np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def noised_marginal_logpdf_batch(
     p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
@@ -168,14 +153,6 @@ def noised_marginal_logpdf_batch(
     lw = _log_weights(p.weights)[labels]
     lc = _component_logpdfs(x, m[labels], v[labels])
     return logsumexp(lw + lc, axis=1)
-
-
-def noised_marginal_logpdf(
-    p: ConditionalGMM, label: int, t: int, x: np.ndarray, sched: Schedule
-) -> float:
-    label = _check_label(p, label)
-    x = np.asarray(x, dtype=np.float64)
-    return float(noised_marginal_logpdf_batch(p, np.array([label]), t, x[None, :], sched)[0])
 
 
 def exact_eps_batch(
@@ -199,12 +176,6 @@ def exact_eps_batch(
     resp = np.exp(lj)
     grad = -(resp[:, :, None] * (x[:, None, :] - mg) / vg).sum(axis=1)
     return -np.sqrt(1.0 - ab) * grad
-
-
-def exact_eps(p: ConditionalGMM, label: int, t: int, x: np.ndarray, sched: Schedule) -> np.ndarray:
-    label = _check_label(p, label)
-    x = np.asarray(x, dtype=np.float64)
-    return exact_eps_batch(p, np.array([label]), t, x[None, :], sched)[0]
 
 
 def gaussian_posterior_moments(
@@ -278,14 +249,6 @@ def native_class_prob_batch(
     if native.dim != l2.dim or native.n_labels != l2.n_labels:
         raise ValueError("the two priors must share dimension and label vocabulary")
     return expit(logpdf_batch(native, labels, x) - logpdf_batch(l2, labels, x))
-
-
-def native_class_prob(
-    native: ConditionalGMM, l2: ConditionalGMM, label: int, x: np.ndarray
-) -> float:
-    label = _check_label(native, label)
-    x = np.asarray(x, dtype=np.float64)
-    return float(native_class_prob_batch(native, l2, np.array([label]), x[None, :])[0])
 
 
 def marginal_1d(p: ConditionalGMM, dim: int) -> ConditionalGMM:

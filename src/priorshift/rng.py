@@ -7,9 +7,9 @@ through the second Philox key word:
 
     key = [seed, (purpose << 32) | index]
 
-so a worker can open the stream for sequence ``index`` directly, without
-consuming draws that belong to another sequence.  That is what keeps
-multi-threaded conversion byte-identical to the single-threaded run.
+so the stream for sequence ``index`` opens directly, without consuming
+draws that belong to another sequence.  A sequence's conversion noise
+therefore depends only on its position in the batch.
 """
 from __future__ import annotations
 

@@ -9,7 +9,6 @@ second-stage residual.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,21 +29,18 @@ class SamplerConfig:
     """Conversion controls.
 
     ``t_start`` counts corruption steps on the user scale 1..T (0 skips
-    diffusion entirely); ``eps_source`` names the predictor family for
-    logging purposes only.
+    diffusion entirely); ``seed`` keys every sequence's noise substream;
+    ``snap`` quantizes first-stage frames to the context's codebook.  The
+    predictor and the residual head come from the :class:`ConvertContext`.
     """
 
     t_start: int
-    eps_source: str = "exact"
     seed: int = 0
-    predict_residual: bool = False
     snap: bool = True
 
     def __post_init__(self) -> None:
         if self.t_start < 0:
             raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-        if self.eps_source not in ("exact", "model"):
-            raise ValueError(f"eps_source must be 'exact' or 'model', got {self.eps_source!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,10 @@ class ConvertDiagnostics:
 
 @dataclass(frozen=True)
 class ConvertContext:
-    """Fixed machinery shared by every sequence in one conversion run."""
+    """Fixed machinery shared by every sequence in one conversion run.
+
+    With a ``residual`` head, conversion adds its predicted second stage.
+    """
 
     sched: Schedule
     standardizer: Standardizer
@@ -161,9 +160,10 @@ def convert(
     """Translate one sequence toward the native prior.
 
     Standardize, corrupt to the start step with noise from ``rng``, run the
-    deterministic reverse chain, destandardize, then optionally add the
-    predicted second-stage residual (computed on the pre-snap frames) and
-    snap the first-stage frames to the codebook.
+    deterministic reverse chain, destandardize, then add the predicted
+    second-stage residual when the context has a residual head (computed on
+    the pre-snap frames) and optionally snap the first-stage frames to the
+    codebook.
     """
     if cfg.t_start > ctx.sched.T:
         raise ValueError(f"t_start {cfg.t_start} exceeds schedule length {ctx.sched.T}")
@@ -176,9 +176,7 @@ def convert(
     else:
         z = xs
     zc1 = destandardize_frames(z, ctx.standardizer)
-    if cfg.predict_residual:
-        if ctx.residual is None:
-            raise ValueError("predict_residual set but the context has no residual model")
+    if ctx.residual is not None:
         if seq.h is None:
             raise ValueError(f"sequence {seq.id!r} lacks the h track needed for the residual")
         zc2 = predict_zc2(ctx.residual, seq.h, zc1)
@@ -206,22 +204,14 @@ def convert_sequences(
     seqs: Sequence[LatentSequence],
     ctx: ConvertContext,
     cfg: SamplerConfig,
-    threads: int = 1,
 ) -> list[tuple[LatentSequence, ConvertDiagnostics]]:
-    """Convert a batch of sequences, each on its own noise substream.
+    """Convert a batch of sequences in input order.
 
-    Substreams are keyed by sequence position, so results are identical at
-    any thread count; outputs keep input order.
+    Sequence ``i`` draws its noise from substream ``(seed, PURPOSE_CONVERT,
+    i)``, so its result depends only on its position, never on the other
+    sequences in the batch.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-
-    def work(item: tuple[int, LatentSequence]):
-        i, seq = item
-        return convert(seq, ctx, cfg, substream(cfg.seed, PURPOSE_CONVERT, i))
-
-    items = list(enumerate(seqs))
-    if threads == 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, items))
+    return [
+        convert(seq, ctx, cfg, substream(cfg.seed, PURPOSE_CONVERT, i))
+        for i, seq in enumerate(seqs)
+    ]

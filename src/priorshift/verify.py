@@ -43,7 +43,7 @@ def _randomized_params(rng: np.random.Generator):
     # generic positions, not just the identity-FiLM start.
     for t in (theta.tensors, phi.tensors):
         for name in t:
-            t[name] = t[name] + 0.3 * rng.standard_normal(t[name].shape)
+            t[name] += 0.3 * rng.standard_normal(t[name].shape)
     return theta, phi
 
 

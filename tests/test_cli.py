@@ -72,6 +72,31 @@ class TestGenData:
                        "--out", str(tmp_path / "d.tsv"), "--seed", "0"])
         assert rc == 1
 
+    @staticmethod
+    def _gen_data_error(pipeline, tmp_path, capsys, edit) -> str:
+        """Run gen-data on an edited copy of the world; return its one error line."""
+        doc = json.loads(open(pipeline["world"]).read())
+        edit(doc)
+        world = tmp_path / "edited.json"
+        world.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli.main(["gen-data", "--world", str(world),
+                       "--out", str(tmp_path / "d.tsv"), "--seed", "0"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert not (tmp_path / "d.tsv").exists()
+        return err[0]
+
+    def test_world_without_codebook_names_the_field(self, pipeline, tmp_path, capsys):
+        err = self._gen_data_error(pipeline, tmp_path, capsys, lambda d: d.pop("codebook"))
+        assert err.startswith("error: ") and "edited.json" in err and "'codebook'" in err
+
+    def test_unknown_spec_key_names_the_field(self, pipeline, tmp_path, capsys):
+        err = self._gen_data_error(pipeline, tmp_path, capsys,
+                                   lambda d: d["spec"].update(tempo=3))
+        assert err.startswith("error: ") and "edited.json" in err
+        assert "'spec'" in err and "tempo" in err
+
     def test_dataset_loads_back(self, pipeline):
         seqs, dim, n_labels = load_dataset(pipeline["data"])
         assert len(seqs) == 4
@@ -84,16 +109,13 @@ class TestSweep:
     def test_writes_table_and_reruns_identically(self, pipeline, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
-        c = str(tmp_path / "c.csv")
         base = ["sweep", "--world", pipeline["world"], "--model", "exact",
                 "--seed", "2", "--t-starts", "0,50", "--n-seq", "3",
                 "--seq-len", "8"]
         assert cli.main(base + ["--out", a]) == 0
         assert cli.main(base + ["--out", b]) == 0
-        assert cli.main(base + ["--out", c, "--threads", "8"]) == 0
         blob = open(a, "rb").read()
         assert blob == open(b, "rb").read()
-        assert blob == open(c, "rb").read()
         lines = blob.decode().splitlines()
         assert lines[0] == "t_start,identity_l2,identity_cos,native_prob,n_frames"
         assert len(lines) == 3
@@ -120,15 +142,6 @@ class TestConvert:
         assert lines[0] == "id,t_start,identity_l2,native_prob"
         assert len(lines) == 5
         assert lines[1].startswith("l2-00000,40,")
-
-    def test_threads_do_not_change_output(self, pipeline, tmp_path):
-        a = str(tmp_path / "a.tsv")
-        b = str(tmp_path / "b.tsv")
-        base = ["convert", "--world", pipeline["world"], "--model", "exact",
-                "--data", pipeline["data"], "--seed", "4", "--t-start", "60"]
-        assert cli.main(base + ["--out", a]) == 0
-        assert cli.main(base + ["--out", b, "--threads", "6"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_dim_mismatch_is_usage_error(self, pipeline, tmp_path, capsys):
         other_world = str(tmp_path / "w3.json")
@@ -205,6 +218,17 @@ class TestTrainCommand:
                        "--config", str(cfg)])
         assert rc == 2
         assert "warmup" in capsys.readouterr().err
+
+    def test_malformed_config_value_names_the_field(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"hidden": 5}))
+        rc = cli.main(["train", "--data", pipeline["data"],
+                       "--out", str(tmp_path / "m.txt"), "--seed", "0",
+                       "--config", str(cfg)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith("error: ") and "bad.json" in err[0] and "'hidden'" in err[0]
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestPosterior:

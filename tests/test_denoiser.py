@@ -7,6 +7,7 @@ from scipy.special import expit
 from priorshift.denoiser import (
     AdamState,
     DenoiserParams,
+    FlatTensors,
     ModelBundle,
     ResidualParams,
     TrainConfig,
@@ -399,31 +400,74 @@ class TestResidualHead:
 
 class TestAdam:
     def test_single_step_closed_form(self):
-        w = {"w": np.array([1.0])}
-        g = {"w": np.array([3.0])}
-        st = AdamState.for_tensors(w)
-        adam_step(w, g, st, lr=0.1)
+        w = np.array([1.0])
+        st = AdamState.for_buffer(w)
+        adam_step(w, np.array([3.0]), st, lr=0.1)
         # bias correction cancels on the first step: update is lr*g/(|g|+eps)
         want = 1.0 - 0.1 * 3.0 / (3.0 + 1e-8)
-        assert_allclose(w["w"][0], want, rtol=1e-15)
+        assert_allclose(w[0], want, rtol=1e-15)
         assert st.step == 1
 
     def test_converges_on_quadratic(self):
-        w = {"w": np.array([10.0])}
-        st = AdamState.for_tensors(w)
+        w = np.array([10.0])
+        st = AdamState.for_buffer(w)
         for _ in range(2000):
-            g = {"w": 2 * (w["w"] - 2.0)}
-            adam_step(w, g, st, lr=0.05)
-        assert abs(w["w"][0] - 2.0) < 1e-3
+            adam_step(w, 2 * (w - 2.0), st, lr=0.05)
+        assert abs(w[0] - 2.0) < 1e-3
 
     def test_state_tracks_multiple_tensors(self):
-        w = {"a": np.zeros(2), "b": np.zeros((2, 2))}
-        st = AdamState.for_tensors(w)
-        g = {"a": np.ones(2), "b": np.ones((2, 2))}
-        adam_step(w, g, st, lr=0.1)
-        adam_step(w, g, st, lr=0.1)
+        w = FlatTensors({"a": (2,), "b": (2, 2)})
+        st = AdamState.for_buffer(w.flat)
+        g = w.zeros_like()
+        g.flat[:] = 1.0
+        adam_step(w.flat, g.flat, st, lr=0.1)
+        adam_step(w.flat, g.flat, st, lr=0.1)
         assert st.step == 2
+        assert st.m.shape == st.v.shape == (6,)
         assert (w["a"] < 0).all() and (w["b"] < 0).all()
+
+
+class TestFlatBuffers:
+    """Every tensor is a view into its set's flat buffer, so the whole-buffer
+    Adam update reaches each named tensor."""
+
+    @staticmethod
+    def _assert_views(tensors):
+        assert sum(a.size for a in tensors.values()) == tensors.flat.size
+        for name, arr in tensors.items():
+            assert np.shares_memory(arr, tensors.flat), name
+
+    def test_init_builds_views(self):
+        rng = np.random.default_rng(40)
+        self._assert_views(_small_net(rng, hidden=(5, 3)).tensors)
+        self._assert_views(init_residual(2, (4,), rng).tensors)
+        self._assert_views(init_residual(2, (), rng).tensors)
+
+    def test_loaded_and_trained_sets_are_views(self, tmp_path):
+        rng = substream(41, PURPOSE_DATA)
+        seqs = [LatentSequence(id=f"s-{i:05d}", labels=rng.integers(0, 3, 10),
+                               frames=rng.normal(0, 1, (10, 2)),
+                               zc2=rng.normal(0, 0.1, (10, 2)), h=rng.normal(0, 1, (10, 2)))
+                for i in range(3)]
+        cfg = TrainConfig(epochs=2, hidden=(6,), residual_hidden=(4,), cond_dim=4,
+                          time_dim=4, lr=1e-3)
+        bundle, _ = train(cfg, seqs, SCHED, substream(42, PURPOSE_TRAIN), n_labels=3)
+        self._assert_views(bundle.theta.tensors)
+        self._assert_views(bundle.phi.tensors)
+        path = str(tmp_path / "model.txt")
+        save_model(path, bundle, SCHED)
+        loaded, _ = load_model(path)
+        self._assert_views(loaded.theta.tensors)
+        self._assert_views(loaded.phi.tensors)
+
+    def test_gradients_share_the_parameter_layout(self):
+        rng = np.random.default_rng(43)
+        theta = _small_net(rng)
+        x0 = rng.standard_normal((6, 2))
+        _, grads = loss_diff(theta, x0, rng.integers(0, 3, 6), SCHED, rng)
+        self._assert_views(grads)
+        assert list(grads) == list(theta.tensors)
+        assert all(grads[k].shape == theta.tensors[k].shape for k in grads)
 
 
 class TestTrainLoop:
@@ -582,6 +626,15 @@ class TestModelIO:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-3]))
         with pytest.raises(ValueError):
+            load_model(str(path))
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        rng = np.random.default_rng(34)
+        bundle = self._bundle(rng)
+        bundle.theta.tensors["layer1_b"][2] = np.nan
+        path = tmp_path / "model.txt"
+        save_model(str(path), bundle, SCHED)
+        with pytest.raises(ValueError, match="den.layer1_b.*non-finite"):
             load_model(str(path))
 
     def test_unknown_tensor_rejected(self, tmp_path):

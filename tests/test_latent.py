@@ -1,4 +1,4 @@
-"""Frame containers, standardization, codebook snapping, label resampling, IO."""
+"""Frame containers, standardization, codebook snapping, IO."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from priorshift.latent import (
     Codebook,
-    LabelTrack,
     LatentSequence,
     Standardizer,
     destandardize_frames,
@@ -15,10 +14,7 @@ from priorshift.latent import (
     load_dataset,
     save_dataset,
     snap_frames,
-    snap_to_codebook,
-    standardize,
     standardize_frames,
-    upsample_nearest,
 )
 
 
@@ -85,15 +81,6 @@ class TestStandardizer:
         assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         assert_allclose(z.std(axis=0), 1.0, rtol=1e-12)
 
-    def test_sequence_wrapper_leaves_other_tracks(self):
-        rng = np.random.default_rng(4)
-        seq = _seq(rng, with_tracks=True)
-        s = fit_standardizer([seq])
-        out = standardize(seq, s)
-        assert_array_equal(out.labels, seq.labels)
-        assert_array_equal(out.zc2, seq.zc2)
-        assert_array_equal(out.h, seq.h)
-
     def test_dim_mismatch(self):
         s = Standardizer(mean=np.zeros(2), std=np.ones(2))
         with pytest.raises(ValueError):
@@ -116,14 +103,14 @@ class TestStandardizer:
 class TestCodebook:
     def test_snap_picks_nearest(self):
         cb = Codebook(entries=np.array([[0.0, 0.0], [10.0, 0.0]]))
-        idx, vec = snap_to_codebook(np.array([1.0, 1.0]), cb)
-        assert idx == 0
-        assert_array_equal(vec, [0.0, 0.0])
+        idx, vec = snap_frames(np.array([[1.0, 1.0]]), cb)
+        assert_array_equal(idx, [0])
+        assert_array_equal(vec, [[0.0, 0.0]])
 
     def test_tie_takes_lowest_index(self):
         cb = Codebook(entries=np.array([[1.0], [-1.0]]))
-        idx, _ = snap_to_codebook(np.array([0.0]), cb)
-        assert idx == 0
+        idx, _ = snap_frames(np.array([[0.0]]), cb)
+        assert_array_equal(idx, [0])
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(11)
@@ -149,43 +136,7 @@ class TestCodebook:
     def test_dim_mismatch(self):
         cb = Codebook(entries=np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            snap_to_codebook(np.zeros(2), cb)
-
-
-class TestUpsampleNearest:
-    def test_doubling(self):
-        out = upsample_nearest(LabelTrack(labels=np.array([7, 9])), 4)
-        assert_array_equal(out, [7, 7, 9, 9])
-
-    def test_identity_when_lengths_match(self):
-        track = LabelTrack(labels=np.array([1, 2, 3]))
-        assert_array_equal(upsample_nearest(track, 3), [1, 2, 3])
-
-    def test_three_to_seven(self):
-        out = upsample_nearest(LabelTrack(labels=np.array([4, 5, 6])), 7)
-        assert_array_equal(out, [4, 4, 5, 5, 5, 6, 6])
-
-    def test_matches_float_midpoint_rule(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            L = int(rng.integers(1, 40))
-            F = int(rng.integers(1, 90))
-            labels = rng.integers(0, 100, L)
-            out = upsample_nearest(LabelTrack(labels=labels), F)
-            ref = labels[np.floor((np.arange(F) + 0.5) * L / F).astype(int)]
-            assert_array_equal(out, ref)
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=30),
-           st.integers(1, 80))
-    @settings(max_examples=60, deadline=None)
-    def test_length_and_membership(self, labels, target):
-        out = upsample_nearest(LabelTrack(labels=np.array(labels)), target)
-        assert out.shape == (target,)
-        assert set(out.tolist()) <= set(labels)
-
-    def test_empty_track_rejected(self):
-        with pytest.raises(ValueError):
-            upsample_nearest(LabelTrack(labels=np.array([], dtype=int)), 3)
+            snap_frames(np.zeros((1, 2)), cb)
 
 
 class TestDatasetIO:

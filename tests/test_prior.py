@@ -6,19 +6,15 @@ from numpy.testing import assert_allclose
 from priorshift.latent import Standardizer
 from priorshift.prior import (
     ConditionalGMM,
-    exact_eps,
     exact_eps_batch,
     gaussian_posterior_moments,
     grid_moments,
-    logpdf,
     logpdf_batch,
     marginal_1d,
-    native_class_prob,
     native_class_prob_batch,
-    noised_marginal_logpdf,
+    noised_marginal_logpdf_batch,
     posterior_grid,
     sample_frames,
-    sample_prior,
     standardized,
 )
 from priorshift.schedule import Schedule, alpha_bar_at, default_schedule
@@ -37,6 +33,19 @@ def _gauss_logpdf(x, mean, var):
     return -0.5 * ((x - mean) ** 2 / var + np.log(2 * np.pi * var))
 
 
+# Label 0 for a one-frame batch, and a single frame as that batch.
+L0 = np.zeros(1, dtype=int)
+
+
+def _one(x):
+    return np.asarray(x, dtype=np.float64)[None, :]
+
+
+def _draw(p, n, rng):
+    """n frames of label 0."""
+    return sample_frames(p, np.zeros(n, dtype=int), rng)
+
+
 class TestConstruction:
     def test_weight_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -51,30 +60,31 @@ class TestConstruction:
         p = ConditionalGMM.from_components([1.0, 0.0], [[0.0], [50.0]], [[1.0], [1.0]])
         assert p.n_components == 2
         # the dead component contributes nothing anywhere
-        assert_allclose(logpdf(p, 0, np.array([0.0])), _gauss_logpdf(0.0, 0.0, 1.0))
+        got = logpdf_batch(p, L0, np.array([[0.0]]))[0]
+        assert_allclose(got, _gauss_logpdf(0.0, 0.0, 1.0))
 
 
 class TestSampling:
     def test_tiny_variance_concentrates_at_mean(self):
         p = ConditionalGMM.from_components([1.0], [[2.0, -1.0]], [[1e-20, 1e-20]])
-        x = sample_prior(p, 0, 100, np.random.default_rng(0))
+        x = _draw(p, 100, np.random.default_rng(0))
         assert np.abs(x - [2.0, -1.0]).max() < 1e-8
 
     def test_degenerate_weights_route_all_draws(self):
         p = ConditionalGMM.from_components([1.0, 0.0], [[0.0], [100.0]], [[1.0], [1.0]])
-        x = sample_prior(p, 0, 500, np.random.default_rng(1))
+        x = _draw(p, 500, np.random.default_rng(1))
         assert np.abs(x).max() < 10
 
     def test_component_frequencies(self):
         p = ConditionalGMM.from_components([0.3, 0.7], [[-20.0], [20.0]], [[1.0], [1.0]])
-        x = sample_prior(p, 0, 100_000, np.random.default_rng(2))
+        x = _draw(p, 100_000, np.random.default_rng(2))
         freq = (x[:, 0] > 0).mean()
         assert abs(freq - 0.7) < 0.01
 
     def test_moments_match_mixture(self):
         rng = np.random.default_rng(3)
         p = ConditionalGMM.from_components([0.4, 0.6], [[1.0], [-2.0]], [[0.5], [2.0]])
-        x = sample_prior(p, 0, 200_000, rng)[:, 0]
+        x = _draw(p, 200_000, rng)[:, 0]
         mean = 0.4 * 1.0 + 0.6 * -2.0
         second = 0.4 * (0.5 + 1.0) + 0.6 * (2.0 + 4.0)
         var = second - mean ** 2
@@ -92,7 +102,7 @@ class TestSampling:
     def test_label_range_checked(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         with pytest.raises(ValueError):
-            sample_prior(p, 1, 5, np.random.default_rng(0))
+            sample_frames(p, np.ones(5, dtype=int), np.random.default_rng(0))
 
 
 class TestNoisedMarginal:
@@ -101,7 +111,7 @@ class TestNoisedMarginal:
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         for t in (0, 17, 50, 99):
             for x in (-1.3, 0.0, 2.4):
-                got = noised_marginal_logpdf(p, 0, t, np.array([x]), SCHED)
+                got = noised_marginal_logpdf_batch(p, L0, t, np.array([[x]]), SCHED)[0]
                 assert_allclose(got, _gauss_logpdf(x, 0.0, 1.0), rtol=1e-12)
 
     def test_single_component_closed_form(self):
@@ -111,7 +121,8 @@ class TestNoisedMarginal:
         x = np.array([0.3, -1.1])
         want = (_gauss_logpdf(x[0], np.sqrt(ab) * 1.5, ab * 0.7 + 1 - ab)
                 + _gauss_logpdf(x[1], np.sqrt(ab) * -0.5, ab * 2.0 + 1 - ab))
-        assert_allclose(noised_marginal_logpdf(p, 0, t, x, SCHED), want, rtol=1e-12)
+        got = noised_marginal_logpdf_batch(p, L0, t, _one(x), SCHED)[0]
+        assert_allclose(got, want, rtol=1e-12)
 
     def test_matches_monte_carlo_marginalization(self):
         """Independent oracle: average the corruption kernel over prior draws."""
@@ -119,27 +130,27 @@ class TestNoisedMarginal:
         t = 65
         ab = alpha_bar_at(SCHED, t)
         rng = np.random.default_rng(9)
-        x0 = sample_prior(p, 0, 1_000_000, rng)[:, 0]
+        x0 = _draw(p, 1_000_000, rng)[:, 0]
         for x_t in (-0.8, 0.4, 1.9):
             kern = np.exp(-0.5 * (x_t - np.sqrt(ab) * x0) ** 2 / (1 - ab))
             kern /= np.sqrt(2 * np.pi * (1 - ab))
             est = kern.mean()
             se = kern.std() / np.sqrt(kern.size)
-            got = np.exp(noised_marginal_logpdf(p, 0, t, np.array([x_t]), SCHED))
+            got = np.exp(noised_marginal_logpdf_batch(p, L0, t, np.array([[x_t]]), SCHED)[0])
             assert abs(got - est) < 4 * se
 
     def test_zero_step_approaches_prior(self):
         p = ConditionalGMM.from_components([0.5, 0.5], [[-2.0], [2.0]], [[1.0], [1.0]])
         x = np.array([0.7])
-        got = noised_marginal_logpdf(p, 0, 0, x, SCHED)
-        assert_allclose(got, logpdf(p, 0, x), atol=1e-3)
+        got = noised_marginal_logpdf_batch(p, L0, 0, _one(x), SCHED)[0]
+        assert_allclose(got, logpdf_batch(p, L0, _one(x))[0], atol=1e-3)
 
     def test_timestep_range_checked(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         with pytest.raises(ValueError):
-            noised_marginal_logpdf(p, 0, -1, np.array([0.0]), SCHED)
+            noised_marginal_logpdf_batch(p, L0, -1, np.array([[0.0]]), SCHED)[0]
         with pytest.raises(ValueError):
-            noised_marginal_logpdf(p, 0, SCHED.T, np.array([0.0]), SCHED)
+            noised_marginal_logpdf_batch(p, L0, SCHED.T, np.array([[0.0]]), SCHED)[0]
 
 
 class TestExactEps:
@@ -149,11 +160,12 @@ class TestExactEps:
         for t in (0, 42, 99):
             ab = alpha_bar_at(SCHED, t)
             x = np.array([1.2, -0.4])
-            assert_allclose(exact_eps(p, 0, t, x, SCHED), np.sqrt(1 - ab) * x, rtol=1e-12)
+            got = exact_eps_batch(p, L0, t, _one(x), SCHED)[0]
+            assert_allclose(got, np.sqrt(1 - ab) * x, rtol=1e-12)
 
     def test_symmetric_midpoint_is_zero(self):
         p = ConditionalGMM.from_components([0.5, 0.5], [[-3.0], [3.0]], [[1.0], [1.0]])
-        assert_allclose(exact_eps(p, 0, 50, np.array([0.0]), SCHED), 0.0, atol=1e-15)
+        assert_allclose(exact_eps_batch(p, L0, 50, np.array([[0.0]]), SCHED)[0], 0.0, atol=1e-15)
 
     def test_matches_finite_difference_score(self):
         """eps must equal -sqrt(1-ab) times the numerical marginal score."""
@@ -175,10 +187,10 @@ class TestExactEps:
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                grad[j] = (noised_marginal_logpdf(p, 0, t, xp, SCHED)
-                           - noised_marginal_logpdf(p, 0, t, xm, SCHED)) / (2 * h)
+                grad[j] = (noised_marginal_logpdf_batch(p, L0, t, _one(xp), SCHED)[0]
+                           - noised_marginal_logpdf_batch(p, L0, t, _one(xm), SCHED)[0]) / (2 * h)
             want = -np.sqrt(1 - ab) * grad
-            got = exact_eps(p, 0, t, x, SCHED)
+            got = exact_eps_batch(p, L0, t, _one(x), SCHED)[0]
             assert np.linalg.norm(got - want) <= 1e-6 * max(np.linalg.norm(want), 1e-9)
 
     def test_far_tail_follows_dominant_component(self):
@@ -186,8 +198,8 @@ class TestExactEps:
         single = ConditionalGMM.from_components([1.0], [[4.0]], [[1.0]])
         t = 30
         x = np.array([6.0])
-        assert_allclose(exact_eps(p, 0, t, x, SCHED),
-                        exact_eps(single, 0, t, x, SCHED), atol=1e-6)
+        assert_allclose(exact_eps_batch(p, L0, t, _one(x), SCHED)[0],
+                        exact_eps_batch(single, L0, t, _one(x), SCHED)[0], atol=1e-6)
 
     def test_batch_matches_scalar_api(self):
         rng = np.random.default_rng(14)
@@ -200,8 +212,8 @@ class TestExactEps:
         labels = rng.integers(0, 3, 6)
         batch = exact_eps_batch(p, labels, 40, xs, SCHED)
         for i in range(6):
-            assert_allclose(batch[i], exact_eps(p, int(labels[i]), 40, xs[i], SCHED),
-                            rtol=0, atol=0)
+            row = exact_eps_batch(p, labels[i:i + 1], 40, xs[i:i + 1], SCHED)[0]
+            assert_allclose(batch[i], row, rtol=0, atol=0)
 
 
 class TestGaussianPosterior:
@@ -311,14 +323,15 @@ class TestNativeClassProb:
     def test_equal_priors_give_half(self):
         p = ConditionalGMM.from_components([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
         for x in (-3.0, 0.0, 5.0):
-            assert native_class_prob(p, p, 0, np.array([x])) == 0.5
+            assert native_class_prob_batch(p, p, L0, np.array([[x]]))[0] == 0.5
 
     def test_unit_gaussians_two_apart(self):
         nat = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         l2 = ConditionalGMM.from_components([1.0], [[2.0]], [[1.0]])
-        got = native_class_prob(nat, l2, 0, np.array([0.0]))
+        got = native_class_prob_batch(nat, l2, L0, np.array([[0.0]]))[0]
         assert_allclose(got, 0.8807970779778823, rtol=1e-12)
-        assert_allclose(native_class_prob(nat, l2, 0, np.array([1.0])), 0.5, rtol=1e-12)
+        got = native_class_prob_batch(nat, l2, L0, np.array([[1.0]]))[0]
+        assert_allclose(got, 0.5, rtol=1e-12)
 
     def test_monotone_in_position_for_shifted_pair(self):
         nat = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])

@@ -8,9 +8,9 @@ from priorshift.latent import Codebook, LatentSequence, Standardizer
 from priorshift.prior import (
     ConditionalGMM,
     gaussian_posterior_moments,
-    sample_prior,
+    sample_frames,
 )
-from priorshift.rng import PURPOSE_DATA, substream
+from priorshift.rng import PURPOSE_CONVERT, PURPOSE_DATA, substream
 from priorshift.sampler import (
     ConvertContext,
     SamplerConfig,
@@ -156,7 +156,7 @@ class TestDenoiseFrom:
         p = ConditionalGMM.from_components([1.0], [[mu]], [[var]])
         n = 20_000
         rng = substream(1, PURPOSE_DATA)
-        x0 = sample_prior(p, 0, n, rng)
+        x0 = sample_frames(p, np.zeros(n, dtype=int), rng)
         eps = rng.standard_normal((n, 1))
         x_T = forward_corrupt(x0, SCHED.T - 1, eps, SCHED)
         out = denoise_from(x_T, SCHED.T, np.zeros(n, dtype=int),
@@ -198,13 +198,9 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="t_start"):
             SamplerConfig(t_start=-1)
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="eps_source"):
-            SamplerConfig(t_start=10, eps_source="oracle")
-
     def test_defaults(self):
         cfg = SamplerConfig(t_start=25)
-        assert cfg.eps_source == "exact" and cfg.snap and not cfg.predict_residual
+        assert cfg.seed == 0 and cfg.snap
 
 
 class TestFrameMetrics:
@@ -295,10 +291,9 @@ class TestConvert:
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, native=ctx.native, l2=ctx.l2,
                               codebook=ctx.codebook, residual=phi)
-        cfg_plain = SamplerConfig(t_start=15)
-        cfg_res = SamplerConfig(t_start=15, predict_residual=True)
-        base, _ = convert(seq2, ctx2, cfg_plain, np.random.default_rng(5))
-        res, _ = convert(seq2, ctx2, cfg_res, np.random.default_rng(5))
+        cfg = SamplerConfig(t_start=15)
+        base, _ = convert(seq2, ctx, cfg, np.random.default_rng(5))
+        res, _ = convert(seq2, ctx2, cfg, np.random.default_rng(5))
         assert_allclose(res.frames - base.frames,
                         np.tile([0.25, -0.5], (20, 1)), atol=1e-12)
 
@@ -306,16 +301,12 @@ class TestConvert:
         ctx, seq = _convert_fixture(snap=False)
         with pytest.raises(ValueError, match="codebook"):
             convert(seq, ctx, SamplerConfig(t_start=5), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="residual"):
-            convert(seq, ctx, SamplerConfig(t_start=5, snap=False, predict_residual=True),
-                    np.random.default_rng(0))
         phi = init_residual(2, (), np.random.default_rng(1))
         ctx3 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, native=ctx.native, l2=ctx.l2,
                               residual=phi)
         with pytest.raises(ValueError, match="h track"):
-            convert(seq, ctx3, SamplerConfig(t_start=5, snap=False, predict_residual=True),
-                    np.random.default_rng(0))
+            convert(seq, ctx3, SamplerConfig(t_start=5, snap=False), np.random.default_rng(0))
 
     def test_start_beyond_schedule_rejected(self):
         ctx, seq = _convert_fixture(snap=False)
@@ -341,14 +332,17 @@ class TestConvertSequences:
         results = convert_sequences(seqs, ctx, cfg)
         assert [r[0].id for r in results] == [s.id for s in seqs]
 
-    def test_thread_count_does_not_change_results(self):
+    def test_each_sequence_uses_its_position_substream(self):
+        """Sequence i's result depends only on its own position-keyed noise
+        substream, so converting it alone on that stream gives the same bits."""
         ctx, seqs = self._many()
         cfg = SamplerConfig(t_start=20, snap=False, seed=3)
-        serial = convert_sequences(seqs, ctx, cfg, threads=1)
-        pooled = convert_sequences(seqs, ctx, cfg, threads=4)
-        for (a, da), (b, db) in zip(serial, pooled):
-            assert np.array_equal(a.frames, b.frames)
-            assert da == db
+        results = convert_sequences(seqs, ctx, cfg)
+        for i, (out, diag) in enumerate(results):
+            rng = substream(cfg.seed, PURPOSE_CONVERT, i)
+            alone, alone_diag = convert(seqs[i], ctx, cfg, rng)
+            assert np.array_equal(out.frames, alone.frames)
+            assert diag == alone_diag
 
     def test_reruns_identical(self):
         ctx, seqs = self._many(3)
@@ -365,8 +359,3 @@ class TestConvertSequences:
         cfg = SamplerConfig(t_start=60, snap=False, seed=0)
         results = convert_sequences([seqs[0], clone], ctx, cfg)
         assert not np.array_equal(results[0][0].frames, results[1][0].frames)
-
-    def test_bad_thread_count(self):
-        ctx, seqs = self._many(1)
-        with pytest.raises(ValueError, match="thread"):
-            convert_sequences(seqs, ctx, SamplerConfig(t_start=5, snap=False), threads=0)
