@@ -32,7 +32,7 @@ from .harness import (
 from .latent import load_dataset, save_dataset
 from .prior import marginal_1d
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
-from .sampler import SamplerConfig, convert_sequences
+from .sampler import SamplerConfig, convert_sequences, frame_metrics
 from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, linear_schedule
 from .verify import run_suites
 
@@ -184,17 +184,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     ctx = build_context(world, sched, bundle)
     cfg = SamplerConfig(t_start=args.t_start, seed=args.seed, snap=not args.no_snap)
     results = convert_sequences(seqs, ctx, cfg)
-    save_dataset([seq for seq, _ in results], out, n_labels)
+    # Score every frame before writing anything, so a failure leaves no file.
+    l2d, _, prob = frame_metrics(
+        np.concatenate([s.frames for s in seqs]), np.concatenate([s.frames for s in results]),
+        np.concatenate([s.labels for s in seqs]), world.native, world.l2,
+    )
+    save_dataset(results, out, n_labels)
     if diag_path is not None:
+        bounds = np.cumsum([len(s) for s in seqs])[:-1]
         with open(diag_path, "w", encoding="utf-8") as fh:
             fh.write("id,t_start,identity_l2,native_prob\n")
-            for _, d in results:
-                fh.write(f"{d.id},{d.t_start},{d.identity_l2:.17g},{d.native_prob:.17g}\n")
-    total = sum(d.n_frames for _, d in results)
-    mean_l2 = sum(d.identity_l2 * d.n_frames for _, d in results) / total
-    mean_prob = sum(d.native_prob * d.n_frames for _, d in results) / total
+            for seq, l2s, probs in zip(seqs, np.split(l2d, bounds), np.split(prob, bounds)):
+                fh.write(f"{seq.id},{args.t_start},{l2s.mean():.17g},{probs.mean():.17g}\n")
     log.info("convert out=%s t_start=%d frames=%d identity_l2=%.4f native_prob=%.4f",
-             out, args.t_start, total, mean_l2, mean_prob)
+             out, args.t_start, l2d.size, l2d.mean(), prob.mean())
     return 0
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
+from .latent import LatentSequence, Standardizer, fit_standardizer, parse_field, \
+    standardize_frames
 from .schedule import Schedule, alpha_bar_array, linear_schedule
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
@@ -214,13 +215,17 @@ def dropout_masks(
     ]
 
 
-def _check_inputs(params: DenoiserParams, x: np.ndarray, labels: np.ndarray) -> None:
+def _check_inputs(params: DenoiserParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, d) float64 frame block and its n in-range labels, as arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError(f"input shape {x.shape} does not match model dim {params.dim}")
     if labels.shape != (x.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= params.n_labels):
         raise ValueError(f"labels outside [0, {params.n_labels})")
+    return x, labels
 
 
 def _forward_cached(
@@ -291,51 +296,24 @@ def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray)
     return grads
 
 
-def forward(
-    params: DenoiserParams,
-    x_t: np.ndarray,
-    t,
-    labels,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    dropout: float = 0.0,
-) -> np.ndarray:
-    """Predict the injected noise for frames ``x_t`` at step(s) ``t``.
-
-    ``mode='train'`` applies inverted dropout drawn from ``rng``; ``'eval'``
-    is deterministic and pure.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x_t, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    labels = np.atleast_1d(np.asarray(labels))
-    _check_inputs(params, x, labels)
-    masks = None
-    if mode == "train" and dropout > 0.0:
-        if rng is None:
-            raise ValueError("training mode with dropout needs an rng")
-        masks = dropout_masks(params, x.shape[0], dropout, rng)
-    eps_hat, _ = _forward_cached(params, x, t, labels, masks)
-    return eps_hat[0] if single else eps_hat
+def forward(params: DenoiserParams, x_t: np.ndarray, t, labels) -> np.ndarray:
+    """Predict the injected noise for an (n, d) block of frames ``x_t`` at
+    step(s) ``t``; deterministic, no dropout (training draws its masks in
+    :func:`draw_batch_noise`)."""
+    x, labels = _check_inputs(params, x_t, labels)
+    return _forward_cached(params, x, t, labels)[0]
 
 
 def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
-    """Second-stage residual from encoder features and first-stage frames."""
+    """Second-stage residual from (n, d) blocks of encoder features and
+    first-stage frames."""
     h = np.asarray(h, dtype=np.float64)
     zc1 = np.asarray(zc1, dtype=np.float64)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
-        zc1 = zc1[None, :]
-    if h.shape != zc1.shape or h.shape[1] != phi.dim:
+    if h.ndim != 2 or h.shape != zc1.shape or h.shape[1] != phi.dim:
         raise ValueError(
             f"feature shape {h.shape} and frame shape {zc1.shape} must both be (n, {phi.dim})"
         )
-    out, _ = _forward_cached(phi, np.concatenate([h, zc1], axis=1))
-    return out[0] if single else out
+    return _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
 
 
 def _gather_ab(sched: Schedule, t: np.ndarray) -> np.ndarray:
@@ -383,9 +361,7 @@ def loss_diff(
     dropout: float = 0.0,
 ) -> tuple[float, FlatTensors]:
     """Denoising loss and gradients; timesteps uniform, noise standard normal."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_inputs(theta, x0, labels)
+    x0, labels = _check_inputs(theta, x0, labels)
     t, eps, masks = draw_batch_noise(theta, x0.shape[0], sched, rng, dropout)
     loss, grads, _, _ = _loss_diff_core(theta, x0, labels, t, eps, sched, masks)
     return loss, grads
@@ -438,11 +414,9 @@ def loss_total(
     the residual head, so the head sees the same inputs it gets at
     conversion time.  Consumes rng draws exactly like :func:`loss_diff`.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0, labels = _check_inputs(theta, x0, labels)
     zc2 = np.asarray(zc2, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_inputs(theta, x0, labels)
     if zc2.shape != x0.shape or h.shape != x0.shape:
         raise ValueError("zc2 and h tracks must match the frame block shape")
     t, eps, masks = draw_batch_noise(theta, x0.shape[0], sched, rng, dropout)
@@ -597,6 +571,10 @@ def _fmt_hidden(hidden: tuple[int, ...]) -> str:
     return ",".join(str(w) for w in hidden) if hidden else "-"
 
 
+def _decode_values(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()], dtype=np.float64)
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
@@ -628,12 +606,18 @@ def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
         fh.write("end\n")
 
 
-def _read_kv(fh, key: str) -> list[str]:
+def _parse_schedule(text: str) -> Schedule:
+    bmin, bmax, t_steps = text.split()
+    return linear_schedule(float(bmin), float(bmax), int(t_steps))
+
+
+def _read_kv(fh, path: str, key: str, parse=int):
+    """Parse the value of the next line, which must start with ``key``."""
     line = fh.readline().rstrip("\n")
-    parts = line.split()
-    if not parts or parts[0] != key:
-        raise ValueError(f"model file: expected {key!r} line, got {line!r}")
-    return parts[1:]
+    name, _, value = line.partition(" ")
+    if name != key:
+        raise ValueError(f"{path}: expected {key!r} line, got {line!r}")
+    return parse_field(path, key, parse, value)
 
 
 def load_model(path: str) -> tuple[ModelBundle, Schedule]:
@@ -641,14 +625,13 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
         magic = fh.readline().rstrip("\n")
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not a model file (header {magic!r})")
-        bmin, bmax, t_steps = _read_kv(fh, "schedule")
-        sched = linear_schedule(float(bmin), float(bmax), int(t_steps))
-        dim = int(_read_kv(fh, "dim")[0])
-        n_labels = int(_read_kv(fh, "labels")[0])
-        cond_dim = int(_read_kv(fh, "cond_dim")[0])
-        time_dim = int(_read_kv(fh, "time_dim")[0])
-        hidden = _parse_hidden(_read_kv(fh, "hidden")[0])
-        res_hidden = _parse_hidden(_read_kv(fh, "residual_hidden")[0])
+        sched = _read_kv(fh, path, "schedule", _parse_schedule)
+        dim = _read_kv(fh, path, "dim")
+        n_labels = _read_kv(fh, path, "labels")
+        cond_dim = _read_kv(fh, path, "cond_dim")
+        time_dim = _read_kv(fh, path, "time_dim")
+        hidden = _read_kv(fh, path, "hidden", _parse_hidden)
+        res_hidden = _read_kv(fh, path, "residual_hidden", _parse_hidden)
         theta = DenoiserParams(
             dim=dim, n_labels=n_labels, hidden=hidden, cond_dim=cond_dim, time_dim=time_dim,
             tensors=FlatTensors(_denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim)),
@@ -671,10 +654,11 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "tensor":
                 raise ValueError(f"{path}: bad tensor header {line!r}")
-            name, size = parts[1], int(parts[2])
+            name = parts[1]
             if name not in targets:
                 raise ValueError(f"{path}: unknown tensor {name!r}")
-            values = np.array([float(v) for v in fh.readline().split()], dtype=np.float64)
+            size = parse_field(path, f"tensor {name!r} size", int, parts[2])
+            values = parse_field(path, f"tensor {name!r}", _decode_values, fh.readline())
             target = targets[name]
             if size != values.size or values.size != target.size:
                 raise ValueError(

@@ -178,7 +178,6 @@ def build_context(world: World, sched: Schedule, bundle: ModelBundle | None) -> 
         residual = bundle.phi
     return ConvertContext(
         sched=sched, standardizer=std, eps_fn=eps_fn,
-        native=world.native, l2=world.l2,
         codebook=world.codebook, residual=residual,
     )
 
@@ -236,8 +235,7 @@ def sweep(
     rows = []
     for ts in t_starts:
         cfg = SamplerConfig(t_start=int(ts), seed=seed, snap=snap)
-        results = convert_sequences(data, ctx, cfg)
-        out = np.concatenate([seq.frames for seq, _ in results], axis=0)
+        out = np.concatenate([seq.frames for seq in convert_sequences(data, ctx, cfg)], axis=0)
         l2d, cos, prob = frame_metrics(inp, out, labels, world.native, world.l2)
         if stratify_labels:
             groups = [np.flatnonzero(labels == k) for k in np.unique(labels)]
@@ -372,7 +370,7 @@ def load_world(path: str) -> World:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != WORLD_MAGIC:
         raise ValueError(f"{path}: not a world file (format {fmt!r})")
-    return World(
+    world = World(
         spec=_world_field(path, doc, "spec", _spec_from_json),
         native=_world_field(path, doc, "native", _gmm_from_json),
         l2=_world_field(path, doc, "l2", _gmm_from_json),
@@ -382,3 +380,13 @@ def load_world(path: str) -> World:
         standardizer=_world_field(path, doc, "standardizer", _standardizer_from_json),
         attempts=_world_field(path, doc, "attempts", int),
     )
+    spec = world.spec
+    for name, got, want in (
+        ("native", world.native.means.shape, (spec.n_labels, spec.n_components, spec.dim)),
+        ("l2", world.l2.means.shape, (spec.n_labels, spec.n_components, spec.dim)),
+        ("codebook", world.codebook.entries.shape, (len(world.codebook), spec.dim)),
+        ("standardizer", world.standardizer.mean.shape, (spec.dim,)),
+    ):
+        if got != want:
+            raise ValueError(f"{path}: field {name!r} has shape {got}, spec needs {want}")
+    return world

@@ -139,16 +139,26 @@ def _encode_track(track: np.ndarray) -> str:
     return "|".join(",".join(f"{v:.17g}" for v in row) for row in track)
 
 
-def _decode_track(text: str, dim: int, seq_id: str, what: str) -> np.ndarray:
+def _decode_track(text: str, dim: int) -> np.ndarray:
     rows = []
     for part in text.split("|"):
         row = [float(v) for v in part.split(",")]
         if len(row) != dim:
-            raise ValueError(
-                f"sequence {seq_id!r}: {what} frame has {len(row)} dims, header says {dim}"
-            )
+            raise ValueError(f"frame has {len(row)} dims, header says {dim}")
         rows.append(row)
     return np.array(rows, dtype=np.float64)
+
+
+def _decode_labels(text: str) -> np.ndarray:
+    return np.array([int(v) for v in text.split(",")], dtype=np.int64)
+
+
+def parse_field(where: str, field: str, parse, *args):
+    """``parse(*args)``; a malformed value fails as ``<where>: <field>: <why>``."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {field}: {exc}") from None
 
 
 def save_dataset(seqs: Sequence[LatentSequence], path: str, n_labels: int) -> None:
@@ -182,26 +192,27 @@ def load_dataset(path: str) -> tuple[list[LatentSequence], int, int]:
         m = header.split()
         if len(m) != 2 or not m[0].startswith("#dim=") or not m[1].startswith("labels="):
             raise ValueError(f"{path}: bad dataset header {header!r}")
-        dim = int(m[0][len("#dim="):])
-        n_labels = int(m[1][len("labels="):])
+        dim = parse_field(f"{path}:1", "#dim", int, m[0][len("#dim="):])
+        n_labels = parse_field(f"{path}:1", "labels=", int, m[1][len("labels="):])
         seqs: list[LatentSequence] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             fields = line.split("\t")
             if len(fields) not in (3, 5):
-                raise ValueError(f"{path}:{lineno}: expected 3 or 5 fields, got {len(fields)}")
-            seq_id = fields[0]
-            labels = np.array([int(v) for v in fields[1].split(",")], dtype=np.int64)
+                raise ValueError(f"{where}: expected 3 or 5 fields, got {len(fields)}")
+            labels = parse_field(where, "labels", _decode_labels, fields[1])
             if labels.min() < 0 or labels.max() >= n_labels:
-                raise ValueError(f"{path}:{lineno}: label outside [0, {n_labels})")
-            frames = _decode_track(fields[2], dim, seq_id, "latent")
+                raise ValueError(f"{where}: label outside [0, {n_labels})")
+            frames = parse_field(where, "latent track", _decode_track, fields[2], dim)
             zc2 = h = None
             if len(fields) == 5:
-                zc2 = _decode_track(fields[3], dim, seq_id, "zc2")
-                h = _decode_track(fields[4], dim, seq_id, "h")
-            seqs.append(LatentSequence(id=seq_id, labels=labels, frames=frames, zc2=zc2, h=h))
+                zc2 = parse_field(where, "zc2 track", _decode_track, fields[3], dim)
+                h = parse_field(where, "h track", _decode_track, fields[4], dim)
+            seqs.append(parse_field(where, "sequence", LatentSequence,
+                                    fields[0], labels, frames, zc2, h))
     if not seqs:
         raise ValueError(f"{path}: dataset has no sequences")
     return seqs, dim, n_labels

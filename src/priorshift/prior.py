@@ -79,13 +79,6 @@ class PosteriorGrid:
     x_t: float
 
 
-def _check_label(p: ConditionalGMM, label: int) -> int:
-    label = int(label)
-    if not 0 <= label < p.n_labels:
-        raise ValueError(f"label {label} outside [0, {p.n_labels})")
-    return label
-
-
 def _check_labels(p: ConditionalGMM, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= p.n_labels):
@@ -100,27 +93,20 @@ def _check_t(sched: Schedule, t: int) -> int:
     return t
 
 
-def _check_frames(p: ConditionalGMM, x: np.ndarray) -> np.ndarray:
+def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
+    """Per-frame, per-component log weight plus log density, (n, C), under
+    the mixture corrupted to cumulative level ``ab`` (1 is clean); also the
+    frames' offsets from the gathered means, and the gathered variances."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.dim:
         raise ValueError(f"frames shape {x.shape} does not match prior dim {p.dim}")
-    return x
-
-
-def _log_weights(w: np.ndarray) -> np.ndarray:
+    labels = _check_labels(p, labels)
+    m = (np.sqrt(ab) * p.means)[labels]
+    v = (ab * p.variances + (1.0 - ab))[labels]
     with np.errstate(divide="ignore"):
-        return np.log(w)
-
-
-def _component_logpdfs(x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x (n, d) against per-frame component banks m, v (n, C, d) -> (n, C)."""
+        lw = np.log(p.weights)[labels]
     diff = x[:, None, :] - m
-    return -0.5 * (diff * diff / v + np.log(v) + _LOG_2PI).sum(axis=2)
-
-
-def _noised_params(p: ConditionalGMM, ab: float) -> tuple[np.ndarray, np.ndarray]:
-    """Component means and variances after corruption to cumulative level ``ab``."""
-    return np.sqrt(ab) * p.means, ab * p.variances + (1.0 - ab)
+    return lw - 0.5 * (diff * diff / v + np.log(v) + _LOG_2PI).sum(axis=2), diff, v
 
 
 def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -135,24 +121,15 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
 
 def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Uncorrupted mixture log density per frame."""
-    x = _check_frames(p, x)
-    labels = _check_labels(p, labels)
-    lw = _log_weights(p.weights)[labels]
-    lc = _component_logpdfs(x, p.means[labels], p.variances[labels])
-    return logsumexp(lw + lc, axis=1)
+    return logsumexp(_log_joint(p, labels, x)[0], axis=1)
 
 
 def noised_marginal_logpdf_batch(
     p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
     """Log density of the corrupted marginal at step ``t``, one value per frame."""
-    x = _check_frames(p, x)
-    labels = _check_labels(p, labels)
-    t = _check_t(sched, t)
-    m, v = _noised_params(p, alpha_bar_at(sched, t))
-    lw = _log_weights(p.weights)[labels]
-    lc = _component_logpdfs(x, m[labels], v[labels])
-    return logsumexp(lw + lc, axis=1)
+    ab = alpha_bar_at(sched, _check_t(sched, t))
+    return logsumexp(_log_joint(p, labels, x, ab)[0], axis=1)
 
 
 def exact_eps_batch(
@@ -163,18 +140,11 @@ def exact_eps_batch(
     Returns -sqrt(1 - alpha_bar_t) times the gradient of the log marginal,
     computed from component responsibilities.
     """
-    x = _check_frames(p, x)
-    labels = _check_labels(p, labels)
-    t = _check_t(sched, t)
-    ab = alpha_bar_at(sched, t)
-    m, v = _noised_params(p, ab)
-    mg = m[labels]
-    vg = v[labels]
-    lw = _log_weights(p.weights)[labels]
-    lj = lw + _component_logpdfs(x, mg, vg)
+    ab = alpha_bar_at(sched, _check_t(sched, t))
+    lj, diff, v = _log_joint(p, labels, x, ab)
     lj -= logsumexp(lj, axis=1, keepdims=True)
     resp = np.exp(lj)
-    grad = -(resp[:, :, None] * (x[:, None, :] - mg) / vg).sum(axis=1)
+    grad = -(resp[:, :, None] * diff / v).sum(axis=1)
     return -np.sqrt(1.0 - ab) * grad
 
 
@@ -210,7 +180,7 @@ def posterior_grid(
     """
     if p.dim != 1:
         raise ValueError(f"gridded posterior requires a 1-D prior, got dim {p.dim}")
-    label = _check_label(p, label)
+    _check_labels(p, [label])
     t = _check_t(sched, t)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 8:

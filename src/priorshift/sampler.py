@@ -5,7 +5,8 @@ from the current state and a noise prediction, then re-corrupt it to the
 previous step's level with the same prediction.  Conversion corrupts an
 input sequence to a chosen start step and runs that update chain back to
 step zero, optionally snapping to a codebook and adding a learned
-second-stage residual.
+second-stage residual.  Everything here takes (n, d) frame blocks, and
+conversion returns frames only: callers score them with :func:`frame_metrics`.
 """
 from __future__ import annotations
 
@@ -44,27 +45,16 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class ConvertDiagnostics:
-    id: str
-    t_start: int
-    identity_l2: float
-    identity_cos: float
-    native_prob: float
-    n_frames: int
-
-
-@dataclass(frozen=True)
 class ConvertContext:
     """Fixed machinery shared by every sequence in one conversion run.
 
-    With a ``residual`` head, conversion adds its predicted second stage.
+    ``eps_fn`` takes (n, d) frame blocks.  With a ``residual`` head,
+    conversion adds its predicted second stage.  Conversion returns frames only.
     """
 
     sched: Schedule
     standardizer: Standardizer
     eps_fn: EpsFn
-    native: ConditionalGMM
-    l2: ConditionalGMM
     codebook: Codebook | None = None
     residual: ResidualParams | None = None
 
@@ -130,7 +120,7 @@ def model_eps_source(theta: DenoiserParams) -> EpsFn:
     """Trained predictor, always evaluated without dropout."""
 
     def eps_fn(x: np.ndarray, t: int, labels: np.ndarray) -> np.ndarray:
-        return forward(theta, x, t, labels, mode="eval")
+        return forward(theta, x, t, labels)
 
     return eps_fn
 
@@ -156,7 +146,7 @@ def convert(
     ctx: ConvertContext,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-) -> tuple[LatentSequence, ConvertDiagnostics]:
+) -> LatentSequence:
     """Translate one sequence toward the native prior.
 
     Standardize, corrupt to the start step with noise from ``rng``, run the
@@ -186,25 +176,14 @@ def convert(
         if ctx.codebook is None:
             raise ValueError("snap set but the context has no codebook")
         _, zc1 = snap_frames(zc1, ctx.codebook)
-    out_frames = zc1 + zc2
-    out_seq = LatentSequence(id=seq.id, labels=labels.copy(), frames=out_frames)
-    l2d, cos, prob = frame_metrics(seq.frames, out_frames, labels, ctx.native, ctx.l2)
-    diag = ConvertDiagnostics(
-        id=seq.id,
-        t_start=cfg.t_start,
-        identity_l2=float(l2d.mean()),
-        identity_cos=float(cos.mean()),
-        native_prob=float(prob.mean()),
-        n_frames=len(seq),
-    )
-    return out_seq, diag
+    return LatentSequence(id=seq.id, labels=labels.copy(), frames=zc1 + zc2)
 
 
 def convert_sequences(
     seqs: Sequence[LatentSequence],
     ctx: ConvertContext,
     cfg: SamplerConfig,
-) -> list[tuple[LatentSequence, ConvertDiagnostics]]:
+) -> list[LatentSequence]:
     """Convert a batch of sequences in input order.
 
     Sequence ``i`` draws its noise from substream ``(seed, PURPOSE_CONVERT,

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from priorshift import cli
+from priorshift.harness import load_world
 from priorshift.latent import load_dataset
+from priorshift.sampler import frame_metrics
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,30 @@ class TestGenData:
         err = self._gen_data_error(pipeline, tmp_path, capsys, lambda d: d.pop("codebook"))
         assert err.startswith("error: ") and "edited.json" in err and "'codebook'" in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("native", lambda d: d["native"].update(
+            {k: np.array(d["native"][k])[..., :1].tolist() for k in ("means", "variances")})),
+        ("l2", lambda d: d["l2"].update({k: v[:2] for k, v in d["l2"].items()})),
+        ("codebook", lambda d: d.update(codebook=[row + [0.0] for row in d["codebook"]])),
+        ("standardizer", lambda d: d["standardizer"].update(mean=[0.0], std=[1.0])),
+    ])
+    def test_world_parts_must_match_the_spec(self, pipeline, tmp_path, capsys, field, edit):
+        err = self._gen_data_error(pipeline, tmp_path, capsys, edit)
+        assert err.startswith("error: ") and "edited.json" in err
+        assert f"field {field!r} has shape" in err
+
+    def test_convert_with_mismatched_world_writes_nothing(self, pipeline, tmp_path, capsys):
+        doc = json.loads(open(pipeline["world"]).read())
+        doc["l2"] = {k: v[:2] for k, v in doc["l2"].items()}
+        world = tmp_path / "edited.json"
+        world.write_text(json.dumps(doc))
+        out, diag = tmp_path / "x.tsv", tmp_path / "d.csv"
+        rc = cli.main(["convert", "--world", str(world), "--model", "exact",
+                       "--data", pipeline["data"], "--out", str(out), "--seed", "0",
+                       "--t-start", "10", "--diagnostics", str(diag)])
+        assert rc == 1 and "'l2'" in capsys.readouterr().err
+        assert not out.exists() and not diag.exists()
+
     def test_unknown_spec_key_names_the_field(self, pipeline, tmp_path, capsys):
         err = self._gen_data_error(pipeline, tmp_path, capsys,
                                    lambda d: d["spec"].update(tempo=3))
@@ -142,6 +168,14 @@ class TestConvert:
         assert lines[0] == "id,t_start,identity_l2,native_prob"
         assert len(lines) == 5
         assert lines[1].startswith("l2-00000,40,")
+        world = load_world(pipeline["world"])
+        inputs, _, _ = load_dataset(pipeline["data"])
+        for line, inp, got in zip(lines[1:], inputs, seqs):
+            l2d, _, prob = frame_metrics(inp.frames, got.frames, inp.labels,
+                                         world.native, world.l2)
+            row = line.split(",")
+            assert row[0] == inp.id
+            assert float(row[2]) == l2d.mean() and float(row[3]) == prob.mean()
 
     def test_dim_mismatch_is_usage_error(self, pipeline, tmp_path, capsys):
         other_world = str(tmp_path / "w3.json")

@@ -117,15 +117,6 @@ class TestForward:
         out = forward(params, rng.standard_normal((3, 2)), 10, np.zeros(3, dtype=int))
         assert np.array_equal(out, np.zeros((3, 2)))
 
-    def test_single_frame_matches_batch_row(self):
-        rng = np.random.default_rng(4)
-        params = _perturb(_small_net(rng), rng)
-        x = rng.standard_normal((5, 2))
-        labels = np.array([0, 1, 2, 1, 0])
-        batch = forward(params, x, 7, labels)
-        one = forward(params, x[3], 7, 1)
-        assert_allclose(one, batch[3], atol=2e-15)
-
     def test_conditioning_changes_output_after_perturbation(self):
         rng = np.random.default_rng(5)
         params = _perturb(_small_net(rng), rng)
@@ -144,10 +135,8 @@ class TestForward:
             forward(params, rng.standard_normal((3, 4)), 0, np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="labels"):
             forward(params, x, 0, np.array([0, 1, 5]))
-        with pytest.raises(ValueError, match="mode"):
-            forward(params, x, 0, np.zeros(3, dtype=int), mode="predict")
-        with pytest.raises(ValueError, match="rng"):
-            forward(params, x, 0, np.zeros(3, dtype=int), mode="train", dropout=0.5)
+        with pytest.raises(ValueError, match="input shape"):
+            forward(params, x[0], 0, np.zeros(1, dtype=int))
 
     def test_dropout_zero_mask_list_is_none(self):
         rng = np.random.default_rng(7)
@@ -359,17 +348,13 @@ class TestResidualHead:
         want = np.concatenate([h, zc1], axis=1) @ phi.tensors["out_w"].T + phi.tensors["out_b"]
         assert np.array_equal(predict_zc2(phi, h, zc1), want)
 
-    def test_single_frame_shape(self):
-        rng = np.random.default_rng(22)
-        phi = init_residual(3, (4,), rng)
-        out = predict_zc2(phi, rng.standard_normal(3), rng.standard_normal(3))
-        assert out.shape == (3,)
-
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         phi = init_residual(3, (), rng)
         with pytest.raises(ValueError, match="shape"):
             predict_zc2(phi, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            predict_zc2(phi, rng.standard_normal(3), rng.standard_normal(3))
 
     def test_training_learns_planted_map(self):
         """zc2 = h/2 is representable exactly; training should drive the head
@@ -646,3 +631,20 @@ class TestModelIO:
         path.write_text(text)
         with pytest.raises(ValueError, match="mystery"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("\ndim 3\n", "\ndim four\n", "dim: invalid literal"),
+        ("\ntensor den.out_b 3\n", "\ntensor den.out_b many\n", "tensor 'den.out_b' size"),
+        ("\ntensor den.out_b 3\n", "\ntensor den.out_b 3\nzz ", "tensor 'den.out_b': could not"),
+        ("\nschedule ", "\nschedule 0.5 ", "schedule: too many values"),
+    ], ids=["header", "tensor-size", "tensor-value", "schedule"])
+    def test_malformed_value_names_file_and_field(self, tmp_path, old, new, field):
+        rng = np.random.default_rng(35)
+        path = tmp_path / "model.txt"
+        save_model(str(path), self._bundle(rng), SCHED)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        assert str(info.value).startswith(f"{path}: {field}")

@@ -186,3 +186,20 @@ class TestDatasetIO:
         path.write_text("#dim=1 labels=2\nid\t0\n")
         with pytest.raises(ValueError, match=":2"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("text, where", [
+        ("#dim=four labels=2\nid\t0\t1\n", ":1: #dim: invalid literal"),
+        ("#dim=1 labels=many\nid\t0\t1\n", ":1: labels=: invalid literal"),
+        ("#dim=1 labels=2\nok\t0\t1\nid\tx\t1\n", ":3: labels: invalid literal"),
+        ("#dim=1 labels=2\nid\t0,1\t1|abc\n", ":2: latent track: could not convert"),
+        ("#dim=1 labels=2\nid\t0\t1,2\n", ":2: latent track: frame has 2 dims"),
+        ("#dim=1 labels=2\nid\t0\t1\tzz\t1\n", ":2: zc2 track: could not convert"),
+        ("#dim=1 labels=2\nid\t0\t1\t0\t\n", ":2: h track: could not convert"),
+        ("#dim=1 labels=2\nid\t0\tnan\n", ":2: sequence: sequence 'id' has non-finite"),
+    ], ids=["dim", "n-labels", "label", "frame", "frame-width", "zc2", "h", "non-finite"])
+    def test_malformed_value_names_line_and_field(self, tmp_path, text, where):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value).startswith(f"{path}{where}")

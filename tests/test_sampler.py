@@ -221,17 +221,25 @@ class TestFrameMetrics:
         assert_allclose(l2d, 1.0)
 
 
-def _convert_fixture(d=2, snap=True):
+def _priors(d=2):
+    """Native and shifted priors of the conversion fixture."""
     native = ConditionalGMM.from_components([1.0], [[0.0] * d], [[1.0] * d])
     shifted = ConditionalGMM.from_components([1.0], [[2.0] * d], [[1.0] * d])
+    return native, shifted
+
+
+def _metrics(inp: LatentSequence, out: LatentSequence):
+    return frame_metrics(inp.frames, out.frames, inp.labels, *_priors(inp.dim))
+
+
+def _convert_fixture(d=2, snap=True):
+    native, _ = _priors(d)
     rng = np.random.default_rng(9)
     entries = rng.normal(0, 1, (32, d))
     ctx = ConvertContext(
         sched=SCHED,
         standardizer=_identity_standardizer(d),
         eps_fn=prior_eps_source(native, SCHED),
-        native=native,
-        l2=shifted,
         codebook=Codebook(entries=entries) if snap else None,
     )
     frames = rng.normal(1.5, 1.0, (20, d))
@@ -243,17 +251,17 @@ class TestConvert:
     def test_zero_start_without_snap_is_identity(self):
         ctx, seq = _convert_fixture(snap=False)
         cfg = SamplerConfig(t_start=0, snap=False)
-        out, diag = convert(seq, ctx, cfg, np.random.default_rng(0))
+        out = convert(seq, ctx, cfg, np.random.default_rng(0))
         assert_allclose(out.frames, seq.frames, atol=1e-12)
-        assert diag.identity_l2 < 1e-12
-        assert_allclose(diag.identity_cos, 1.0, atol=1e-12)
-        assert diag.n_frames == 20
-        assert diag.t_start == 0
+        l2d, cos, _ = _metrics(seq, out)
+        assert l2d.mean() < 1e-12
+        assert_allclose(cos.mean(), 1.0, atol=1e-12)
+        assert len(out) == 20
 
     def test_snapped_output_lands_on_codebook(self):
         ctx, seq = _convert_fixture(snap=True)
         cfg = SamplerConfig(t_start=30)
-        out, _ = convert(seq, ctx, cfg, np.random.default_rng(1))
+        out = convert(seq, ctx, cfg, np.random.default_rng(1))
         for row in out.frames:
             assert any(np.array_equal(row, e) for e in ctx.codebook.entries)
 
@@ -266,7 +274,7 @@ class TestConvert:
         frames = np.array([[0.8], [-0.4], [2.2]])
         seq = LatentSequence(id="z", labels=np.zeros(3, dtype=int), frames=frames)
         cfg = SamplerConfig(t_start=1, snap=False)
-        out, _ = convert(seq, ctx, cfg, ZeroRng())
+        out = convert(seq, ctx, cfg, ZeroRng())
         ab = alpha_bar_at(SCHED, 0)
         for i in range(3):
             mean, _ = gaussian_posterior_moments(0.0, 1.0, 0, np.sqrt(ab) * frames[i, 0], SCHED)
@@ -275,10 +283,9 @@ class TestConvert:
     def test_standardizer_round_trip_preserved(self):
         ctx, seq = _convert_fixture(snap=False)
         std = Standardizer(mean=np.array([0.7, -0.3]), std=np.array([1.4, 0.6]))
-        ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, eps_fn=ctx.eps_fn,
-                              native=ctx.native, l2=ctx.l2)
+        ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, eps_fn=ctx.eps_fn)
         cfg = SamplerConfig(t_start=0, snap=False)
-        out, _ = convert(seq, ctx2, cfg, np.random.default_rng(2))
+        out = convert(seq, ctx2, cfg, np.random.default_rng(2))
         assert_allclose(out.frames, seq.frames, atol=1e-9)
 
     def test_residual_head_adds_to_snapped_frames(self):
@@ -289,11 +296,10 @@ class TestConvert:
         h = np.random.default_rng(4).normal(0, 1, seq.frames.shape)
         seq2 = LatentSequence(id=seq.id, labels=seq.labels, frames=seq.frames, h=h)
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
-                              eps_fn=ctx.eps_fn, native=ctx.native, l2=ctx.l2,
-                              codebook=ctx.codebook, residual=phi)
+                              eps_fn=ctx.eps_fn, codebook=ctx.codebook, residual=phi)
         cfg = SamplerConfig(t_start=15)
-        base, _ = convert(seq2, ctx, cfg, np.random.default_rng(5))
-        res, _ = convert(seq2, ctx2, cfg, np.random.default_rng(5))
+        base = convert(seq2, ctx, cfg, np.random.default_rng(5))
+        res = convert(seq2, ctx2, cfg, np.random.default_rng(5))
         assert_allclose(res.frames - base.frames,
                         np.tile([0.25, -0.5], (20, 1)), atol=1e-12)
 
@@ -303,8 +309,7 @@ class TestConvert:
             convert(seq, ctx, SamplerConfig(t_start=5), np.random.default_rng(0))
         phi = init_residual(2, (), np.random.default_rng(1))
         ctx3 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
-                              eps_fn=ctx.eps_fn, native=ctx.native, l2=ctx.l2,
-                              residual=phi)
+                              eps_fn=ctx.eps_fn, residual=phi)
         with pytest.raises(ValueError, match="h track"):
             convert(seq, ctx3, SamplerConfig(t_start=5, snap=False), np.random.default_rng(0))
 
@@ -330,7 +335,7 @@ class TestConvertSequences:
         ctx, seqs = self._many()
         cfg = SamplerConfig(t_start=20, snap=False, seed=3)
         results = convert_sequences(seqs, ctx, cfg)
-        assert [r[0].id for r in results] == [s.id for s in seqs]
+        assert [r.id for r in results] == [s.id for s in seqs]
 
     def test_each_sequence_uses_its_position_substream(self):
         """Sequence i's result depends only on its own position-keyed noise
@@ -338,18 +343,19 @@ class TestConvertSequences:
         ctx, seqs = self._many()
         cfg = SamplerConfig(t_start=20, snap=False, seed=3)
         results = convert_sequences(seqs, ctx, cfg)
-        for i, (out, diag) in enumerate(results):
+        for i, out in enumerate(results):
             rng = substream(cfg.seed, PURPOSE_CONVERT, i)
-            alone, alone_diag = convert(seqs[i], ctx, cfg, rng)
+            alone = convert(seqs[i], ctx, cfg, rng)
             assert np.array_equal(out.frames, alone.frames)
-            assert diag == alone_diag
+            for got, want in zip(_metrics(seqs[i], out), _metrics(seqs[i], alone)):
+                assert np.array_equal(got, want)
 
     def test_reruns_identical(self):
         ctx, seqs = self._many(3)
         cfg = SamplerConfig(t_start=40, snap=False, seed=11)
         r1 = convert_sequences(seqs, ctx, cfg)
         r2 = convert_sequences(seqs, ctx, cfg)
-        for (a, _), (b, _) in zip(r1, r2):
+        for a, b in zip(r1, r2):
             assert np.array_equal(a.frames, b.frames)
 
     def test_noise_differs_per_sequence(self):
@@ -358,4 +364,4 @@ class TestConvertSequences:
                                frames=seqs[0].frames.copy())
         cfg = SamplerConfig(t_start=60, snap=False, seed=0)
         results = convert_sequences([seqs[0], clone], ctx, cfg)
-        assert not np.array_equal(results[0][0].frames, results[1][0].frames)
+        assert not np.array_equal(results[0].frames, results[1].frames)
