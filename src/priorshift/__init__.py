@@ -46,7 +46,7 @@ from .prior import (
 )
 from .sampler import (
     SamplerConfig,
-    convert,
+    convert_sequences,
     ddim_step,
     denoise_from,
     forward_corrupt,

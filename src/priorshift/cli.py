@@ -29,7 +29,7 @@ from .harness import (
     save_world,
     sweep,
 )
-from .latent import load_dataset, save_dataset
+from .latent import atomic_write, load_dataset, save_dataset
 from .prior import marginal_1d
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from .sampler import SamplerConfig, convert_sequences, frame_metrics
@@ -192,7 +192,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     save_dataset(results, out, n_labels)
     if diag_path is not None:
         bounds = np.cumsum([len(s) for s in seqs])[:-1]
-        with open(diag_path, "w", encoding="utf-8") as fh:
+        with atomic_write(diag_path) as fh:
             fh.write("id,t_start,identity_l2,native_prob\n")
             for seq, l2s, probs in zip(seqs, np.split(l2d, bounds), np.split(prob, bounds)):
                 fh.write(f"{seq.id},{args.t_start},{l2s.mean():.17g},{probs.mean():.17g}\n")
@@ -210,7 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
         snap=not args.no_snap, stratify_labels=args.stratify_labels,
     )
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         fh.write(table.to_csv())
     for row in table.rows:
         log.info("sweep t_start=%d identity_l2=%.4f native_prob=%.4f",

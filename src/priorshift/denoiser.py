@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .latent import LatentSequence, Standardizer, fit_standardizer, parse_field, \
-    standardize_frames
+from .latent import LatentSequence, Standardizer, atomic_write, fit_standardizer, \
+    parse_field, standardize_frames
 from .schedule import Schedule, alpha_bar_array, linear_schedule
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
@@ -575,10 +575,24 @@ def _decode_values(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split()], dtype=np.float64)
 
 
+def _parse_width(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _parse_time_dim(text: str) -> int:
+    value = _parse_width(text)
+    if value % 2:
+        raise ValueError(f"must be even, got {value}")
+    return value
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_parse_width(v) for v in text.split(","))
 
 
 def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
@@ -591,7 +605,7 @@ def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
         ("std.mean", bundle.standardizer.mean),
         ("std.scale", bundle.standardizer.std),
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"schedule {sched.beta[0]:.17g} {sched.beta[-1]:.17g} {sched.T}\n")
         fh.write(f"dim {theta.dim}\n")
@@ -611,7 +625,7 @@ def _parse_schedule(text: str) -> Schedule:
     return linear_schedule(float(bmin), float(bmax), int(t_steps))
 
 
-def _read_kv(fh, path: str, key: str, parse=int):
+def _read_kv(fh, path: str, key: str, parse=_parse_width):
     """Parse the value of the next line, which must start with ``key``."""
     line = fh.readline().rstrip("\n")
     name, _, value = line.partition(" ")
@@ -629,7 +643,7 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
         dim = _read_kv(fh, path, "dim")
         n_labels = _read_kv(fh, path, "labels")
         cond_dim = _read_kv(fh, path, "cond_dim")
-        time_dim = _read_kv(fh, path, "time_dim")
+        time_dim = _read_kv(fh, path, "time_dim", _parse_time_dim)
         hidden = _read_kv(fh, path, "hidden", _parse_hidden)
         res_hidden = _read_kv(fh, path, "residual_hidden", _parse_hidden)
         theta = DenoiserParams(

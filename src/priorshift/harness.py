@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import ModelBundle
-from .latent import Codebook, LatentSequence, Standardizer, fit_standardizer, snap_frames
+from .latent import Codebook, LatentSequence, Standardizer, atomic_write, fit_standardizer, \
+    snap_frames
 from .prior import (
     ConditionalGMM,
     PosteriorGrid,
@@ -294,7 +295,7 @@ def posterior_curves(
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)
         for name, dens in files:
-            with open(root / name, "w", encoding="utf-8") as fh:
+            with atomic_write(str(root / name)) as fh:
                 fh.write("x,density\n")
                 for x, y in zip(grid, dens):
                     fh.write(f"{x:.17g},{y:.17g}\n")
@@ -330,7 +331,7 @@ def save_world(world: World, path: str) -> None:
             "std": world.standardizer.std.tolist(),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

@@ -6,6 +6,8 @@ commands.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -161,11 +163,28 @@ def parse_field(where: str, field: str, parse, *args):
         raise ValueError(f"{where}: {field}: {exc}") from None
 
 
+@contextmanager
+def atomic_write(path: str):
+    """Text handle on a new temp file beside ``path``, moved onto ``path`` only
+    when the block completes; on failure the temp file is removed, so a
+    crash never leaves a partial file at ``path``."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(seqs: Sequence[LatentSequence], path: str, n_labels: int) -> None:
     if not seqs:
         raise ValueError("refusing to write an empty dataset")
     dim = seqs[0].dim
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#dim={dim} labels={int(n_labels)}\n")
         for seq in seqs:
             if seq.dim != dim:

@@ -138,12 +138,12 @@ def exact_eps_batch(
     """Noise prediction that exactly matches the corrupted-marginal score.
 
     Returns -sqrt(1 - alpha_bar_t) times the gradient of the log marginal,
-    computed from component responsibilities.
+    computed from component responsibilities (a max-shifted softmax).
     """
     ab = alpha_bar_at(sched, _check_t(sched, t))
     lj, diff, v = _log_joint(p, labels, x, ab)
-    lj -= logsumexp(lj, axis=1, keepdims=True)
-    resp = np.exp(lj)
+    resp = np.exp(lj - lj.max(axis=1, keepdims=True))
+    resp /= resp.sum(axis=1, keepdims=True)
     grad = -(resp[:, :, None] * diff / v).sum(axis=1)
     return -np.sqrt(1.0 - ab) * grad
 

@@ -5,8 +5,12 @@ from the current state and a noise prediction, then re-corrupt it to the
 previous step's level with the same prediction.  Conversion corrupts an
 input sequence to a chosen start step and runs that update chain back to
 step zero, optionally snapping to a codebook and adding a learned
-second-stage residual.  Everything here takes (n, d) frame blocks, and
-conversion returns frames only: callers score them with :func:`frame_metrics`.
+second-stage residual.  Everything here takes (n, d) frame blocks.  All
+sequences of one conversion run share the start step, so conversion packs
+their frames into one block and runs the reverse chain once over it; each
+sequence keeps its own noise substream, so packing changes only how the
+work is batched.  Conversion returns frames only: callers score them with
+:func:`frame_metrics`.
 """
 from __future__ import annotations
 
@@ -141,56 +145,50 @@ def frame_metrics(
     return l2d, cos, prob
 
 
-def convert(
-    seq: LatentSequence,
-    ctx: ConvertContext,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> LatentSequence:
-    """Translate one sequence toward the native prior.
-
-    Standardize, corrupt to the start step with noise from ``rng``, run the
-    deterministic reverse chain, destandardize, then add the predicted
-    second-stage residual when the context has a residual head (computed on
-    the pre-snap frames) and optionally snap the first-stage frames to the
-    codebook.
-    """
-    if cfg.t_start > ctx.sched.T:
-        raise ValueError(f"t_start {cfg.t_start} exceeds schedule length {ctx.sched.T}")
-    labels = np.asarray(seq.labels)
-    xs = standardize_frames(seq.frames, ctx.standardizer)
-    if cfg.t_start > 0:
-        eps = rng.standard_normal(xs.shape)
-        x_t = forward_corrupt(xs, cfg.t_start - 1, eps, ctx.sched)
-        z = denoise_from(x_t, cfg.t_start, labels, ctx.eps_fn, ctx.sched)
-    else:
-        z = xs
-    zc1 = destandardize_frames(z, ctx.standardizer)
-    if ctx.residual is not None:
-        if seq.h is None:
-            raise ValueError(f"sequence {seq.id!r} lacks the h track needed for the residual")
-        zc2 = predict_zc2(ctx.residual, seq.h, zc1)
-    else:
-        zc2 = np.zeros_like(zc1)
-    if cfg.snap:
-        if ctx.codebook is None:
-            raise ValueError("snap set but the context has no codebook")
-        _, zc1 = snap_frames(zc1, ctx.codebook)
-    return LatentSequence(id=seq.id, labels=labels.copy(), frames=zc1 + zc2)
-
-
 def convert_sequences(
     seqs: Sequence[LatentSequence],
     ctx: ConvertContext,
     cfg: SamplerConfig,
 ) -> list[LatentSequence]:
-    """Convert a batch of sequences in input order.
+    """Translate a batch of sequences toward the native prior, in input order.
 
+    Every sequence shares the start step, so the frames of all of them are
+    packed into one block and go through each stage once: standardize,
+    corrupt to the start step, run the deterministic reverse chain (one
+    predictor call per step), destandardize, add the predicted second-stage
+    residual when the context has a residual head (computed on the pre-snap
+    frames), and optionally snap the first-stage frames to the codebook.
     Sequence ``i`` draws its noise from substream ``(seed, PURPOSE_CONVERT,
     i)``, so its result depends only on its position, never on the other
     sequences in the batch.
     """
+    if cfg.t_start > ctx.sched.T:
+        raise ValueError(f"t_start {cfg.t_start} exceeds schedule length {ctx.sched.T}")
+    if cfg.snap and ctx.codebook is None:
+        raise ValueError("snap set but the context has no codebook")
+    if ctx.residual is not None:
+        for seq in seqs:
+            if seq.h is None:
+                raise ValueError(f"sequence {seq.id!r} lacks the h track needed for the residual")
+    if not seqs:
+        return []
+    labels = np.concatenate([np.asarray(seq.labels) for seq in seqs])
+    z = standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
+    if cfg.t_start > 0:
+        eps = np.concatenate([
+            substream(cfg.seed, PURPOSE_CONVERT, i).standard_normal(np.shape(seq.frames))
+            for i, seq in enumerate(seqs)
+        ])
+        x_t = forward_corrupt(z, cfg.t_start - 1, eps, ctx.sched)
+        z = denoise_from(x_t, cfg.t_start, labels, ctx.eps_fn, ctx.sched)
+    zc1 = destandardize_frames(z, ctx.standardizer)
+    zc2 = 0.0
+    if ctx.residual is not None:
+        zc2 = predict_zc2(ctx.residual, np.concatenate([seq.h for seq in seqs]), zc1)
+    if cfg.snap:
+        _, zc1 = snap_frames(zc1, ctx.codebook)
+    bounds = np.cumsum([len(seq) for seq in seqs])[:-1]
     return [
-        convert(seq, ctx, cfg, substream(cfg.seed, PURPOSE_CONVERT, i))
-        for i, seq in enumerate(seqs)
+        LatentSequence(id=seq.id, labels=lab, frames=frames)
+        for seq, lab, frames in zip(seqs, np.split(labels, bounds), np.split(zc1 + zc2, bounds))
     ]

@@ -38,7 +38,7 @@ from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from priorshift.sampler import (
     ConvertContext,
     SamplerConfig,
-    convert,
+    convert_sequences,
     ddim_step,
     denoise_from,
     forward_corrupt,
@@ -351,7 +351,7 @@ def test_criterion_11_identity_endpoint(world):
         eps_fn=prior_eps_source(standardized(world.native, world.standardizer), SCHED),
     )
     cfg = SamplerConfig(t_start=0, snap=False)
-    out = convert(seq, ctx, cfg, substream(0, 4, 0))
+    [out] = convert_sequences([seq], ctx, cfg)
     err = float(np.abs(out.frames - seq.frames).max())
     elapsed = time.perf_counter() - start
     ok = err <= 1e-9

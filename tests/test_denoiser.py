@@ -637,7 +637,17 @@ class TestModelIO:
         ("\ntensor den.out_b 3\n", "\ntensor den.out_b many\n", "tensor 'den.out_b' size"),
         ("\ntensor den.out_b 3\n", "\ntensor den.out_b 3\nzz ", "tensor 'den.out_b': could not"),
         ("\nschedule ", "\nschedule 0.5 ", "schedule: too many values"),
-    ], ids=["header", "tensor-size", "tensor-value", "schedule"])
+        ("\ndim 3\n", "\ndim -1\n", "dim: must be a positive integer, got -1"),
+        ("\nlabels 3\n", "\nlabels 0\n", "labels: must be a positive integer, got 0"),
+        ("\ncond_dim 4\n", "\ncond_dim 0\n", "cond_dim: must be a positive integer"),
+        ("\ntime_dim 4\n", "\ntime_dim -2\n", "time_dim: must be a positive integer"),
+        ("\ntime_dim 4\n", "\ntime_dim 5\n", "time_dim: must be even, got 5"),
+        ("\nhidden 6,4\n", "\nhidden 6,0\n", "hidden: must be a positive integer, got 0"),
+        ("\nresidual_hidden 5\n", "\nresidual_hidden -5\n",
+         "residual_hidden: must be a positive integer"),
+    ], ids=["header", "tensor-size", "tensor-value", "schedule", "dim-negative", "labels-zero",
+            "cond-dim-zero", "time-dim-negative", "time-dim-odd", "hidden-zero",
+            "residual-hidden-negative"])
     def test_malformed_value_names_file_and_field(self, tmp_path, old, new, field):
         rng = np.random.default_rng(35)
         path = tmp_path / "model.txt"

@@ -19,7 +19,7 @@ from priorshift.harness import (
 from priorshift.latent import snap_frames
 from priorshift.prior import grid_moments, native_class_prob_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, substream
-from priorshift.sampler import SamplerConfig, convert
+from priorshift.sampler import SamplerConfig, convert_sequences
 from priorshift.schedule import default_schedule
 
 SCHED = default_schedule()
@@ -282,8 +282,8 @@ class TestWorldIO:
         loaded = load_world(path)
         seq = gen_dataset(world, "l2", 1, 15, substream(6, PURPOSE_DATA))[0]
         cfg = SamplerConfig(t_start=50)
-        out_a = convert(seq, build_context(world, SCHED, None), cfg, substream(0, 4, 0))
-        out_b = convert(seq, build_context(loaded, SCHED, None), cfg, substream(0, 4, 0))
+        [out_a] = convert_sequences([seq], build_context(world, SCHED, None), cfg)
+        [out_b] = convert_sequences([seq], build_context(loaded, SCHED, None), cfg)
         assert np.array_equal(out_a.frames, out_b.frames)
 
     def test_bad_format_rejected(self, tmp_path):

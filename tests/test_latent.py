@@ -164,6 +164,17 @@ class TestDatasetIO:
         assert loaded[0].zc2 is None and loaded[0].h is None
         assert_array_equal(loaded[0].frames, seqs[0].frames)
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        """A sequence rejected after earlier ones were written fails the whole
+        write: nothing lands at the target and no temp file is left beside it."""
+        rng = np.random.default_rng(24)
+        seqs = [_seq(rng, d=3, seq_id="ok"), _seq(rng, d=2, seq_id="bad")]
+        path = tmp_path / "data.tsv"
+        with pytest.raises(ValueError, match="'bad' dim 2"):
+            save_dataset(seqs, str(path), n_labels=4)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_line(self, tmp_path):
         rng = np.random.default_rng(23)
         path = tmp_path / "data.tsv"

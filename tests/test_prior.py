@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from priorshift.latent import Standardizer
 from priorshift.prior import (
@@ -214,6 +215,47 @@ class TestExactEps:
         for i in range(6):
             row = exact_eps_batch(p, labels[i:i + 1], 40, xs[i:i + 1], SCHED)[0]
             assert_allclose(batch[i], row, rtol=0, atol=0)
+
+
+    def test_softmax_matches_logsumexp_reference(self):
+        """Responsibilities from the max-shifted softmax agree with ones
+        normalized by scipy's logsumexp, on random mixtures with unused slots."""
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            d, C, L, n = int(rng.choice([1, 3, 8])), int(rng.integers(1, 5)), 3, 12
+            w = rng.dirichlet(np.ones(C), size=L)
+            if C > 1:
+                w[0, -1] = 0.0
+                w[0] /= w[0].sum()
+            p = ConditionalGMM(weights=w, means=rng.normal(0, 2, (L, C, d)),
+                               variances=rng.uniform(0.3, 2.5, (L, C, d)))
+            t = int(rng.integers(0, SCHED.T))
+            labels = rng.integers(0, L, n)
+            x = rng.normal(0, 3, (n, d))
+            ab = alpha_bar_at(SCHED, t)
+            m = np.sqrt(ab) * p.means[labels]
+            v = ab * p.variances[labels] + (1 - ab)
+            with np.errstate(divide="ignore"):
+                lj = np.log(p.weights[labels]) + _gauss_logpdf(x[:, None, :], m, v).sum(axis=2)
+            resp = np.exp(lj - logsumexp(lj, axis=1, keepdims=True))
+            want = np.sqrt(1 - ab) * (resp[:, :, None] * (x[:, None, :] - m) / v).sum(axis=1)
+            got = exact_eps_batch(p, labels, t, x, SCHED)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_frame_far_from_every_component_is_finite(self):
+        """1e3 standard deviations out every log-joint underflows exp(), but
+        the shifted softmax still gives all weight to the nearest component."""
+        p = ConditionalGMM.from_components(
+            [0.3, 0.7], [[-4.0, 0.0], [4.0, 1.0]], [[0.5, 1.0], [0.5, 1.0]]
+        )
+        t = 20
+        ab = alpha_bar_at(SCHED, t)
+        m = np.sqrt(ab) * np.array([4.0, 1.0])
+        v = ab * np.array([0.5, 1.0]) + (1 - ab)
+        x = m + 1e3 * np.sqrt(v)
+        got = exact_eps_batch(p, L0, t, _one(x), SCHED)[0]
+        assert np.isfinite(got).all()
+        assert_allclose(got, np.sqrt(1 - ab) * (x - m) / v, rtol=1e-12)
 
 
 class TestGaussianPosterior:

@@ -3,8 +3,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from priorshift.denoiser import init_denoiser, init_residual
-from priorshift.latent import Codebook, LatentSequence, Standardizer
+from priorshift.denoiser import init_denoiser, init_residual, predict_zc2
+from priorshift.latent import (
+    Codebook,
+    LatentSequence,
+    Standardizer,
+    destandardize_frames,
+    snap_frames,
+    standardize_frames,
+)
 from priorshift.prior import (
     ConditionalGMM,
     gaussian_posterior_moments,
@@ -14,7 +21,6 @@ from priorshift.rng import PURPOSE_CONVERT, PURPOSE_DATA, substream
 from priorshift.sampler import (
     ConvertContext,
     SamplerConfig,
-    convert,
     convert_sequences,
     ddim_step,
     denoise_from,
@@ -27,13 +33,6 @@ from priorshift.sampler import (
 from priorshift.schedule import Schedule, alpha_bar_at, default_schedule
 
 SCHED = default_schedule()
-
-
-class ZeroRng:
-    """Stands in for a generator when a test needs the no-noise trajectory."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
 
 
 def _plateau_schedule(ab: float, T: int = 4) -> Schedule:
@@ -251,7 +250,7 @@ class TestConvert:
     def test_zero_start_without_snap_is_identity(self):
         ctx, seq = _convert_fixture(snap=False)
         cfg = SamplerConfig(t_start=0, snap=False)
-        out = convert(seq, ctx, cfg, np.random.default_rng(0))
+        [out] = convert_sequences([seq], ctx, cfg)
         assert_allclose(out.frames, seq.frames, atol=1e-12)
         l2d, cos, _ = _metrics(seq, out)
         assert l2d.mean() < 1e-12
@@ -260,8 +259,8 @@ class TestConvert:
 
     def test_snapped_output_lands_on_codebook(self):
         ctx, seq = _convert_fixture(snap=True)
-        cfg = SamplerConfig(t_start=30)
-        out = convert(seq, ctx, cfg, np.random.default_rng(1))
+        cfg = SamplerConfig(t_start=30, seed=1)
+        [out] = convert_sequences([seq], ctx, cfg)
         for row in out.frames:
             assert any(np.array_equal(row, e) for e in ctx.codebook.entries)
 
@@ -272,20 +271,20 @@ class TestConvert:
         d = 1
         ctx, _ = _convert_fixture(d=d, snap=False)
         frames = np.array([[0.8], [-0.4], [2.2]])
-        seq = LatentSequence(id="z", labels=np.zeros(3, dtype=int), frames=frames)
-        cfg = SamplerConfig(t_start=1, snap=False)
-        out = convert(seq, ctx, cfg, ZeroRng())
+        labels = np.zeros(3, dtype=int)
+        x_t = forward_corrupt(frames, 0, np.zeros_like(frames), SCHED)
+        out = denoise_from(x_t, 1, labels, ctx.eps_fn, SCHED)
         ab = alpha_bar_at(SCHED, 0)
         for i in range(3):
             mean, _ = gaussian_posterior_moments(0.0, 1.0, 0, np.sqrt(ab) * frames[i, 0], SCHED)
-            assert_allclose(out.frames[i, 0], mean, rtol=1e-12)
+            assert_allclose(out[i, 0], mean, rtol=1e-12)
 
     def test_standardizer_round_trip_preserved(self):
         ctx, seq = _convert_fixture(snap=False)
         std = Standardizer(mean=np.array([0.7, -0.3]), std=np.array([1.4, 0.6]))
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, eps_fn=ctx.eps_fn)
-        cfg = SamplerConfig(t_start=0, snap=False)
-        out = convert(seq, ctx2, cfg, np.random.default_rng(2))
+        cfg = SamplerConfig(t_start=0, snap=False, seed=2)
+        [out] = convert_sequences([seq], ctx2, cfg)
         assert_allclose(out.frames, seq.frames, atol=1e-9)
 
     def test_residual_head_adds_to_snapped_frames(self):
@@ -297,27 +296,68 @@ class TestConvert:
         seq2 = LatentSequence(id=seq.id, labels=seq.labels, frames=seq.frames, h=h)
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, codebook=ctx.codebook, residual=phi)
-        cfg = SamplerConfig(t_start=15)
-        base = convert(seq2, ctx, cfg, np.random.default_rng(5))
-        res = convert(seq2, ctx2, cfg, np.random.default_rng(5))
+        cfg = SamplerConfig(t_start=15, seed=5)
+        [base] = convert_sequences([seq2], ctx, cfg)
+        [res] = convert_sequences([seq2], ctx2, cfg)
         assert_allclose(res.frames - base.frames,
                         np.tile([0.25, -0.5], (20, 1)), atol=1e-12)
 
     def test_missing_pieces_raise(self):
         ctx, seq = _convert_fixture(snap=False)
         with pytest.raises(ValueError, match="codebook"):
-            convert(seq, ctx, SamplerConfig(t_start=5), np.random.default_rng(0))
+            convert_sequences([seq], ctx, SamplerConfig(t_start=5))
         phi = init_residual(2, (), np.random.default_rng(1))
         ctx3 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, residual=phi)
-        with pytest.raises(ValueError, match="h track"):
-            convert(seq, ctx3, SamplerConfig(t_start=5, snap=False), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sequence 'case' lacks the h track"):
+            convert_sequences([seq], ctx3, SamplerConfig(t_start=5, snap=False))
 
     def test_start_beyond_schedule_rejected(self):
         ctx, seq = _convert_fixture(snap=False)
         with pytest.raises(ValueError, match="t_start"):
-            convert(seq, ctx, SamplerConfig(t_start=SCHED.T + 1, snap=False),
-                    np.random.default_rng(0))
+            convert_sequences([seq], ctx, SamplerConfig(t_start=SCHED.T + 1, snap=False))
+
+
+def _packing_fixture(model: bool):
+    """Sequences of unequal lengths and a context with a non-identity
+    standardizer and a codebook; the exact two-component predictor, or a
+    small untrained denoiser with a residual head."""
+    d = 2
+    rng = np.random.default_rng(12)
+    std = Standardizer(mean=np.array([0.3, -0.2]), std=np.array([1.3, 0.8]))
+    if model:
+        eps_fn = model_eps_source(init_denoiser(d, 3, (16, 16), 8, 8, rng))
+        phi = init_residual(d, (8,), rng)
+    else:
+        p = ConditionalGMM(
+            weights=np.array([[0.4, 0.6], [0.7, 0.3], [0.5, 0.5]]),
+            means=rng.normal(0.0, 1.5, (3, 2, d)),
+            variances=rng.uniform(0.4, 1.2, (3, 2, d)),
+        )
+        eps_fn, phi = prior_eps_source(p, SCHED), None
+    ctx = ConvertContext(sched=SCHED, standardizer=std, eps_fn=eps_fn,
+                         codebook=Codebook(entries=rng.normal(0, 1, (24, d))), residual=phi)
+    seqs = []
+    for i, n in enumerate((1, 7, 3, 12, 5)):
+        seqs.append(LatentSequence(
+            id=f"p-{i}", labels=rng.integers(0, 3, n), frames=rng.normal(0.5, 1.0, (n, d)),
+            h=rng.normal(0.0, 1.0, (n, d)) if model else None,
+        ))
+    return ctx, seqs
+
+
+def _convert_alone(seq: LatentSequence, ctx: ConvertContext, cfg: SamplerConfig, i: int):
+    """Frames of one sequence converted on its own, noise from substream ``i``."""
+    xs = standardize_frames(seq.frames, ctx.standardizer)
+    eps = substream(cfg.seed, PURPOSE_CONVERT, i).standard_normal(xs.shape)
+    x_t = forward_corrupt(xs, cfg.t_start - 1, eps, ctx.sched)
+    zc1 = destandardize_frames(
+        denoise_from(x_t, cfg.t_start, seq.labels, ctx.eps_fn, ctx.sched), ctx.standardizer
+    )
+    zc2 = predict_zc2(ctx.residual, seq.h, zc1) if ctx.residual is not None else 0.0
+    if cfg.snap:
+        _, zc1 = snap_frames(zc1, ctx.codebook)
+    return zc1 + zc2
 
 
 class TestConvertSequences:
@@ -338,17 +378,32 @@ class TestConvertSequences:
         assert [r.id for r in results] == [s.id for s in seqs]
 
     def test_each_sequence_uses_its_position_substream(self):
-        """Sequence i's result depends only on its own position-keyed noise
-        substream, so converting it alone on that stream gives the same bits."""
-        ctx, seqs = self._many()
-        cfg = SamplerConfig(t_start=20, snap=False, seed=3)
+        """Packed exact conversion gives each sequence the bits of converting
+        it alone, from the lower-level pieces, on its position's substream."""
+        ctx, seqs = _packing_fixture(model=False)
+        cfg = SamplerConfig(t_start=20, seed=3)
         results = convert_sequences(seqs, ctx, cfg)
         for i, out in enumerate(results):
-            rng = substream(cfg.seed, PURPOSE_CONVERT, i)
-            alone = convert(seqs[i], ctx, cfg, rng)
-            assert np.array_equal(out.frames, alone.frames)
-            for got, want in zip(_metrics(seqs[i], out), _metrics(seqs[i], alone)):
-                assert np.array_equal(got, want)
+            alone = _convert_alone(seqs[i], ctx, cfg, i)
+            assert np.array_equal(out.frames, alone)
+            assert np.array_equal(out.labels, seqs[i].labels)
+
+    def test_model_path_packs_to_rounding_level(self):
+        """Batched matrix products may round differently from one-sequence
+        blocks, so the model path matches lone conversion to rounding level;
+        a rerun of the same batch is bitwise identical."""
+        ctx, seqs = _packing_fixture(model=True)
+        cfg = SamplerConfig(t_start=30, seed=8, snap=False)
+        results = convert_sequences(seqs, ctx, cfg)
+        rerun = convert_sequences(seqs, ctx, cfg)
+        for i, out in enumerate(results):
+            assert np.array_equal(out.frames, rerun[i].frames)
+            assert_allclose(out.frames, _convert_alone(seqs[i], ctx, cfg, i),
+                            rtol=1e-12, atol=1e-12)
+
+    def test_empty_batch(self):
+        ctx, _ = self._many(1)
+        assert convert_sequences([], ctx, SamplerConfig(t_start=20, snap=False)) == []
 
     def test_reruns_identical(self):
         ctx, seqs = self._many(3)
