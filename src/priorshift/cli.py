@@ -161,11 +161,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model_or_exact(args: argparse.Namespace):
+def _load_model_or_exact(args: argparse.Namespace, world):
     if args.model == "exact":
         return None, _schedule_from_args(args)
     bundle, sched = load_model(args.model)
     _reject_schedule_flags(args)
+    for field, got, want in (("dim", bundle.theta.dim, world.spec.dim),
+                             ("labels", bundle.theta.n_labels, world.spec.n_labels)):
+        if got != want:
+            raise UsageError(f"{args.model}: {field}: model has {got}, world has {want}")
     return bundle, sched
 
 
@@ -173,10 +177,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     seqs, dim, n_labels = load_dataset(args.data)
     if dim != world.spec.dim:
-        raise UsageError(f"dataset dim {dim} does not match world dim {world.spec.dim}")
-    bundle, sched = _load_model_or_exact(args)
-    if bundle is not None and bundle.theta.dim != dim:
-        raise UsageError(f"model dim {bundle.theta.dim} does not match dataset dim {dim}")
+        raise UsageError(f"{args.data}: #dim: dataset has {dim}, world has {world.spec.dim}")
+    top = max(int(s.labels.max()) for s in seqs)
+    if top >= world.spec.n_labels:
+        raise UsageError(f"{args.data}: labels: label {top} outside the world's "
+                         f"[0, {world.spec.n_labels})")
+    bundle, sched = _load_model_or_exact(args, world)
     out = _out_path(args.out, args.force)
     diag_path = None
     if args.diagnostics is not None:
@@ -185,7 +191,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     cfg = SamplerConfig(t_start=args.t_start, seed=args.seed, snap=not args.no_snap)
     results = convert_sequences(seqs, ctx, cfg)
     # Score every frame before writing anything, so a failure leaves no file.
-    l2d, _, prob = frame_metrics(
+    l2d, cos, prob = frame_metrics(
         np.concatenate([s.frames for s in seqs]), np.concatenate([s.frames for s in results]),
         np.concatenate([s.labels for s in seqs]), world.native, world.l2,
     )
@@ -193,9 +199,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if diag_path is not None:
         bounds = np.cumsum([len(s) for s in seqs])[:-1]
         with atomic_write(diag_path) as fh:
-            fh.write("id,t_start,identity_l2,native_prob\n")
-            for seq, l2s, probs in zip(seqs, np.split(l2d, bounds), np.split(prob, bounds)):
-                fh.write(f"{seq.id},{args.t_start},{l2s.mean():.17g},{probs.mean():.17g}\n")
+            fh.write("id,t_start,identity_l2,identity_cos,native_prob\n")
+            for seq, *means in zip(seqs, *(np.split(v, bounds) for v in (l2d, cos, prob))):
+                fh.write(f"{seq.id},{args.t_start},"
+                         + ",".join(f"{v.mean():.17g}" for v in means) + "\n")
     log.info("convert out=%s t_start=%d frames=%d identity_l2=%.4f native_prob=%.4f",
              out, args.t_start, l2d.size, l2d.mean(), prob.mean())
     return 0
@@ -203,7 +210,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     world = load_world(args.world)
-    bundle, sched = _load_model_or_exact(args)
+    bundle, sched = _load_model_or_exact(args, world)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     out = _out_path(args.out, args.force)
     table = sweep(

@@ -4,12 +4,16 @@ The denoiser is a feed-forward SiLU network over single frames.  A
 conditioning vector (sinusoidal time embedding through a linear layer,
 plus an additive label embedding) modulates every hidden layer through a
 FiLM transform gamma * a + delta, whose scale and shift are linear in the
-conditioning vector and initialized to the identity.  The residual head
-maps concatenated encoder features and the reconstructed clean frame to a
-second-stage correction.  Both are the same MLP core, the head without
-FiLM.  Each parameter set keeps its tensors as named views into one flat
-float64 buffer, so Adam updates it with whole-buffer operations.  All
-gradients are derived by hand; the only array machinery used is numpy.
+conditioning vector and initialized to the identity.  That vector is a
+time part plus a label part, so gamma and delta are the time part's
+projection (one row when the frames share a step, as in a reverse chain)
+plus a row gathered from an (n_labels, width) projection of the label
+embedding.  The residual head maps concatenated encoder features and the
+reconstructed clean frame to a second-stage correction.  Both are the same
+MLP core, the head without FiLM.  Each parameter set keeps its tensors as
+named views into one flat float64 buffer, so Adam updates it with
+whole-buffer operations.  All gradients are derived by hand; the only
+array machinery used is numpy.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .latent import LatentSequence, Standardizer, atomic_write, fit_standardizer, \
     parse_field, standardize_frames
@@ -193,9 +196,13 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return out
 
 
-def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = expit(x)
-    return x * s, s
+def _silu(x: np.ndarray, s: np.ndarray | None = None, z: np.ndarray | None = None):
+    """``x * sigmoid(x)`` and the sigmoid, into ``z`` and ``s`` when given; for
+    very negative x, exp(-x) overflows to inf and the sigmoid to its limit 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.exp(np.negative(x, out=s), out=s)
+        np.reciprocal(np.add(s, 1.0, out=s), out=s)
+        return np.multiply(x, s, out=z), s
 
 
 def _silu_grad(m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -228,36 +235,59 @@ def _check_inputs(params: DenoiserParams, x, labels) -> tuple[np.ndarray, np.nda
     return x, labels
 
 
+def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace's array under ``key``, reallocated when its shape changes."""
+    if key not in ws or ws[key].shape != shape:
+        ws[key] = np.empty(shape)
+    return ws[key]
+
+
+def _film(T: FlatTensors, prefix: str, tc: np.ndarray, labels: np.ndarray, out: np.ndarray):
+    """``cond @ w.T + b`` as the label part, gathered from ``label_emb @ w.T``
+    (callers check ``labels``), plus the projection of the time part ``tc``."""
+    w = T[prefix + "w"]
+    np.take(T["label_emb"] @ w.T, labels, axis=0, out=out, mode="clip")
+    out += tc @ w.T + T[prefix + "b"]
+    return out
+
+
 def _forward_cached(
     params: DenoiserParams | ResidualParams,
     x: np.ndarray,
     t=None,
     labels: np.ndarray | None = None,
     masks: list[np.ndarray] | None = None,
+    ws: dict | None = None,
 ):
     """The MLP core shared by the denoiser and the residual head.
 
     A parameter set with a label embedding is FiLM-conditioned on the
-    timesteps ``t`` and ``labels``; one without it is a plain SiLU MLP.
+    timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
+    is a plain SiLU MLP.  With a workspace ``ws`` the cache lasts until its next use.
     """
     T = params.tensors
-    temb = cond = None
+    n = x.shape[0]
+    ws = {} if ws is None else ws
+    temb = cond = tc = None
     if "label_emb" in T:
-        tvec = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-        temb = time_embedding(tvec, params.time_dim)
-        cond = temb @ T["time_w"].T + T["time_b"] + T["label_emb"][labels]
+        temb = time_embedding(np.atleast_1d(t), params.time_dim)
+        tc = temb @ T["time_w"].T + T["time_b"]
+        temb = np.broadcast_to(temb, (n, params.time_dim))
+        cond = tc + T["label_emb"][labels]
     h = x
     layers = []
-    for i in range(len(params.hidden)):
-        a = h @ T[f"layer{i}_w"].T + T[f"layer{i}_b"]
+    for i, width in enumerate(params.hidden):
+        a = np.matmul(h, T[f"layer{i}_w"].T, out=_buffer(ws, f"a{i}", (n, width)))
+        a += T[f"layer{i}_b"]
+        s = _buffer(ws, f"s{i}", (n, width))
         gamma, m = None, a
         if cond is not None:
-            gamma = cond @ T[f"layer{i}_film_gw"].T + T[f"layer{i}_film_gb"]
-            delta = cond @ T[f"layer{i}_film_dw"].T + T[f"layer{i}_film_db"]
-            m = gamma * a + delta
-        z, s = _silu(m)
+            gamma = _film(T, f"layer{i}_film_g", tc, labels, _buffer(ws, f"gamma{i}", (n, width)))
+            m = _film(T, f"layer{i}_film_d", tc, labels, _buffer(ws, f"m{i}", (n, width)))
+            m += np.multiply(gamma, a, out=s)
+        z, s = _silu(m, s, _buffer(ws, f"z{i}", (n, width)))
         layers.append((h, a, gamma, m, s))
-        h = z if masks is None else z * masks[i]
+        h = z if masks is None else np.multiply(z, masks[i], out=z)
     out = h @ T["out_w"].T + T["out_b"]
     cache = (temb, cond, labels, layers, h, masks)
     return out, cache
@@ -296,12 +326,18 @@ def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray)
     return grads
 
 
-def forward(params: DenoiserParams, x_t: np.ndarray, t, labels) -> np.ndarray:
+def forward(params: DenoiserParams, x_t: np.ndarray, t, labels, *,
+            workspace: dict | None = None) -> np.ndarray:
     """Predict the injected noise for an (n, d) block of frames ``x_t`` at
     step(s) ``t``; deterministic, no dropout (training draws its masks in
-    :func:`draw_batch_noise`)."""
+    :func:`draw_batch_noise`).
+
+    ``workspace``, a dict kept across calls such as the steps of one chain,
+    holds the layer blocks for reuse; the result is the same with or
+    without it and is never a view of it.
+    """
     x, labels = _check_inputs(params, x_t, labels)
-    return _forward_cached(params, x, t, labels)[0]
+    return _forward_cached(params, x, t, labels, ws=workspace)[0]
 
 
 def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
@@ -685,5 +721,5 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
         missing = sorted(set(targets) - seen)
         if missing:
             raise ValueError(f"{path}: missing tensors {missing}")
-    standardizer = Standardizer(mean=std["mean"], std=std["scale"])
+    standardizer = parse_field(path, "tensor 'std.scale'", Standardizer, std["mean"], std["scale"])
     return ModelBundle(theta=theta, phi=phi, standardizer=standardizer), sched

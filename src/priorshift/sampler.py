@@ -121,10 +121,12 @@ def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> EpsFn:
 
 
 def model_eps_source(theta: DenoiserParams) -> EpsFn:
-    """Trained predictor, always evaluated without dropout."""
+    """Trained predictor, always evaluated without dropout.  Every call
+    shares one workspace, so the steps of a chain reuse its row blocks."""
+    workspace: dict = {}
 
     def eps_fn(x: np.ndarray, t: int, labels: np.ndarray) -> np.ndarray:
-        return forward(theta, x, t, labels)
+        return forward(theta, x, t, labels, workspace=workspace)
 
     return eps_fn
 

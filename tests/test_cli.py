@@ -165,17 +165,18 @@ class TestConvert:
         seqs, dim, _ = load_dataset(out)
         assert dim == 2 and len(seqs) == 4
         lines = open(diag).read().splitlines()
-        assert lines[0] == "id,t_start,identity_l2,native_prob"
+        assert lines[0] == "id,t_start,identity_l2,identity_cos,native_prob"
         assert len(lines) == 5
         assert lines[1].startswith("l2-00000,40,")
         world = load_world(pipeline["world"])
         inputs, _, _ = load_dataset(pipeline["data"])
         for line, inp, got in zip(lines[1:], inputs, seqs):
-            l2d, _, prob = frame_metrics(inp.frames, got.frames, inp.labels,
-                                         world.native, world.l2)
+            l2d, cos, prob = frame_metrics(inp.frames, got.frames, inp.labels,
+                                           world.native, world.l2)
             row = line.split(",")
             assert row[0] == inp.id
-            assert float(row[2]) == l2d.mean() and float(row[3]) == prob.mean()
+            assert float(row[2]) == l2d.mean() and float(row[3]) == cos.mean()
+            assert float(row[4]) == prob.mean()
 
     def test_dim_mismatch_is_usage_error(self, pipeline, tmp_path, capsys):
         other_world = str(tmp_path / "w3.json")
@@ -188,6 +189,24 @@ class TestConvert:
                        "--t-start", "10"])
         assert rc == 2
         assert "dim" in capsys.readouterr().err
+
+
+    def test_dataset_labels_beyond_the_world_fail_before_work(self, pipeline, tmp_path,
+                                                              capsys):
+        seqs, _, _ = load_dataset(pipeline["data"])
+        assert max(s.labels.max() for s in seqs) == 2
+        world = str(tmp_path / "w2.json")
+        assert cli.main(["gen-world", "--out", world, "--seed", "9", "--dim", "2",
+                         "--labels", "2", "--codebook-size", "8"]) == 0
+        capsys.readouterr()
+        out, diag = tmp_path / "x.tsv", tmp_path / "d.csv"
+        rc = cli.main(["convert", "--world", world, "--model", "exact",
+                       "--data", pipeline["data"], "--out", str(out), "--seed", "0",
+                       "--t-start", "10", "--diagnostics", str(diag)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(f"error: {pipeline['data']}: labels: ") and "label 2" in err[0]
+        assert not out.exists() and not diag.exists()
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +262,40 @@ class TestTrainCommand:
                        "--t-start", "25", "--T", "50"])
         assert rc == 2
         assert "schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field, dim, labels", [
+        ("convert", "labels", 2, 4),
+        ("convert", "dim", 3, 3),
+        ("sweep", "dim", 3, 3),
+        ("sweep", "labels", 2, 5),
+    ])
+    def test_model_not_matching_the_world_fails_before_work(
+        self, pipeline, trained, tmp_path, capsys, command, field, dim, labels
+    ):
+        """The model has dim 2 and 3 labels; a world that differs in either
+        fails up front with one line naming the model file and the field."""
+        world = str(tmp_path / "other.json")
+        assert cli.main(["gen-world", "--out", world, "--seed", "9", "--dim", str(dim),
+                         "--labels", str(labels), "--codebook-size", "8"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        args = [command, "--world", world, "--model", trained["model"], "--out", str(out),
+                "--seed", "1"]
+        if command == "convert":
+            data = pipeline["data"]
+            if dim != 2:
+                data = str(tmp_path / "d3.tsv")
+                assert cli.main(["gen-data", "--world", world, "--out", data, "--seed", "2",
+                                 "--n-seq", "2", "--seq-len", "4"]) == 0
+                capsys.readouterr()
+            args += ["--data", data, "--t-start", "25"]
+        else:
+            args += ["--t-starts", "0,5", "--n-seq", "2", "--seq-len", "4"]
+        rc = cli.main(args)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(f"error: {trained['model']}: {field}: model has ")
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

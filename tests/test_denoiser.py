@@ -1,6 +1,11 @@
 """Network forward/backward math, training loop behavior, and model files."""
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
@@ -27,7 +32,7 @@ from priorshift.denoiser import (
     time_embedding,
     train,
 )
-from priorshift.denoiser import _loss_diff_core, _loss_total_core
+from priorshift.denoiser import _loss_diff_core, _loss_total_core, _silu
 from priorshift.latent import LatentSequence, Standardizer, fit_standardizer
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
@@ -147,6 +152,77 @@ class TestForward:
         # inverted scaling: surviving entries carry 1/keep
         vals = np.unique(masks[0])
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.75, 12)}
+
+
+def _per_row_reference(params, x, t, labels):
+    """The FiLM network written row by row from the per-row conditioning
+    vector: gamma = cond @ gw.T + gb and delta = cond @ dw.T + db."""
+    T = params.tensors
+    tvec = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
+    cond = time_embedding(tvec, params.time_dim) @ T["time_w"].T + T["time_b"] \
+        + T["label_emb"][labels]
+    h = x
+    for i in range(len(params.hidden)):
+        a = h @ T[f"layer{i}_w"].T + T[f"layer{i}_b"]
+        gamma = cond @ T[f"layer{i}_film_gw"].T + T[f"layer{i}_film_gb"]
+        delta = cond @ T[f"layer{i}_film_dw"].T + T[f"layer{i}_film_db"]
+        m = gamma * a + delta
+        h = m * expit(m)
+    return h @ T["out_w"].T + T["out_b"]
+
+
+class TestSplitFilmAndWorkspace:
+    def _net(self, rng):
+        return _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(16, 12), cond_dim=6,
+                                   time_dim=8), rng)
+
+    @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
+    def test_split_film_matches_per_row_reference(self, per_row_t):
+        rng = np.random.default_rng(40)
+        params = self._net(rng)
+        x = rng.standard_normal((40, 3))
+        labels = rng.integers(0, 5, 40)
+        t = rng.integers(0, SCHED.T, 40) if per_row_t else 57
+        got = forward(params, x, t, labels)
+        want = _per_row_reference(params, x, t, labels)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_workspace_is_bitwise_equal_and_reused(self):
+        """Row counts 150 -> 37 -> 150 -> 150 through one workspace: the
+        buffers are reallocated when the count changes, then reused."""
+        rng = np.random.default_rng(41)
+        params = self._net(rng)
+        ws: dict = {}
+        ids = []
+        for step, n in enumerate((150, 37, 150, 150)):
+            x = rng.standard_normal((n, 3))
+            labels = rng.integers(0, 5, n)
+            got = forward(params, x, 90 - step, labels, workspace=ws)
+            assert np.array_equal(got, forward(params, x, 90 - step, labels))
+            ids.append({k: id(v) for k, v in ws.items()})
+        assert ws and ids[1] != ids[0] and ids[3] == ids[2]
+
+    def test_result_is_not_a_view_of_the_workspace(self):
+        rng = np.random.default_rng(42)
+        params = self._net(rng)
+        ws: dict = {}
+        x = rng.standard_normal((20, 3))
+        labels = rng.integers(0, 5, 20)
+        first = forward(params, x, 12, labels, workspace=ws)
+        want = first.copy()
+        assert not any(np.shares_memory(first, buf) for buf in ws.values())
+        first[...] = 1e300
+        assert np.array_equal(forward(params, x, 12, labels, workspace=ws), want)
+
+    def test_silu_is_quiet_at_extremes_and_matches_expit(self):
+        rng = np.random.default_rng(43)
+        x = np.concatenate([[-1000.0, -50.0, 0.0, 50.0, 1000.0], rng.normal(0, 6, 500)])
+        z_want, s_want = x * expit(x), expit(x)
+        with np.errstate(all="raise"):
+            z, s = _silu(x)
+        assert_allclose(z, z_want, rtol=1e-15, atol=0)
+        assert_allclose(s, s_want, rtol=1e-15, atol=0)
+        assert z[0] == 0.0 and z[4] == 1000.0
 
 
 class TestDrawOrder:
@@ -561,6 +637,50 @@ class TestTrainConfig:
         assert cfg.hidden == (128, 128)
 
 
+_MODEL_SHAPES = st.fixed_dictionaries({
+    "dim": st.integers(1, 4),
+    "n_labels": st.integers(1, 4),
+    "hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+    "cond_dim": st.integers(1, 4),
+    "time_dim": st.integers(1, 4).map(lambda k: 2 * k),
+    "residual_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+})
+_GARBAGE = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_NEGATIVE = st.one_of(st.integers(-10 ** 6, -1).map(str), st.floats(-1e6, -1e-6).map(repr))
+
+
+def _random_bundle(shapes: dict, seed: int) -> ModelBundle:
+    rng = np.random.default_rng(seed)
+    theta = _perturb(init_denoiser(shapes["dim"], shapes["n_labels"], shapes["hidden"],
+                                   shapes["cond_dim"], shapes["time_dim"], rng), rng)
+    phi = _perturb(init_residual(shapes["dim"], shapes["residual_hidden"], rng), rng)
+    std = Standardizer(mean=rng.normal(0, 1, shapes["dim"]),
+                       std=rng.uniform(0.5, 2, shapes["dim"]))
+    return ModelBundle(theta=theta, phi=phi, standardizer=std)
+
+
+def _corruptible_tokens(lines: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """(line, token) positions of a saved model file's header values, tensor
+    sizes, tensor values and standardizer scale values, by kind of place."""
+    places: dict[str, list[tuple[int, int]]] = {"header": [], "size": [], "value": [],
+                                                "scale": []}
+    tensor = None
+    for i, line in enumerate(lines[1:], start=1):
+        tokens = line.split(" ")
+        if tokens[0] == "end":
+            break
+        if tokens[0] == "tensor":
+            tensor = tokens[1]
+            places["size"].append((i, 2))
+        elif tensor is None:
+            places["header"] += [(i, j) for j in range(1, len(tokens))]
+        else:
+            place = "scale" if tensor == "std.scale" else "value"
+            places[place] += [(i, j) for j in range(len(tokens))]
+            tensor = None
+    return places
+
+
 class TestModelIO:
     def _bundle(self, rng):
         theta = _perturb(_small_net(rng, dim=3, hidden=(6, 4)), rng)
@@ -645,9 +765,11 @@ class TestModelIO:
         ("\nhidden 6,4\n", "\nhidden 6,0\n", "hidden: must be a positive integer, got 0"),
         ("\nresidual_hidden 5\n", "\nresidual_hidden -5\n",
          "residual_hidden: must be a positive integer"),
+        ("\ntensor std.scale 3\n", "\ntensor std.scale 3\n-",
+         "tensor 'std.scale': standardizer scale must be strictly positive"),
     ], ids=["header", "tensor-size", "tensor-value", "schedule", "dim-negative", "labels-zero",
             "cond-dim-zero", "time-dim-negative", "time-dim-odd", "hidden-zero",
-            "residual-hidden-negative"])
+            "residual-hidden-negative", "scale-negative"])
     def test_malformed_value_names_file_and_field(self, tmp_path, old, new, field):
         rng = np.random.default_rng(35)
         path = tmp_path / "model.txt"
@@ -658,3 +780,48 @@ class TestModelIO:
         with pytest.raises(ValueError) as info:
             load_model(str(path))
         assert str(info.value).startswith(f"{path}: {field}")
+
+    @given(shapes=_MODEL_SHAPES, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_shapes_round_trip_bitwise(self, shapes, seed):
+        bundle = _random_bundle(shapes, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.txt")
+            save_model(path, bundle, SCHED)
+            loaded, _ = load_model(path)
+        for mine, theirs in ((bundle.theta, loaded.theta), (bundle.phi, loaded.phi)):
+            assert mine.tensors.keys() == theirs.tensors.keys()
+            assert np.array_equal(mine.tensors.flat, theirs.tensors.flat)
+        assert np.array_equal(loaded.standardizer.std, bundle.standardizer.std)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((9, shapes["dim"]))
+        labels = rng.integers(0, shapes["n_labels"], 9)
+        t = rng.integers(0, SCHED.T, 9)
+        assert np.array_equal(forward(bundle.theta, x, t, labels),
+                              forward(loaded.theta, x, t, labels))
+        assert np.array_equal(predict_zc2(bundle.phi, x, x), predict_zc2(loaded.phi, x, x))
+
+    @given(shapes=_MODEL_SHAPES, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_token_fails_naming_the_file(self, shapes, seed, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.txt")
+            save_model(path, _random_bundle(shapes, seed), SCHED)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+            places = _corruptible_tokens(lines)
+            place = data.draw(st.sampled_from(sorted(places)))
+            line, token = data.draw(st.sampled_from(places[place]))
+            # A negative number is a legal weight, so only the other places take one.
+            kind = data.draw(st.sampled_from(
+                ("garbage", "nan") if place == "value" else ("garbage", "negative", "nan")))
+            tokens = lines[line].split(" ")
+            tokens[token] = data.draw({"garbage": _GARBAGE, "negative": _NEGATIVE,
+                                       "nan": st.just("nan")}[kind])
+            lines[line] = " ".join(tokens)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+            with pytest.raises(ValueError) as info:
+                load_model(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message

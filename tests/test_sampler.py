@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from priorshift import sampler as sampler_mod
 from priorshift.denoiser import init_denoiser, init_residual, predict_zc2
 from priorshift.latent import (
     Codebook,
@@ -190,6 +191,29 @@ class TestDenoiseFrom:
         for i in range(5):
             row = denoise_from(x[i:i + 1], 30, labels[i:i + 1], eps_fn, SCHED)
             assert_allclose(batch[i], row[0], atol=1e-12)
+
+    def test_network_predictor_reuses_one_workspace_over_the_chain(self, monkeypatch):
+        """Every step of a chain hands ``forward`` the predictor's one
+        workspace, whose arrays keep their identity from step to step."""
+        seen = []
+        real_forward = sampler_mod.forward
+
+        def spy(theta, x_t, t, labels, *, workspace=None):
+            out = real_forward(theta, x_t, t, labels, workspace=workspace)
+            seen.append((workspace, {k: id(v) for k, v in workspace.items()}))
+            return out
+
+        rng = np.random.default_rng(9)
+        theta = init_denoiser(2, 3, (8, 8), 4, 4, rng)
+        eps_fn = model_eps_source(theta)
+        x = rng.standard_normal((7, 2))
+        labels = rng.integers(0, 3, 7)
+        want = denoise_from(x, 25, labels, eps_fn, SCHED)
+        monkeypatch.setattr(sampler_mod, "forward", spy)
+        got = denoise_from(x, 25, labels, eps_fn, SCHED)
+        assert np.array_equal(got, want)
+        assert len(seen) == 25 and seen[0][1]
+        assert all(ws is seen[0][0] and ids == seen[0][1] for ws, ids in seen)
 
 
 class TestSamplerConfig:
