@@ -12,7 +12,6 @@ from .denoiser import (
     TrainConfig,
     forward,
     load_model,
-    loss_diff,
     loss_total,
     predict_zc2,
     save_model,

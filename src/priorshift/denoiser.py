@@ -57,8 +57,12 @@ class TrainConfig:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.lam < 0:
             raise ValueError(f"residual loss weight must be >= 0, got {self.lam}")
-        if self.cond_dim < 1 or self.time_dim < 1 or any(w < 1 for w in self.hidden):
-            raise ValueError("layer widths must be positive")
+        if self.cond_dim < 1 or self.time_dim < 1:
+            raise ValueError("cond_dim and time_dim must be positive")
+        for name in ("hidden", "residual_hidden"):
+            widths = getattr(self, name)
+            if any(w < 1 for w in widths):
+                raise ValueError(f"{name}: layer widths must be positive, got {list(widths)}")
         if self.time_dim % 2:
             raise ValueError(f"time_dim must be even, got {self.time_dim}")
 
@@ -352,28 +356,6 @@ def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarr
     return _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
 
 
-def _gather_ab(sched: Schedule, t: np.ndarray) -> np.ndarray:
-    return alpha_bar_array(sched)[t][:, None]
-
-
-def _loss_diff_core(
-    theta: DenoiserParams,
-    x0: np.ndarray,
-    labels: np.ndarray,
-    t: np.ndarray,
-    eps: np.ndarray,
-    sched: Schedule,
-    masks: list[np.ndarray] | None,
-):
-    ab = _gather_ab(sched, t)
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    eps_hat, cache = _forward_cached(theta, x_t, t, labels, masks)
-    r = eps_hat - eps
-    loss = float((r * r).mean())
-    grads = _backward(theta, cache, (2.0 / r.size) * r)
-    return loss, grads, x_t, eps_hat
-
-
 def draw_batch_noise(
     theta: DenoiserParams,
     n: int,
@@ -388,22 +370,7 @@ def draw_batch_noise(
     return t, eps, masks
 
 
-def loss_diff(
-    theta: DenoiserParams,
-    x0: np.ndarray,
-    labels: np.ndarray,
-    sched: Schedule,
-    rng: np.random.Generator,
-    dropout: float = 0.0,
-) -> tuple[float, FlatTensors]:
-    """Denoising loss and gradients; timesteps uniform, noise standard normal."""
-    x0, labels = _check_inputs(theta, x0, labels)
-    t, eps, masks = draw_batch_noise(theta, x0.shape[0], sched, rng, dropout)
-    loss, grads, _, _ = _loss_diff_core(theta, x0, labels, t, eps, sched, masks)
-    return loss, grads
-
-
-def _loss_total_core(
+def loss_total(
     theta: DenoiserParams,
     phi: ResidualParams,
     x0: np.ndarray,
@@ -412,13 +379,36 @@ def _loss_total_core(
     labels: np.ndarray,
     t: np.ndarray,
     eps: np.ndarray,
+    masks: list[np.ndarray] | None,
     lam: float,
     sched: Schedule,
-    masks: list[np.ndarray] | None,
-    destd: Standardizer | None,
-):
-    dloss, tgrads, x_t, eps_hat = _loss_diff_core(theta, x0, labels, t, eps, sched, masks)
-    ab = _gather_ab(sched, t)
+    destd: Standardizer | None = None,
+) -> tuple[float, FlatTensors, FlatTensors]:
+    """Joint loss on one batch: denoising term plus ``lam`` times the residual
+    regression, with the gradients of both parameter sets.
+
+    ``t``, ``eps`` and ``masks`` are the batch's draws from
+    :func:`draw_batch_noise`.  ``destd`` maps the reconstructed clean frame
+    back to raw scale before the residual head, so the head sees the same
+    inputs it gets at conversion time.  With ``lam=0`` the total is exactly
+    the denoising term.
+    """
+    x0, labels = _check_inputs(theta, x0, labels)
+    zc2 = np.asarray(zc2, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if zc2.shape != x0.shape or h.shape != x0.shape:
+        raise ValueError("zc2 and h tracks must match the frame block shape")
+    t = np.asarray(t)
+    if t.shape != labels.shape or np.shape(eps) != x0.shape:
+        raise ValueError("t and eps must give one step and one noise row per frame")
+    if t.size and (t.min() < 0 or t.max() >= sched.T):
+        raise ValueError(f"timesteps outside [0, {sched.T})")
+    ab = alpha_bar_array(sched)[t][:, None]
+    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    eps_hat, cache = _forward_cached(theta, x_t, t, labels, masks)
+    r = eps_hat - eps
+    dloss = float((r * r).mean())
+    tgrads = _backward(theta, cache, (2.0 / r.size) * r)
     # The reconstruction enters the residual branch as data: no gradient
     # flows from the residual loss back into the denoiser.
     xhat0 = (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
@@ -429,34 +419,6 @@ def _loss_total_core(
     rloss = float((rr * rr).mean())
     rgrads = _backward(phi, rcache, (2.0 * lam / rr.size) * rr)
     return dloss + lam * rloss, tgrads, rgrads
-
-
-def loss_total(
-    theta: DenoiserParams,
-    phi: ResidualParams,
-    x0: np.ndarray,
-    zc2: np.ndarray,
-    h: np.ndarray,
-    labels: np.ndarray,
-    lam: float,
-    sched: Schedule,
-    rng: np.random.Generator,
-    dropout: float = 0.0,
-    destd: Standardizer | None = None,
-) -> tuple[float, FlatTensors, FlatTensors]:
-    """Joint loss: denoising term plus ``lam`` times the residual regression.
-
-    ``destd`` maps the reconstructed clean frame back to raw scale before
-    the residual head, so the head sees the same inputs it gets at
-    conversion time.  Consumes rng draws exactly like :func:`loss_diff`.
-    """
-    x0, labels = _check_inputs(theta, x0, labels)
-    zc2 = np.asarray(zc2, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if zc2.shape != x0.shape or h.shape != x0.shape:
-        raise ValueError("zc2 and h tracks must match the frame block shape")
-    t, eps, masks = draw_batch_noise(theta, x0.shape[0], sched, rng, dropout)
-    return _loss_total_core(theta, phi, x0, zc2, h, labels, t, eps, lam, sched, masks, destd)
 
 
 @dataclass
@@ -498,7 +460,7 @@ def train(
     dataset: list[LatentSequence],
     sched: Schedule,
     rng: np.random.Generator,
-    n_labels: int | None = None,
+    n_labels: int,
     progress=None,
 ) -> tuple[ModelBundle, list[float]]:
     """Shuffled-minibatch Adam on the total loss.
@@ -515,8 +477,6 @@ def train(
     zc2 = np.concatenate([seq.zc2 for seq in dataset], axis=0)
     h = np.concatenate([seq.h for seq in dataset], axis=0)
     labels = np.concatenate([np.asarray(seq.labels) for seq in dataset])
-    if n_labels is None:
-        n_labels = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_labels:
         raise ValueError(f"dataset labels outside [0, {n_labels})")
     std = fit_standardizer(dataset)
@@ -533,9 +493,10 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
+            t, eps, masks = draw_batch_noise(theta, idx.size, sched, rng, cfg.dropout)
             loss, tg, rg = loss_total(
-                theta, phi, x0[idx], zc2[idx], h[idx], labels[idx],
-                cfg.lam, sched, rng, dropout=cfg.dropout, destd=std,
+                theta, phi, x0[idx], zc2[idx], h[idx], labels[idx], t, eps, masks,
+                cfg.lam, sched, destd=std,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import (
-    _loss_diff_core,
-    _loss_total_core,
-    dropout_masks,
-    gradient_check,
-    init_denoiser,
-    init_residual,
-)
+from .denoiser import dropout_masks, gradient_check, init_denoiser, init_residual, loss_total
 from .prior import ConditionalGMM, gaussian_posterior_moments, grid_moments, posterior_grid
 from .rng import PURPOSE_VERIFY, substream
 from .sampler import ddim_step, forward_corrupt, reconstruct_x0
@@ -62,15 +55,14 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
 
     # The reconstruction feeding the residual head is detached, so the
     # denoiser's analytic gradient is the diffusion term's alone; check it
-    # against that term.  The head has no other path, so the total works.
+    # against that term, which is the total at lam=0.  The head has no
+    # other path, so the total works.
     def loss_theta():
-        loss, tg, _, _ = _loss_diff_core(theta, x0, labels, t, eps, sched, masks)
+        loss, tg, _ = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.0, sched)
         return loss, tg
 
     def loss_phi():
-        loss, _, rg = _loss_total_core(
-            theta, phi, x0, zc2, h, labels, t, eps, 0.5, sched, masks, None
-        )
+        loss, _, rg = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.5, sched)
         return loss, rg
 
     worst = gradient_check(loss_theta, theta.tensors)

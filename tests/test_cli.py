@@ -317,6 +317,19 @@ class TestTrainCommand:
         assert err[0].startswith("error: ") and "bad.json" in err[0] and "'hidden'" in err[0]
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("widths", [[0], [-2]])
+    def test_nonpositive_residual_width_names_the_field(self, pipeline, tmp_path, capsys,
+                                                        widths):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"residual_hidden": widths}))
+        rc = cli.main(["train", "--data", pipeline["data"],
+                       "--out", str(tmp_path / "m.txt"), "--seed", "0",
+                       "--config", str(cfg)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc != 0 and len(err) == 1
+        assert err[0].startswith("error: residual_hidden: ")
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestPosterior:
     def test_writes_curves(self, pipeline, tmp_path):

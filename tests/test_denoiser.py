@@ -25,18 +25,17 @@ from priorshift.denoiser import (
     init_denoiser,
     init_residual,
     load_model,
-    loss_diff,
     loss_total,
     predict_zc2,
     save_model,
     time_embedding,
     train,
 )
-from priorshift.denoiser import _loss_diff_core, _loss_total_core, _silu
-from priorshift.latent import LatentSequence, Standardizer, fit_standardizer
+from priorshift.denoiser import _silu
+from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
-from priorshift.schedule import alpha_bar_at, default_schedule
+from priorshift.schedule import alpha_bar_array, alpha_bar_at, default_schedule
 
 SCHED = default_schedule()
 
@@ -250,10 +249,9 @@ class TestLossDiff:
             arr[:] = 0
         x0 = rng.standard_normal((64, 2))
         labels = rng.integers(0, 3, 64)
-        loss, grads = loss_diff(params, x0, labels, SCHED, np.random.default_rng(77))
-        r2 = np.random.default_rng(77)
-        _ = r2.integers(0, SCHED.T, size=64)
-        eps = r2.standard_normal((64, 2))
+        phi = init_residual(2, (), rng)
+        t, eps, masks = draw_batch_noise(params, 64, SCHED, np.random.default_rng(77), 0.0)
+        loss, grads, _ = loss_total(params, phi, x0, x0, x0, labels, t, eps, masks, 0.0, SCHED)
         assert_allclose(loss, float((eps ** 2).mean()), rtol=1e-12)
         assert set(grads) == set(params.tensors)
 
@@ -311,7 +309,7 @@ class TestGradients:
         theta, phi, x0, zc2, h, labels, t, eps, masks = self._fixture()
 
         def loss_fn():
-            loss, grads, _, _ = _loss_diff_core(theta, x0, labels, t, eps, SCHED, masks)
+            loss, grads, _ = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.0, SCHED)
             return loss, grads
 
         worst = gradient_check(loss_fn, theta.tensors, step=1e-5)
@@ -322,8 +320,8 @@ class TestGradients:
         destd = Standardizer(mean=np.array([0.1, -0.2]), std=np.array([1.3, 0.8]))
 
         def loss_fn():
-            loss, _, rgrads = _loss_total_core(
-                theta, phi, x0, zc2, h, labels, t, eps, 0.7, SCHED, masks, destd
+            loss, _, rgrads = loss_total(
+                theta, phi, x0, zc2, h, labels, t, eps, masks, 0.7, SCHED, destd
             )
             return loss, rgrads
 
@@ -333,14 +331,13 @@ class TestGradients:
     def test_reconstruction_branch_carries_no_denoiser_gradient(self):
         """The joint loss treats the reconstructed clean frame as data: the
         denoiser gradient must equal the denoising-term gradient alone and
-        must not react to the residual targets."""
+        must not react to the residual targets.  At zero weight the total is
+        the denoising term alone."""
         theta, phi, x0, zc2, h, labels, t, eps, masks = self._fixture()
-        _, diff_only, _, _ = _loss_diff_core(theta, x0, labels, t, eps, SCHED, masks)
-        _, tg_a, rg_a = _loss_total_core(
-            theta, phi, x0, zc2, h, labels, t, eps, 0.7, SCHED, masks, None
-        )
-        _, tg_b, rg_b = _loss_total_core(
-            theta, phi, x0, zc2 + 5.0, h, labels, t, eps, 0.7, SCHED, masks, None
+        _, diff_only, _ = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.0, SCHED)
+        _, tg_a, rg_a = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.7, SCHED)
+        _, tg_b, rg_b = loss_total(
+            theta, phi, x0, zc2 + 5.0, h, labels, t, eps, masks, 0.7, SCHED
         )
         for name in diff_only:
             assert np.array_equal(tg_a[name], diff_only[name])
@@ -357,10 +354,11 @@ class TestLossTotal:
         zc2 = rng.standard_normal((10, 2))
         h = rng.standard_normal((10, 2))
         labels = rng.integers(0, 3, 10)
-        total, _, _ = loss_total(
-            theta, phi, x0, zc2, h, labels, 0.0, SCHED, np.random.default_rng(5)
-        )
-        dloss, _ = loss_diff(theta, x0, labels, SCHED, np.random.default_rng(5))
+        t, eps, masks = draw_batch_noise(theta, 10, SCHED, np.random.default_rng(5), 0.0)
+        total, _, _ = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.0, SCHED)
+        ab = alpha_bar_array(SCHED)[t][:, None]
+        eps_hat = forward(theta, np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, t, labels)
+        dloss = float(((eps_hat - eps) * (eps_hat - eps)).mean())
         assert total == dloss
 
     def test_composition_against_manual_pieces(self):
@@ -374,11 +372,10 @@ class TestLossTotal:
         labels = rng.integers(0, 3, 12)
         destd = Standardizer(mean=np.array([0.4, -0.1]), std=np.array([0.9, 1.7]))
         lam = 0.6
+        t, eps, masks = draw_batch_noise(theta, 12, SCHED, np.random.default_rng(6), 0.0)
         total, _, _ = loss_total(
-            theta, phi, x0, zc2, h, labels, lam, SCHED, np.random.default_rng(6), destd=destd
+            theta, phi, x0, zc2, h, labels, t, eps, masks, lam, SCHED, destd=destd
         )
-        r2 = np.random.default_rng(6)
-        t, eps, _ = draw_batch_noise(theta, 12, SCHED, r2, 0.0)
         ab = np.array([alpha_bar_at(SCHED, int(tv)) for tv in t])[:, None]
         x_t = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
         eps_hat = forward(theta, x_t, t, labels)
@@ -400,9 +397,9 @@ class TestLossTotal:
         x0 = rng.standard_normal((8, 2))
         h = rng.standard_normal((8, 2))
         labels = rng.integers(0, 3, 8)
-        total, _, _ = loss_total(theta, phi, x0, h, h, labels, 0.9, SCHED,
-                                 np.random.default_rng(7))
-        dloss, _ = loss_diff(theta, x0, labels, SCHED, np.random.default_rng(7))
+        t, eps, masks = draw_batch_noise(theta, 8, SCHED, np.random.default_rng(7), 0.0)
+        total, _, _ = loss_total(theta, phi, x0, h, h, labels, t, eps, masks, 0.9, SCHED)
+        dloss, _, _ = loss_total(theta, phi, x0, h, h, labels, t, eps, masks, 0.0, SCHED)
         assert_allclose(total, dloss, rtol=1e-15)
 
     def test_track_shape_mismatch_rejected(self):
@@ -410,9 +407,27 @@ class TestLossTotal:
         theta = _small_net(rng)
         phi = init_residual(2, (), rng)
         x0 = rng.standard_normal((4, 2))
+        t, eps, masks = draw_batch_noise(theta, 4, SCHED, np.random.default_rng(0), 0.0)
         with pytest.raises(ValueError, match="track"):
-            loss_total(theta, phi, x0, x0[:3], x0, np.zeros(4, dtype=int),
-                       0.5, SCHED, np.random.default_rng(0))
+            loss_total(theta, phi, x0, x0[:3], x0, np.zeros(4, dtype=int), t, eps, masks,
+                       0.5, SCHED)
+
+    @pytest.mark.parametrize("t, eps, match", [
+        (np.zeros(3, dtype=int), np.zeros((4, 2)), "per frame"),
+        (np.zeros(4, dtype=int), np.zeros((1, 2)), "per frame"),
+        (np.array([0, 1, -1, 2]), np.zeros((4, 2)), "timesteps outside"),
+        (np.array([0, 1, SCHED.T, 2]), np.zeros((4, 2)), "timesteps outside"),
+    ])
+    def test_drawn_inputs_must_fit_the_batch(self, t, eps, match):
+        """A short or broadcastable draw, or a step off the schedule, would
+        otherwise index or broadcast into a wrong loss without an error."""
+        rng = np.random.default_rng(20)
+        theta = _small_net(rng)
+        phi = init_residual(2, (), rng)
+        x0 = rng.standard_normal((4, 2))
+        with pytest.raises(ValueError, match=match):
+            loss_total(theta, phi, x0, x0, x0, np.zeros(4, dtype=int), t, eps, None,
+                       0.5, SCHED)
 
 
 class TestResidualHead:
@@ -525,7 +540,10 @@ class TestFlatBuffers:
         rng = np.random.default_rng(43)
         theta = _small_net(rng)
         x0 = rng.standard_normal((6, 2))
-        _, grads = loss_diff(theta, x0, rng.integers(0, 3, 6), SCHED, rng)
+        labels = rng.integers(0, 3, 6)
+        t, eps, masks = draw_batch_noise(theta, 6, SCHED, rng, 0.0)
+        phi = init_residual(2, (), rng)
+        _, grads, _ = loss_total(theta, phi, x0, x0, x0, labels, t, eps, masks, 0.0, SCHED)
         self._assert_views(grads)
         assert list(grads) == list(theta.tensors)
         assert all(grads[k].shape == theta.tensors[k].shape for k in grads)
@@ -571,6 +589,44 @@ class TestTrainLoop:
         for k in b1.phi.tensors:
             assert np.array_equal(b1.phi.tensors[k], b2.phi.tensors[k])
 
+    def test_matches_a_hand_written_loop(self):
+        """Two epochs with dropout and a residual head, bit for bit against
+        the loop spelled out here: shuffle, draw the batch's noise, take the
+        joint loss, then one Adam step per parameter set.  This pins the
+        order in which training draws from its one generator."""
+        seqs = self._dataset(substream(15, PURPOSE_DATA), n_seq=5, n=11)  # batches 16,16,16,7
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, hidden=(6, 5), residual_hidden=(4,),
+                          cond_dim=4, time_dim=4, dropout=0.2, lam=0.7)
+        bundle, curve = train(cfg, seqs, SCHED, substream(16, PURPOSE_TRAIN), n_labels=3)
+
+        rng = substream(16, PURPOSE_TRAIN)
+        std = fit_standardizer(seqs)
+        x0 = standardize_frames(np.concatenate([s.frames for s in seqs]), std)
+        zc2 = np.concatenate([s.zc2 for s in seqs])
+        h = np.concatenate([s.h for s in seqs])
+        labels = np.concatenate([s.labels for s in seqs])
+        theta = init_denoiser(2, 3, cfg.hidden, cfg.cond_dim, cfg.time_dim, rng)
+        phi = init_residual(2, cfg.residual_hidden, rng)
+        st_theta = AdamState.for_buffer(theta.tensors.flat)
+        st_phi = AdamState.for_buffer(phi.tensors.flat)
+        want = []
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(55)
+            total = 0.0
+            for start in range(0, 55, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                t, eps, masks = draw_batch_noise(theta, idx.size, SCHED, rng, cfg.dropout)
+                loss, tg, rg = loss_total(theta, phi, x0[idx], zc2[idx], h[idx], labels[idx],
+                                          t, eps, masks, cfg.lam, SCHED, destd=std)
+                for flat, grads, state in ((theta.tensors.flat, tg.flat, st_theta),
+                                           (phi.tensors.flat, rg.flat, st_phi)):
+                    adam_step(flat, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                total += loss * idx.size
+            want.append(total / 55)
+        assert curve == want
+        assert np.array_equal(bundle.theta.tensors.flat, theta.tensors.flat)
+        assert np.array_equal(bundle.phi.tensors.flat, phi.tensors.flat)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         rng = substream(9, PURPOSE_DATA)
@@ -596,7 +652,7 @@ class TestTrainLoop:
                                frames=rng.normal(0, 1, (5, 2)))]
         cfg = TrainConfig(epochs=1, hidden=(4,), cond_dim=4, time_dim=4)
         with pytest.raises(ValueError, match="zc2"):
-            train(cfg, seqs, SCHED, substream(0, PURPOSE_TRAIN))
+            train(cfg, seqs, SCHED, substream(0, PURPOSE_TRAIN), n_labels=1)
 
     def test_label_bound_enforced(self):
         rng = substream(14, PURPOSE_DATA)
@@ -608,7 +664,7 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="empty"):
-            train(cfg, [], SCHED, substream(0, PURPOSE_TRAIN))
+            train(cfg, [], SCHED, substream(0, PURPOSE_TRAIN), n_labels=1)
 
 
 class TestTrainConfig:
@@ -624,6 +680,7 @@ class TestTrainConfig:
         dict(hidden=(0,)),
         dict(time_dim=7),
         dict(adam_eps=0.0),
+        dict(residual_hidden=(4, 0)),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
