@@ -44,7 +44,6 @@ from .prior import (
     posterior_grid,
 )
 from .sampler import (
-    SamplerConfig,
     convert_sequences,
     ddim_step,
     denoise_from,

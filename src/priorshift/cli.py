@@ -32,7 +32,7 @@ from .harness import (
 from .latent import atomic_write, load_dataset, save_dataset
 from .prior import marginal_1d
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
-from .sampler import SamplerConfig, convert_sequences, frame_metrics
+from .sampler import convert_sequences, frame_metrics
 from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, linear_schedule
 from .verify import run_suites
 
@@ -111,9 +111,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
-def _read_train_config(path: str) -> dict:
-    """TrainConfig overrides from a JSON object, each value checked against
-    its field's type; any problem is a usage error naming the field."""
+def _read_train_config(path: str) -> TrainConfig:
+    """TrainConfig from a JSON object of overrides, each value checked against
+    its field's type and range; any problem is a usage error naming the
+    file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -137,22 +138,23 @@ def _read_train_config(path: str) -> dict:
             raise UsageError(f"{path}: field {key!r} must be {want}, got {value!r}")
         if isinstance(default, tuple):
             doc[key] = tuple(value)
-    return doc
+    try:
+        return TrainConfig(**doc)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    kwargs: dict = {}
-    if args.config is not None:
-        kwargs = _read_train_config(args.config)
-    kwargs["seed"] = args.seed
+    cfg = TrainConfig() if args.config is None else _read_train_config(args.config)
     if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    cfg = TrainConfig(**kwargs)
+        if args.epochs < 0:
+            raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
+        cfg = dataclasses.replace(cfg, epochs=args.epochs)
     seqs, _, n_labels = load_dataset(args.data)
     sched = _schedule_from_args(args)
     out = _out_path(args.out, args.force)
     bundle, curve = train(
-        cfg, seqs, sched, substream(cfg.seed, PURPOSE_TRAIN), n_labels=n_labels,
+        cfg, seqs, sched, substream(args.seed, PURPOSE_TRAIN), n_labels=n_labels,
         progress=lambda epoch, loss: log.info("epoch=%d mean_loss=%.6g", epoch, loss),
     )
     save_model(out, bundle, sched)
@@ -187,9 +189,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     diag_path = None
     if args.diagnostics is not None:
         diag_path = _out_path(args.diagnostics, args.force)
-    ctx = build_context(world, sched, bundle)
-    cfg = SamplerConfig(t_start=args.t_start, seed=args.seed, snap=not args.no_snap)
-    results = convert_sequences(seqs, ctx, cfg)
+    ctx = build_context(world, sched, bundle, snap=not args.no_snap)
+    results = convert_sequences(seqs, ctx, args.t_start, args.seed)
     # Score every frame before writing anything, so a failure leaves no file.
     l2d, cos, prob = frame_metrics(
         np.concatenate([s.frames for s in seqs]), np.concatenate([s.frames for s in results]),
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-starts", default="0,25,50,75,100")
     p.add_argument("--n-seq", type=int, default=40)
     p.add_argument("--seq-len", type=int, default=50)
-    p.add_argument("--no-snap", action="store_true")
+    p.add_argument("--no-snap", action="store_true", help="skip codebook quantization")
     p.add_argument("--stratify-labels", action="store_true",
                    help="average per-label means instead of pooled frames")
     _add_schedule_flags(p)

@@ -44,27 +44,26 @@ class TrainConfig:
     residual_hidden: tuple[int, ...] = ()
     cond_dim: int = 32
     time_dim: int = 32
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr <= 0 or self.adam_eps <= 0:
-            raise ValueError("lr and adam_eps must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.lam < 0:
-            raise ValueError(f"residual loss weight must be >= 0, got {self.lam}")
-        if self.cond_dim < 1 or self.time_dim < 1:
-            raise ValueError("cond_dim and time_dim must be positive")
-        for name in ("hidden", "residual_hidden"):
-            widths = getattr(self, name)
-            if any(w < 1 for w in widths):
-                raise ValueError(f"{name}: layer widths must be positive, got {list(widths)}")
-        if self.time_dim % 2:
-            raise ValueError(f"time_dim must be even, got {self.time_dim}")
+        for name, ok, want in (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr > 0, "positive"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "positive"),
+            ("lam", self.lam >= 0, ">= 0"),
+            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("hidden", all(w >= 1 for w in self.hidden), "all positive"),
+            ("residual_hidden", all(w >= 1 for w in self.residual_hidden), "all positive"),
+            ("cond_dim", self.cond_dim >= 1, ">= 1"),
+            ("time_dim", self.time_dim >= 1 and self.time_dim % 2 == 0, "positive and even"),
+        ):
+            if not ok:
+                got = getattr(self, name)
+                got = list(got) if isinstance(got, tuple) else got
+                raise ValueError(f"{name}: must be {want}, got {got}")
 
 
 class FlatTensors(dict):

@@ -30,7 +30,6 @@ from .prior import (
 from .rng import PURPOSE_DATA, PURPOSE_WORLD, substream
 from .sampler import (
     ConvertContext,
-    SamplerConfig,
     convert_sequences,
     frame_metrics,
     model_eps_source,
@@ -162,12 +161,15 @@ def gen_dataset(
     return out
 
 
-def build_context(world: World, sched: Schedule, bundle: ModelBundle | None) -> ConvertContext:
+def build_context(
+    world: World, sched: Schedule, bundle: ModelBundle | None, snap: bool = True
+) -> ConvertContext:
     """Conversion context for either the exact predictor or a trained model.
 
     The exact route standardizes the native prior with the world's own
     standardizer; the model route uses the standardizer the model was
-    trained with and enables its residual head.
+    trained with and enables its residual head.  With ``snap`` the context
+    keeps the world's codebook, so conversion snaps to it.
     """
     if bundle is None:
         std = world.standardizer
@@ -179,7 +181,7 @@ def build_context(world: World, sched: Schedule, bundle: ModelBundle | None) -> 
         residual = bundle.phi
     return ConvertContext(
         sched=sched, standardizer=std, eps_fn=eps_fn,
-        codebook=world.codebook, residual=residual,
+        codebook=world.codebook if snap else None, residual=residual,
     )
 
 
@@ -230,13 +232,12 @@ def sweep(
     if any(t < 0 or t > sched.T for t in t_starts):
         raise ValueError(f"t_starts must lie in [0, {sched.T}]")
     data = gen_dataset(world, "l2", n_seq, seq_len, substream(seed, PURPOSE_DATA))
-    ctx = build_context(world, sched, bundle)
+    ctx = build_context(world, sched, bundle, snap)
     inp = np.concatenate([s.frames for s in data], axis=0)
     labels = np.concatenate([np.asarray(s.labels) for s in data])
     rows = []
     for ts in t_starts:
-        cfg = SamplerConfig(t_start=int(ts), seed=seed, snap=snap)
-        out = np.concatenate([seq.frames for seq in convert_sequences(data, ctx, cfg)], axis=0)
+        out = np.concatenate([seq.frames for seq in convert_sequences(data, ctx, int(ts), seed)])
         l2d, cos, prob = frame_metrics(inp, out, labels, world.native, world.l2)
         if stratify_labels:
             groups = [np.flatnonzero(labels == k) for k in np.unique(labels)]

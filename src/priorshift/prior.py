@@ -71,11 +71,12 @@ class ConditionalGMM:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Normalized clean-frame posterior density tabulated on an ascending grid."""
+    """Normalized clean-frame posterior density tabulated on an ascending grid,
+    for the state ``x_t`` at schedule index ``t``."""
 
     grid: np.ndarray
     density: np.ndarray
-    t_start: int
+    t: int
     x_t: float
 
 
@@ -202,7 +203,7 @@ def posterior_grid(
         raise ValueError(
             f"grid too narrow: boundary cells carry mass {edge_mass:.3g} (> 1e-06)"
         )
-    return PosteriorGrid(grid=grid, density=dens, t_start=t, x_t=float(x_t))
+    return PosteriorGrid(grid=grid, density=dens, t=t, x_t=float(x_t))
 
 
 def grid_moments(pg: PosteriorGrid) -> tuple[float, float]:

@@ -30,30 +30,12 @@ EpsFn = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
-    """Conversion controls.
-
-    ``t_start`` counts corruption steps on the user scale 1..T (0 skips
-    diffusion entirely); ``seed`` keys every sequence's noise substream;
-    ``snap`` quantizes first-stage frames to the context's codebook.  The
-    predictor and the residual head come from the :class:`ConvertContext`.
-    """
-
-    t_start: int
-    seed: int = 0
-    snap: bool = True
-
-    def __post_init__(self) -> None:
-        if self.t_start < 0:
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-
-
-@dataclass(frozen=True)
 class ConvertContext:
     """Fixed machinery shared by every sequence in one conversion run.
 
-    ``eps_fn`` takes (n, d) frame blocks.  With a ``residual`` head,
-    conversion adds its predicted second stage.  Conversion returns frames only.
+    ``eps_fn`` takes (n, d) frame blocks.  With a ``codebook``, conversion
+    snaps its first-stage frames to it; with a ``residual`` head, it adds
+    the predicted second stage.  Conversion returns frames only.
     """
 
     sched: Schedule
@@ -150,24 +132,24 @@ def frame_metrics(
 def convert_sequences(
     seqs: Sequence[LatentSequence],
     ctx: ConvertContext,
-    cfg: SamplerConfig,
+    t_start: int,
+    seed: int,
 ) -> list[LatentSequence]:
     """Translate a batch of sequences toward the native prior, in input order.
 
-    Every sequence shares the start step, so the frames of all of them are
-    packed into one block and go through each stage once: standardize,
-    corrupt to the start step, run the deterministic reverse chain (one
-    predictor call per step), destandardize, add the predicted second-stage
-    residual when the context has a residual head (computed on the pre-snap
-    frames), and optionally snap the first-stage frames to the codebook.
-    Sequence ``i`` draws its noise from substream ``(seed, PURPOSE_CONVERT,
-    i)``, so its result depends only on its position, never on the other
-    sequences in the batch.
+    ``t_start`` counts corruption steps on the user scale 1..T (0 skips
+    diffusion entirely).  Every sequence shares it, so the frames of all of
+    them are packed into one block and go through each stage once:
+    standardize, corrupt to the start step, run the deterministic reverse
+    chain (one predictor call per step), destandardize, add the predicted
+    second-stage residual when the context has a residual head (computed on
+    the pre-snap frames), and snap the first-stage frames when the context
+    has a codebook.  Sequence ``i`` draws its noise from substream ``(seed,
+    PURPOSE_CONVERT, i)``, so its result depends only on its position, never
+    on the other sequences in the batch.
     """
-    if cfg.t_start > ctx.sched.T:
-        raise ValueError(f"t_start {cfg.t_start} exceeds schedule length {ctx.sched.T}")
-    if cfg.snap and ctx.codebook is None:
-        raise ValueError("snap set but the context has no codebook")
+    if not 0 <= t_start <= ctx.sched.T:
+        raise ValueError(f"t_start must lie in [0, {ctx.sched.T}], got {t_start}")
     if ctx.residual is not None:
         for seq in seqs:
             if seq.h is None:
@@ -176,18 +158,18 @@ def convert_sequences(
         return []
     labels = np.concatenate([np.asarray(seq.labels) for seq in seqs])
     z = standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
-    if cfg.t_start > 0:
+    if t_start > 0:
         eps = np.concatenate([
-            substream(cfg.seed, PURPOSE_CONVERT, i).standard_normal(np.shape(seq.frames))
+            substream(seed, PURPOSE_CONVERT, i).standard_normal(np.shape(seq.frames))
             for i, seq in enumerate(seqs)
         ])
-        x_t = forward_corrupt(z, cfg.t_start - 1, eps, ctx.sched)
-        z = denoise_from(x_t, cfg.t_start, labels, ctx.eps_fn, ctx.sched)
+        x_t = forward_corrupt(z, t_start - 1, eps, ctx.sched)
+        z = denoise_from(x_t, t_start, labels, ctx.eps_fn, ctx.sched)
     zc1 = destandardize_frames(z, ctx.standardizer)
     zc2 = 0.0
     if ctx.residual is not None:
         zc2 = predict_zc2(ctx.residual, np.concatenate([seq.h for seq in seqs]), zc1)
-    if cfg.snap:
+    if ctx.codebook is not None:
         _, zc1 = snap_frames(zc1, ctx.codebook)
     bounds = np.cumsum([len(seq) for seq in seqs])[:-1]
     return [

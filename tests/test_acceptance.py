@@ -38,7 +38,6 @@ from priorshift.prior import (
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from priorshift.sampler import (
     ConvertContext,
-    SamplerConfig,
     convert_sequences,
     ddim_step,
     denoise_from,
@@ -68,7 +67,7 @@ def world():
 def trained(world):
     """Desk-scale training run shared by the trained-model criterion."""
     data = gen_dataset(world, "native", 300, 50, substream(1, PURPOSE_DATA, 0))
-    cfg = TrainConfig(epochs=150, seed=1)
+    cfg = TrainConfig(epochs=150)
     start = time.perf_counter()
     bundle, curve = train(cfg, data, SCHED, substream(1, PURPOSE_TRAIN),
                           n_labels=world.spec.n_labels)
@@ -352,8 +351,7 @@ def test_criterion_11_identity_endpoint(world):
         standardizer=world.standardizer,
         eps_fn=prior_eps_source(standardized(world.native, world.standardizer), SCHED),
     )
-    cfg = SamplerConfig(t_start=0, snap=False)
-    [out] = convert_sequences([seq], ctx, cfg)
+    [out] = convert_sequences([seq], ctx, 0, 0)
     err = float(np.abs(out.frames - seq.frames).max())
     elapsed = time.perf_counter() - start
     ok = err <= 1e-9

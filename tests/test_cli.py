@@ -298,13 +298,14 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"epochs": 1, "warmup": 10}))
-        rc = cli.main(["train", "--data", pipeline["data"],
-                       "--out", str(tmp_path / "m.txt"), "--seed", "0",
-                       "--config", str(cfg)])
-        assert rc == 2
-        assert "warmup" in capsys.readouterr().err
+        for key in ("warmup", "seed"):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"epochs": 1, key: 10}))
+            rc = cli.main(["train", "--data", pipeline["data"],
+                           "--out", str(tmp_path / "m.txt"), "--seed", "0",
+                           "--config", str(cfg)])
+            assert rc == 2
+            assert capsys.readouterr().err.rstrip().endswith(f"keys: {key}")
 
     def test_malformed_config_value_names_the_field(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -326,8 +327,32 @@ class TestTrainCommand:
                        "--out", str(tmp_path / "m.txt"), "--seed", "0",
                        "--config", str(cfg)])
         err = capsys.readouterr().err.strip().splitlines()
-        assert rc != 0 and len(err) == 1
-        assert err[0].startswith("error: residual_hidden: ")
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(f"error: {cfg}: residual_hidden: ")
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("doc, flags, field", [
+        ({"lr": -1}, [], "lr"),
+        ({"batch_size": 0}, [], "batch_size"),
+        ({"dropout": 1.0}, [], "dropout"),
+        (None, ["--epochs", "-1"], "--epochs"),
+    ])
+    def test_out_of_range_value_names_the_field(self, pipeline, tmp_path, capsys,
+                                                doc, flags, field):
+        """A config file value out of range is checked before ``--epochs``
+        applies and names the file; a bad ``--epochs`` names the flag."""
+        args = ["train", "--data", pipeline["data"], "--out", str(tmp_path / "m.txt"),
+                "--seed", "0"] + flags
+        prefix = f"error: {field}"
+        if doc is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(doc))
+            args += ["--config", str(cfg), "--epochs", "1"]
+            prefix = f"error: {cfg}: {field}: "
+        rc = cli.main(args)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(prefix)
         assert not (tmp_path / "m.txt").exists()
 
 

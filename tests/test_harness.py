@@ -19,7 +19,7 @@ from priorshift.harness import (
 from priorshift.latent import snap_frames
 from priorshift.prior import grid_moments, native_class_prob_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, substream
-from priorshift.sampler import SamplerConfig, convert_sequences
+from priorshift.sampler import convert_sequences, frame_metrics
 from priorshift.schedule import default_schedule
 
 SCHED = default_schedule()
@@ -148,6 +148,12 @@ class TestBuildContext:
         assert out.shape == (2, 3)
         assert np.isfinite(out).all()
 
+    def test_no_snap_drops_the_codebook(self):
+        world = gen_world(_small_spec(seed=21))
+        ctx = build_context(world, SCHED, None, snap=False)
+        assert ctx.codebook is None
+        assert np.array_equal(ctx.standardizer.mean, world.standardizer.mean)
+
 
 class TestSweep:
     def test_zero_start_row_is_exact_identity(self):
@@ -172,6 +178,25 @@ class TestSweep:
         world = gen_world(_small_spec(seed=23, l2_shift=0.0))
         tab = sweep(world, None, [0, 60], n_seq=3, seq_len=10, seed=7, sched=SCHED)
         assert [r.native_prob for r in tab.rows] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("snap", [True, False])
+    def test_row_matches_direct_conversion(self, snap):
+        """A sweep row scores the frames that converting its dataset at that
+        start step gives, snapped or not as the sweep asks."""
+        world = gen_world(_small_spec(seed=22))
+        tab = sweep(world, None, [40], n_seq=3, seq_len=10, seed=5, sched=SCHED, snap=snap)
+        data = gen_dataset(world, "l2", 3, 10, substream(5, PURPOSE_DATA))
+        out = convert_sequences(data, build_context(world, SCHED, None, snap), 40, 5)
+        inp = np.concatenate([s.frames for s in data])
+        got = np.concatenate([s.frames for s in out])
+        assert snap == all(
+            any(np.array_equal(row, e) for e in world.codebook.entries) for row in got
+        )
+        l2d, cos, prob = frame_metrics(inp, got, np.concatenate([s.labels for s in data]),
+                                       world.native, world.l2)
+        row = tab.rows[0]
+        assert (row.identity_l2, row.identity_cos, row.native_prob) == (
+            float(l2d.mean()), float(cos.mean()), float(prob.mean()))
 
     def test_reruns_identical(self):
         world = gen_world(_small_spec(seed=24))
@@ -212,6 +237,14 @@ class TestPosteriorCurves:
     def _world(self):
         return gen_world(WorldSpec(dim=2, n_labels=3, n_components=1,
                                    codebook_size=16, seed=3))
+
+    def test_curves_carry_the_schedule_index(self):
+        """Start step ``ts`` tabulates the posterior at schedule index ts - 1."""
+        world = self._world()
+        curves = posterior_curves(world, 0, 4.0, [1, 50, 100], np.linspace(-15, 15, 2001),
+                                  SCHED)
+        for ts in (1, 50, 100):
+            assert curves[ts].t == ts - 1
 
     def test_posteriors_integrate_to_one(self):
         world = self._world()
@@ -281,9 +314,8 @@ class TestWorldIO:
         save_world(world, path)
         loaded = load_world(path)
         seq = gen_dataset(world, "l2", 1, 15, substream(6, PURPOSE_DATA))[0]
-        cfg = SamplerConfig(t_start=50)
-        [out_a] = convert_sequences([seq], build_context(world, SCHED, None), cfg)
-        [out_b] = convert_sequences([seq], build_context(loaded, SCHED, None), cfg)
+        [out_a] = convert_sequences([seq], build_context(world, SCHED, None), 50, 0)
+        [out_b] = convert_sequences([seq], build_context(loaded, SCHED, None), 50, 0)
         assert np.array_equal(out_a.frames, out_b.frames)
 
     def test_bad_format_rejected(self, tmp_path):

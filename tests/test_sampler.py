@@ -1,4 +1,6 @@
 """Corruption, deterministic reverse updates, and sequence conversion."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,7 +23,6 @@ from priorshift.prior import (
 from priorshift.rng import PURPOSE_CONVERT, PURPOSE_DATA, substream
 from priorshift.sampler import (
     ConvertContext,
-    SamplerConfig,
     convert_sequences,
     ddim_step,
     denoise_from,
@@ -216,16 +217,6 @@ class TestDenoiseFrom:
         assert all(ws is seen[0][0] and ids == seen[0][1] for ws, ids in seen)
 
 
-class TestSamplerConfig:
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError, match="t_start"):
-            SamplerConfig(t_start=-1)
-
-    def test_defaults(self):
-        cfg = SamplerConfig(t_start=25)
-        assert cfg.seed == 0 and cfg.snap
-
-
 class TestFrameMetrics:
     def test_identical_frames(self):
         p = ConditionalGMM.from_components([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
@@ -273,8 +264,7 @@ def _convert_fixture(d=2, snap=True):
 class TestConvert:
     def test_zero_start_without_snap_is_identity(self):
         ctx, seq = _convert_fixture(snap=False)
-        cfg = SamplerConfig(t_start=0, snap=False)
-        [out] = convert_sequences([seq], ctx, cfg)
+        [out] = convert_sequences([seq], ctx, 0, 0)
         assert_allclose(out.frames, seq.frames, atol=1e-12)
         l2d, cos, _ = _metrics(seq, out)
         assert l2d.mean() < 1e-12
@@ -283,8 +273,7 @@ class TestConvert:
 
     def test_snapped_output_lands_on_codebook(self):
         ctx, seq = _convert_fixture(snap=True)
-        cfg = SamplerConfig(t_start=30, seed=1)
-        [out] = convert_sequences([seq], ctx, cfg)
+        [out] = convert_sequences([seq], ctx, 30, 1)
         for row in out.frames:
             assert any(np.array_equal(row, e) for e in ctx.codebook.entries)
 
@@ -307,8 +296,7 @@ class TestConvert:
         ctx, seq = _convert_fixture(snap=False)
         std = Standardizer(mean=np.array([0.7, -0.3]), std=np.array([1.4, 0.6]))
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, eps_fn=ctx.eps_fn)
-        cfg = SamplerConfig(t_start=0, snap=False, seed=2)
-        [out] = convert_sequences([seq], ctx2, cfg)
+        [out] = convert_sequences([seq], ctx2, 0, 2)
         assert_allclose(out.frames, seq.frames, atol=1e-9)
 
     def test_residual_head_adds_to_snapped_frames(self):
@@ -320,26 +308,24 @@ class TestConvert:
         seq2 = LatentSequence(id=seq.id, labels=seq.labels, frames=seq.frames, h=h)
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, codebook=ctx.codebook, residual=phi)
-        cfg = SamplerConfig(t_start=15, seed=5)
-        [base] = convert_sequences([seq2], ctx, cfg)
-        [res] = convert_sequences([seq2], ctx2, cfg)
+        [base] = convert_sequences([seq2], ctx, 15, 5)
+        [res] = convert_sequences([seq2], ctx2, 15, 5)
         assert_allclose(res.frames - base.frames,
                         np.tile([0.25, -0.5], (20, 1)), atol=1e-12)
 
     def test_missing_pieces_raise(self):
         ctx, seq = _convert_fixture(snap=False)
-        with pytest.raises(ValueError, match="codebook"):
-            convert_sequences([seq], ctx, SamplerConfig(t_start=5))
         phi = init_residual(2, (), np.random.default_rng(1))
         ctx3 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
                               eps_fn=ctx.eps_fn, residual=phi)
         with pytest.raises(ValueError, match="sequence 'case' lacks the h track"):
-            convert_sequences([seq], ctx3, SamplerConfig(t_start=5, snap=False))
+            convert_sequences([seq], ctx3, 5, 0)
 
-    def test_start_beyond_schedule_rejected(self):
+    @pytest.mark.parametrize("t_start", [-1, SCHED.T + 1])
+    def test_start_beyond_schedule_rejected(self, t_start):
         ctx, seq = _convert_fixture(snap=False)
         with pytest.raises(ValueError, match="t_start"):
-            convert_sequences([seq], ctx, SamplerConfig(t_start=SCHED.T + 1, snap=False))
+            convert_sequences([seq], ctx, t_start, 0)
 
 
 def _packing_fixture(model: bool):
@@ -370,16 +356,16 @@ def _packing_fixture(model: bool):
     return ctx, seqs
 
 
-def _convert_alone(seq: LatentSequence, ctx: ConvertContext, cfg: SamplerConfig, i: int):
+def _convert_alone(seq: LatentSequence, ctx: ConvertContext, t_start: int, seed: int, i: int):
     """Frames of one sequence converted on its own, noise from substream ``i``."""
     xs = standardize_frames(seq.frames, ctx.standardizer)
-    eps = substream(cfg.seed, PURPOSE_CONVERT, i).standard_normal(xs.shape)
-    x_t = forward_corrupt(xs, cfg.t_start - 1, eps, ctx.sched)
+    eps = substream(seed, PURPOSE_CONVERT, i).standard_normal(xs.shape)
+    x_t = forward_corrupt(xs, t_start - 1, eps, ctx.sched)
     zc1 = destandardize_frames(
-        denoise_from(x_t, cfg.t_start, seq.labels, ctx.eps_fn, ctx.sched), ctx.standardizer
+        denoise_from(x_t, t_start, seq.labels, ctx.eps_fn, ctx.sched), ctx.standardizer
     )
     zc2 = predict_zc2(ctx.residual, seq.h, zc1) if ctx.residual is not None else 0.0
-    if cfg.snap:
+    if ctx.codebook is not None:
         _, zc1 = snap_frames(zc1, ctx.codebook)
     return zc1 + zc2
 
@@ -397,18 +383,16 @@ class TestConvertSequences:
 
     def test_order_and_ids_preserved(self):
         ctx, seqs = self._many()
-        cfg = SamplerConfig(t_start=20, snap=False, seed=3)
-        results = convert_sequences(seqs, ctx, cfg)
+        results = convert_sequences(seqs, ctx, 20, 3)
         assert [r.id for r in results] == [s.id for s in seqs]
 
     def test_each_sequence_uses_its_position_substream(self):
         """Packed exact conversion gives each sequence the bits of converting
         it alone, from the lower-level pieces, on its position's substream."""
         ctx, seqs = _packing_fixture(model=False)
-        cfg = SamplerConfig(t_start=20, seed=3)
-        results = convert_sequences(seqs, ctx, cfg)
+        results = convert_sequences(seqs, ctx, 20, 3)
         for i, out in enumerate(results):
-            alone = _convert_alone(seqs[i], ctx, cfg, i)
+            alone = _convert_alone(seqs[i], ctx, 20, 3, i)
             assert np.array_equal(out.frames, alone)
             assert np.array_equal(out.labels, seqs[i].labels)
 
@@ -417,23 +401,22 @@ class TestConvertSequences:
         blocks, so the model path matches lone conversion to rounding level;
         a rerun of the same batch is bitwise identical."""
         ctx, seqs = _packing_fixture(model=True)
-        cfg = SamplerConfig(t_start=30, seed=8, snap=False)
-        results = convert_sequences(seqs, ctx, cfg)
-        rerun = convert_sequences(seqs, ctx, cfg)
+        ctx = dataclasses.replace(ctx, codebook=None)
+        results = convert_sequences(seqs, ctx, 30, 8)
+        rerun = convert_sequences(seqs, ctx, 30, 8)
         for i, out in enumerate(results):
             assert np.array_equal(out.frames, rerun[i].frames)
-            assert_allclose(out.frames, _convert_alone(seqs[i], ctx, cfg, i),
+            assert_allclose(out.frames, _convert_alone(seqs[i], ctx, 30, 8, i),
                             rtol=1e-12, atol=1e-12)
 
     def test_empty_batch(self):
         ctx, _ = self._many(1)
-        assert convert_sequences([], ctx, SamplerConfig(t_start=20, snap=False)) == []
+        assert convert_sequences([], ctx, 20, 0) == []
 
     def test_reruns_identical(self):
         ctx, seqs = self._many(3)
-        cfg = SamplerConfig(t_start=40, snap=False, seed=11)
-        r1 = convert_sequences(seqs, ctx, cfg)
-        r2 = convert_sequences(seqs, ctx, cfg)
+        r1 = convert_sequences(seqs, ctx, 40, 11)
+        r2 = convert_sequences(seqs, ctx, 40, 11)
         for a, b in zip(r1, r2):
             assert np.array_equal(a.frames, b.frames)
 
@@ -441,6 +424,5 @@ class TestConvertSequences:
         ctx, seqs = self._many(2)
         clone = LatentSequence(id="twin", labels=seqs[0].labels.copy(),
                                frames=seqs[0].frames.copy())
-        cfg = SamplerConfig(t_start=60, snap=False, seed=0)
-        results = convert_sequences([seqs[0], clone], ctx, cfg)
+        results = convert_sequences([seqs[0], clone], ctx, 60, 0)
         assert not np.array_equal(results[0].frames, results[1].frames)
