@@ -56,6 +56,12 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
+def _require_start_steps(t_starts: list[int], flag: str, lo: int, T: int) -> None:
+    for t in t_starts:
+        if not lo <= t <= T:
+            raise UsageError(f"{flag} must lie in [{lo}, {T}], got {t}")
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-min", type=float, default=None,
                    help=f"first noise rate (default {DEFAULT_BETA_MIN})")
@@ -185,6 +191,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.data}: labels: label {top} outside the world's "
                          f"[0, {world.spec.n_labels})")
     bundle, sched = _load_model_or_exact(args, world)
+    _require_start_steps([args.t_start], "--t-start", 0, sched.T)
     out = _out_path(args.out, args.force)
     diag_path = None
     if args.diagnostics is not None:
@@ -213,6 +220,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     bundle, sched = _load_model_or_exact(args, world)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
+    if not t_starts or t_starts != sorted(set(t_starts)):
+        raise UsageError(f"--t-starts must be distinct and ascending, got {args.t_starts!r}")
+    _require_start_steps(t_starts, "--t-starts", 0, sched.T)
     out = _out_path(args.out, args.force)
     table = sweep(
         world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
@@ -230,6 +240,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     sched = _schedule_from_args(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
+    _require_start_steps(t_starts, "--t-starts", 1, sched.T)
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise UsageError(f"output directory {out_dir} is not empty; pass --force to overwrite")

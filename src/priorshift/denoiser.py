@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latent import LatentSequence, Standardizer, atomic_write, fit_standardizer, \
-    parse_field, standardize_frames
-from .schedule import Schedule, alpha_bar_array, linear_schedule
+from .latent import LatentSequence, Standardizer, atomic_write, destandardize_frames, \
+    fit_standardizer, parse_field, standardize_frames
+from .schedule import Schedule, forward_corrupt, linear_schedule, reconstruct_x0
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
 
@@ -400,19 +400,16 @@ def loss_total(
     t = np.asarray(t)
     if t.shape != labels.shape or np.shape(eps) != x0.shape:
         raise ValueError("t and eps must give one step and one noise row per frame")
-    if t.size and (t.min() < 0 or t.max() >= sched.T):
-        raise ValueError(f"timesteps outside [0, {sched.T})")
-    ab = alpha_bar_array(sched)[t][:, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    x_t = forward_corrupt(x0, t, eps, sched)
     eps_hat, cache = _forward_cached(theta, x_t, t, labels, masks)
     r = eps_hat - eps
     dloss = float((r * r).mean())
     tgrads = _backward(theta, cache, (2.0 / r.size) * r)
     # The reconstruction enters the residual branch as data: no gradient
     # flows from the residual loss back into the denoiser.
-    xhat0 = (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+    xhat0 = reconstruct_x0(x_t, t, eps_hat, sched)
     if destd is not None:
-        xhat0 = xhat0 * destd.std + destd.mean
+        xhat0 = destandardize_frames(xhat0, destd)
     zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1))
     rr = zhat - zc2
     rloss = float((rr * rr).mean())
@@ -515,12 +512,10 @@ def train(
 
 def eval_loss_diff(eps_fn, x0, labels, t, eps, sched: Schedule) -> float:
     """Denoising loss of an arbitrary predictor on fixed (x0, t, eps) triples."""
-    x0 = np.asarray(x0, dtype=np.float64)
     t = np.asarray(t)
     eps = np.asarray(eps, dtype=np.float64)
     labels = np.asarray(labels)
-    ab = alpha_bar_array(sched)[t][:, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    x_t = forward_corrupt(x0, t, eps, sched)
     out = np.empty_like(eps)
     for tv in np.unique(t):
         sel = t == tv

@@ -9,7 +9,7 @@ likelihood-versus-prior picture.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +125,7 @@ def gen_world(spec: WorldSpec) -> World:
         rng = substream(spec.seed, PURPOSE_WORLD, attempt)
         world = _draw_world(spec, rng)
         if spec.l2_shift == 0 or _separation(world, rng) >= SEPARATION_MIN:
-            return World(
-                spec=spec, native=world.native, l2=world.l2,
-                codebook=world.codebook, standardizer=world.standardizer,
-                attempts=attempt + 1,
-            )
+            return replace(world, attempts=attempt + 1)
     raise RuntimeError(
         f"no world with class separation >= {SEPARATION_MIN} in {MAX_WORLD_ATTEMPTS} attempts"
     )

@@ -87,13 +87,6 @@ def _check_labels(p: ConditionalGMM, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_t(sched: Schedule, t: int) -> int:
-    t = int(t)
-    if not 0 <= t <= sched.T - 1:
-        raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
-    return t
-
-
 def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
     """Per-frame, per-component log weight plus log density, (n, C), under
     the mixture corrupted to cumulative level ``ab`` (1 is clean); also the
@@ -129,7 +122,7 @@ def noised_marginal_logpdf_batch(
     p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
     """Log density of the corrupted marginal at step ``t``, one value per frame."""
-    ab = alpha_bar_at(sched, _check_t(sched, t))
+    ab = alpha_bar_at(sched, int(t))
     return logsumexp(_log_joint(p, labels, x, ab)[0], axis=1)
 
 
@@ -141,7 +134,7 @@ def exact_eps_batch(
     Returns -sqrt(1 - alpha_bar_t) times the gradient of the log marginal,
     computed from component responsibilities (a max-shifted softmax).
     """
-    ab = alpha_bar_at(sched, _check_t(sched, t))
+    ab = alpha_bar_at(sched, int(t))
     lj, diff, v = _log_joint(p, labels, x, ab)
     resp = np.exp(lj - lj.max(axis=1, keepdims=True))
     resp /= resp.sum(axis=1, keepdims=True)
@@ -159,8 +152,7 @@ def gaussian_posterior_moments(
     """
     if var_p <= 0:
         raise ValueError(f"prior variance must be positive, got {var_p}")
-    t = _check_t(sched, t)
-    ab = alpha_bar_at(sched, t)
+    ab = alpha_bar_at(sched, int(t))
     precision = 1.0 / var_p + ab / (1.0 - ab)
     mean = (mu_p / var_p + np.sqrt(ab) * x_t / (1.0 - ab)) / precision
     return float(mean), float(1.0 / precision)
@@ -182,13 +174,12 @@ def posterior_grid(
     if p.dim != 1:
         raise ValueError(f"gridded posterior requires a 1-D prior, got dim {p.dim}")
     _check_labels(p, [label])
-    t = _check_t(sched, t)
+    ab = alpha_bar_at(sched, int(t))
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 8:
         raise ValueError("grid must be a 1-D array with at least 8 points")
     if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly ascending")
-    ab = alpha_bar_at(sched, t)
     log_prior = logpdf_batch(p, np.full(grid.shape[0], label), grid[:, None])
     log_lik = -0.5 * ((x_t - np.sqrt(ab) * grid) ** 2 / (1.0 - ab))
     log_post = log_prior + log_lik
@@ -203,7 +194,7 @@ def posterior_grid(
         raise ValueError(
             f"grid too narrow: boundary cells carry mass {edge_mass:.3g} (> 1e-06)"
         )
-    return PosteriorGrid(grid=grid, density=dens, t=t, x_t=float(x_t))
+    return PosteriorGrid(grid=grid, density=dens, t=int(t), x_t=float(x_t))
 
 
 def grid_moments(pg: PosteriorGrid) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Forward corruption and deterministic reverse inference.
+"""Deterministic reverse inference and sequence conversion.
 
 The reverse pass is the noise-free update: reconstruct the clean frame
 from the current state and a noise prediction, then re-corrupt it to the
@@ -24,7 +24,7 @@ from .latent import Codebook, LatentSequence, Standardizer, destandardize_frames
     snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch
 from .rng import PURPOSE_CONVERT, substream
-from .schedule import Schedule, alpha_bar_at
+from .schedule import Schedule, forward_corrupt, reconstruct_x0
 
 EpsFn = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
 
@@ -45,35 +45,10 @@ class ConvertContext:
     residual: ResidualParams | None = None
 
 
-def forward_corrupt(x0: np.ndarray, t: int, eps: np.ndarray, sched: Schedule) -> np.ndarray:
-    """Corrupt clean frames to step ``t`` with the given unit noise."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != x0.shape:
-        raise ValueError(f"noise shape {eps.shape} does not match frames {x0.shape}")
-    if not 0 <= t <= sched.T - 1:
-        raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
-    ab = alpha_bar_at(sched, t)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
-def reconstruct_x0(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
-    """Invert the corruption at step ``t`` given a noise estimate."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if eps_hat.shape != x_t.shape:
-        raise ValueError(f"noise shape {eps_hat.shape} does not match frames {x_t.shape}")
-    if not 0 <= t <= sched.T - 1:
-        raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
-    ab = alpha_bar_at(sched, t)
-    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-
-
 def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
-    """One deterministic reverse step from ``t`` to ``t - 1``."""
+    """One deterministic reverse step from ``t`` to ``t - 1``, or to clean from 0."""
     x0_hat = reconstruct_x0(x_t, t, eps_hat, sched)
-    ab_prev = alpha_bar_at(sched, t - 1)
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+    return forward_corrupt(x0_hat, t - 1, eps_hat, sched) if t else x0_hat
 
 
 def denoise_from(

@@ -1,4 +1,6 @@
-"""Discrete corruption schedule: per-step noise rates and their running products."""
+"""Discrete corruption schedule: per-step noise rates, their running products,
+and the corruption x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps with its inverse.
+Every step argument lies on [0, T-1]: one step, or a 1-D array of one per row."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,8 +18,6 @@ class Schedule:
 
     ``alpha_bar`` stores the cumulative products prod_{s<=t} (1 - beta[s]),
     accumulated in extended precision so lookups carry no compounding error.
-    The empty product one step before t=0 is exposed by :func:`alpha_bar_at`
-    rather than stored.
     """
 
     T: int
@@ -44,15 +44,42 @@ def default_schedule() -> Schedule:
     return linear_schedule(DEFAULT_BETA_MIN, DEFAULT_BETA_MAX, DEFAULT_T)
 
 
-def alpha_bar_at(sched: Schedule, t: int) -> float:
-    """Cumulative product at step ``t``; ``t = -1`` returns the empty product 1."""
-    if not -1 <= t <= sched.T - 1:
-        raise ValueError(f"timestep {t} outside [-1, {sched.T - 1}]")
-    if t == -1:
-        return 1.0
-    return float(sched.alpha_bar[t])
+def alpha_bar_at(sched: Schedule, t: int | np.ndarray) -> float | np.ndarray:
+    """Cumulative product at step ``t``: a float for one step, an (n, 1)
+    float64 column for a 1-D integer array of steps."""
+    if not isinstance(t, np.ndarray) or t.ndim == 0:
+        if not 0 <= t <= sched.T - 1:
+            raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
+        return float(sched.alpha_bar[t])
+    if t.size and (t.min() < 0 or t.max() > sched.T - 1):
+        raise ValueError(f"timesteps outside [0, {sched.T - 1}]")
+    return alpha_bar_array(sched)[t][:, None]
 
 
 def alpha_bar_array(sched: Schedule) -> np.ndarray:
     """All cumulative products as float64, for vectorized gathers."""
     return np.asarray(sched.alpha_bar, dtype=np.float64)
+
+
+def _frames_noise_ab(x, noise, t, sched: Schedule):
+    """Frames and noise as float64 of one shape, and the cumulative product at ``t``."""
+    x = np.asarray(x, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != x.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match frames {x.shape}")
+    ab = alpha_bar_at(sched, t)
+    if isinstance(ab, np.ndarray) and ab.shape[0] != x.shape[0]:
+        raise ValueError(f"{ab.shape[0]} timesteps for {x.shape[0]} frames")
+    return x, noise, ab
+
+
+def forward_corrupt(x0: np.ndarray, t, eps: np.ndarray, sched: Schedule) -> np.ndarray:
+    """Corrupt clean frames to step ``t`` with the given unit noise."""
+    x0, eps, ab = _frames_noise_ab(x0, eps, t, sched)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+
+
+def reconstruct_x0(x_t: np.ndarray, t, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
+    """Invert the corruption at step ``t`` given a noise estimate."""
+    x_t, eps_hat, ab = _frames_noise_ab(x_t, eps_hat, t, sched)
+    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import dropout_masks, gradient_check, init_denoiser, init_residual, loss_total
+from .denoiser import draw_batch_noise, gradient_check, init_denoiser, init_residual, loss_total
 from .prior import ConditionalGMM, gaussian_posterior_moments, grid_moments, posterior_grid
 from .rng import PURPOSE_VERIFY, substream
-from .sampler import ddim_step, forward_corrupt, reconstruct_x0
-from .schedule import default_schedule
+from .sampler import ddim_step
+from .schedule import default_schedule, forward_corrupt, reconstruct_x0
 
 GRAD_TOL = 1e-4
 MOMENT_TOL = 1e-6
@@ -49,9 +49,7 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
     zc2 = rng.standard_normal((n, 2))
     h = rng.standard_normal((n, 2))
     labels = rng.integers(0, 3, size=n)
-    t = rng.integers(0, sched.T, size=n)
-    eps = rng.standard_normal((n, 2))
-    masks = dropout_masks(theta, n, 0.25, rng)
+    t, eps, masks = draw_batch_noise(theta, n, sched, rng, 0.25)
 
     # The reconstruction feeding the residual head is detached, so the
     # denoiser's analytic gradient is the diffusion term's alone; check it

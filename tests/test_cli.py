@@ -382,6 +382,34 @@ class TestPosterior:
         assert cli.main(args + ["--force"]) == 0
 
 
+@pytest.mark.parametrize("argv, flag, message", [
+    (["convert", "--t-start", "101"], "--t-start", "must lie in [0, 100], got 101"),
+    (["convert", "--t-start", "-1"], "--t-start", "must lie in [0, 100], got -1"),
+    (["sweep", "--t-starts", "0,101"], "--t-starts", "must lie in [0, 100], got 101"),
+    (["sweep", "--t-starts", "50,25"], "--t-starts", "must be distinct and ascending"),
+    (["posterior", "--t-starts", "0,50"], "--t-starts", "must lie in [1, 100], got 0"),
+], ids=["convert-high", "convert-negative", "sweep-high", "sweep-descending",
+        "posterior-zero"])
+def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv, flag,
+                                                message):
+    """A start step off the schedule is a usage error naming the flag, and
+    nothing is written."""
+    out = tmp_path / "out"
+    extra = {
+        "convert": ["--model", "exact", "--seed", "0", "--data", pipeline["data"],
+                    "--out", str(out), "--diagnostics", str(tmp_path / "diag.csv")],
+        "sweep": ["--model", "exact", "--seed", "0", "--out", str(out), "--n-seq", "2",
+                  "--seq-len", "4"],
+        "posterior": ["--out-dir", str(out), "--x0", "1.0", "--grid-points", "51"],
+    }[argv[0]]
+    capsys.readouterr()
+    rc = cli.main(argv + ["--world", pipeline["world"]] + extra)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith(f"error: {flag} ") and message in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         assert cli.main(["verify"]) == 0

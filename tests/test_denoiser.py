@@ -288,6 +288,17 @@ class TestLossDiff:
         want = float(((t[:, None] - eps) ** 2).mean())
         assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, SCHED.T])
+    def test_eval_rejects_steps_off_the_schedule(self, bad):
+        """Step -1 once indexed the last step's level and step T overran the table."""
+        rng = np.random.default_rng(16)
+        net = _small_net(rng)
+        x0 = rng.standard_normal((4, 2))
+        t = np.array([0, 5, bad, 9])
+        with pytest.raises(ValueError, match="timesteps outside"):
+            eval_loss_diff(lambda x, tv, lab: forward(net, x, tv, lab), x0,
+                           np.zeros(4, dtype=int), t, rng.standard_normal((4, 2)), SCHED)
+
 
 class TestGradients:
     def _fixture(self):

@@ -202,6 +202,14 @@ class TestExactEps:
         assert_allclose(exact_eps_batch(p, L0, t, _one(x), SCHED)[0],
                         exact_eps_batch(single, L0, t, _one(x), SCHED)[0], atol=1e-6)
 
+    def test_one_step_per_call(self):
+        """An array of steps would broadcast against the components when its
+        length matched their count, so it is refused outright."""
+        p = ConditionalGMM.from_components([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
+        x = np.array([[0.3], [-0.2]])
+        with pytest.raises(TypeError):
+            exact_eps_batch(p, np.zeros(2, dtype=int), np.array([10, 20]), x, SCHED)
+
     def test_batch_matches_scalar_api(self):
         rng = np.random.default_rng(14)
         p = ConditionalGMM(

@@ -70,6 +70,21 @@ class TestForwardCorrupt:
         with pytest.raises(ValueError):
             forward_corrupt(x, SCHED.T, x, SCHED)
 
+    def test_one_step_per_row_matches_rowwise_calls(self):
+        rng = np.random.default_rng(30)
+        x0 = rng.standard_normal((6, 3))
+        eps = rng.standard_normal((6, 3))
+        t = np.array([0, 99, 13, 13, 57, 1])
+        rows = [forward_corrupt(x0[i:i + 1], int(t[i]), eps[i:i + 1], SCHED) for i in range(6)]
+        assert np.array_equal(forward_corrupt(x0, t, eps, SCHED), np.concatenate(rows))
+
+    def test_row_steps_must_match_row_count(self):
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="2 timesteps for 3 frames"):
+            forward_corrupt(x, np.array([1, 2]), x, SCHED)
+        with pytest.raises(ValueError, match="1 timesteps for 3 frames"):
+            reconstruct_x0(x, np.array([1]), x, SCHED)
+
 
 class TestReconstruct:
     def test_inverts_corruption_with_true_noise(self):
@@ -79,6 +94,15 @@ class TestReconstruct:
             eps = rng.standard_normal((5, 3))
             x_t = forward_corrupt(x0, t, eps, SCHED)
             assert_allclose(reconstruct_x0(x_t, t, eps, SCHED), x0, rtol=0, atol=1e-12)
+
+    def test_one_step_per_row_matches_rowwise_calls(self):
+        rng = np.random.default_rng(31)
+        x_t = rng.standard_normal((6, 3))
+        eps_hat = rng.standard_normal((6, 3))
+        t = np.array([99, 0, 42, 42, 7, 64])
+        rows = [reconstruct_x0(x_t[i:i + 1], int(t[i]), eps_hat[i:i + 1], SCHED)
+                for i in range(6)]
+        assert np.array_equal(reconstruct_x0(x_t, t, eps_hat, SCHED), np.concatenate(rows))
 
     def test_equals_posterior_mean_under_gaussian_prior(self):
         """With the exact predictor the reconstruction is the conjugate

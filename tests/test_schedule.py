@@ -66,16 +66,18 @@ class TestLinearSchedule:
 
 class TestAlphaBarInvariants:
     def test_recurrence(self):
-        """alpha_bar(t) = alpha_bar(t-1) * alpha(t) at every step."""
+        """alpha_bar(t) = alpha_bar(t-1) * alpha(t) at every step, from alpha(0)."""
         s = default_schedule()
-        for t in range(s.T):
+        assert abs(alpha_bar_at(s, 0) - s.alpha[0]) <= 1e-15 * s.alpha[0]
+        for t in range(1, s.T):
             lhs = alpha_bar_at(s, t)
             rhs = alpha_bar_at(s, t - 1) * s.alpha[t]
             assert abs(lhs - rhs) <= 1e-15 * rhs
 
     def test_strictly_decreasing_within_unit_interval(self):
         s = default_schedule()
-        vals = [alpha_bar_at(s, t) for t in range(-1, s.T)]
+        vals = [alpha_bar_at(s, t) for t in range(s.T)]
+        assert alpha_bar_at(s, 0) < 1.0
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
@@ -86,16 +88,28 @@ class TestAlphaBarInvariants:
             ab = alpha_bar_at(s, t)
             assert abs((np.sqrt(ab) ** 2 + np.sqrt(1 - ab) ** 2) - 1.0) <= 1e-12
 
-    def test_empty_product_boundary(self):
-        s = default_schedule()
-        assert alpha_bar_at(s, -1) == 1.0
-
     def test_out_of_range_timesteps(self):
         s = default_schedule()
         with pytest.raises(ValueError):
             alpha_bar_at(s, -2)
         with pytest.raises(ValueError):
+            alpha_bar_at(s, -1)
+        with pytest.raises(ValueError):
             alpha_bar_at(s, s.T)
+
+    def test_one_step_per_row_is_a_column_of_scalar_lookups(self):
+        s = default_schedule()
+        t = np.array([0, 99, 7, 7, 50])
+        col = alpha_bar_at(s, t)
+        assert col.shape == (5, 1) and col.dtype == np.float64
+        assert np.array_equal(col[:, 0], [alpha_bar_at(s, int(tv)) for tv in t])
+        assert alpha_bar_at(s, np.array([], dtype=int)).shape == (0, 1)
+        assert alpha_bar_at(s, np.asarray(7)) == alpha_bar_at(s, 7)
+
+    @pytest.mark.parametrize("bad", [-1, 100])
+    def test_out_of_range_row_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="timesteps outside"):
+            alpha_bar_at(default_schedule(), np.array([0, bad, 3]))
 
     def test_float64_view_matches_accessor(self):
         s = default_schedule()
