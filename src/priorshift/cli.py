@@ -62,6 +62,13 @@ def _require_start_steps(t_starts: list[int], flag: str, lo: int, T: int) -> Non
             raise UsageError(f"{flag} must lie in [{lo}, {T}], got {t}")
 
 
+def _require_sizes(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-min", type=float, default=None,
                    help=f"first noise rate (default {DEFAULT_BETA_MIN})")
@@ -89,6 +96,8 @@ def _reject_schedule_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_gen_world(args: argparse.Namespace) -> int:
+    _require_sizes(args, "--dim", "--labels", "--components", "--codebook-size")
+    out = _out_path(args.out, args.force)
     spec = WorldSpec(
         dim=args.dim, n_labels=args.labels, n_components=args.components,
         codebook_size=args.codebook_size, h_noise=args.h_noise,
@@ -96,18 +105,20 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
         var_lo=args.var_lo, var_hi=args.var_hi, seed=args.seed,
     )
     world = gen_world(spec)
-    save_world(world, _out_path(args.out, args.force))
+    save_world(world, out)
     log.info("gen-world out=%s attempts=%d", args.out, world.attempts)
     return 0
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    _require_sizes(args, "--n-seq", "--seq-len")
+    out = _out_path(args.out, args.force)
     world = load_world(args.world)
     seqs = gen_dataset(
         world, args.source, args.n_seq, args.seq_len,
         substream(args.seed, PURPOSE_DATA),
     )
-    save_dataset(seqs, _out_path(args.out, args.force), world.spec.n_labels)
+    save_dataset(seqs, out, world.spec.n_labels)
     n_frames = sum(len(s) for s in seqs)
     log.info("gen-data out=%s source=%s sequences=%d frames=%d",
              args.out, args.source, len(seqs), n_frames)
@@ -156,9 +167,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.epochs < 0:
             raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
         cfg = dataclasses.replace(cfg, epochs=args.epochs)
+    out = _out_path(args.out, args.force)
     seqs, _, n_labels = load_dataset(args.data)
     sched = _schedule_from_args(args)
-    out = _out_path(args.out, args.force)
     bundle, curve = train(
         cfg, seqs, sched, substream(args.seed, PURPOSE_TRAIN), n_labels=n_labels,
         progress=lambda epoch, loss: log.info("epoch=%d mean_loss=%.6g", epoch, loss),
@@ -182,6 +193,10 @@ def _load_model_or_exact(args: argparse.Namespace, world):
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    out = _out_path(args.out, args.force)
+    diag_path = None
+    if args.diagnostics is not None:
+        diag_path = _out_path(args.diagnostics, args.force)
     world = load_world(args.world)
     seqs, dim, n_labels = load_dataset(args.data)
     if dim != world.spec.dim:
@@ -192,10 +207,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                          f"[0, {world.spec.n_labels})")
     bundle, sched = _load_model_or_exact(args, world)
     _require_start_steps([args.t_start], "--t-start", 0, sched.T)
-    out = _out_path(args.out, args.force)
-    diag_path = None
-    if args.diagnostics is not None:
-        diag_path = _out_path(args.diagnostics, args.force)
     ctx = build_context(world, sched, bundle, snap=not args.no_snap)
     results = convert_sequences(seqs, ctx, args.t_start, args.seed)
     # Score every frame before writing anything, so a failure leaves no file.
@@ -217,13 +228,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    world = load_world(args.world)
-    bundle, sched = _load_model_or_exact(args, world)
+    _require_sizes(args, "--n-seq", "--seq-len")
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     if not t_starts or t_starts != sorted(set(t_starts)):
         raise UsageError(f"--t-starts must be distinct and ascending, got {args.t_starts!r}")
-    _require_start_steps(t_starts, "--t-starts", 0, sched.T)
     out = _out_path(args.out, args.force)
+    world = load_world(args.world)
+    bundle, sched = _load_model_or_exact(args, world)
+    _require_start_steps(t_starts, "--t-starts", 0, sched.T)
     table = sweep(
         world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
         snap=not args.no_snap, stratify_labels=args.stratify_labels,
@@ -237,13 +249,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_posterior(args: argparse.Namespace) -> int:
-    world = load_world(args.world)
     sched = _schedule_from_args(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     _require_start_steps(t_starts, "--t-starts", 1, sched.T)
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise UsageError(f"output directory {out_dir} is not empty; pass --force to overwrite")
+    world = load_world(args.world)
     if args.grid_lo is None or args.grid_hi is None:
         m1 = marginal_1d(world.native, args.dim)
         sd = float(np.sqrt(m1.variances.max()))

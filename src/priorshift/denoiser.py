@@ -6,14 +6,16 @@ plus an additive label embedding) modulates every hidden layer through a
 FiLM transform gamma * a + delta, whose scale and shift are linear in the
 conditioning vector and initialized to the identity.  That vector is a
 time part plus a label part, so gamma and delta are the time part's
-projection (one row when the frames share a step, as in a reverse chain)
-plus a row gathered from an (n_labels, width) projection of the label
-embedding.  The residual head maps concatenated encoder features and the
-reconstructed clean frame to a second-stage correction.  Both are the same
-MLP core, the head without FiLM.  Each parameter set keeps its tensors as
-named views into one flat float64 buffer, so Adam updates it with
-whole-buffer operations.  All gradients are derived by hand; the only
-array machinery used is numpy.
+projection plus a row gathered from an (n_labels, width) label table, the
+projection of the label embedding.  The label tables depend on the
+parameters only, so a workspace kept across the steps of a reverse chain
+builds them once; when the frames share a step, as in a reverse chain, the
+one time row is added to the small table before the gather.  The residual
+head maps concatenated encoder features and the reconstructed clean frame
+to a second-stage correction.  Both are the same MLP core, the head
+without FiLM.  Each parameter set keeps its tensors as named views into
+one flat float64 buffer, so Adam updates it with whole-buffer operations.
+All gradients are derived by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
 
@@ -245,12 +247,23 @@ def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return ws[key]
 
 
-def _film(T: FlatTensors, prefix: str, tc: np.ndarray, labels: np.ndarray, out: np.ndarray):
-    """``cond @ w.T + b`` as the label part, gathered from ``label_emb @ w.T``
-    (callers check ``labels``), plus the projection of the time part ``tc``."""
+def _film(T: FlatTensors, prefix: str, tc: np.ndarray, labels: np.ndarray, out: np.ndarray,
+          ws: dict):
+    """``cond @ w.T + b`` for the block, where ``cond`` is the time part
+    ``tc`` plus the label embedding (callers check ``labels``): a row of the
+    label table ``label_emb @ w.T``, built on the workspace's first use and
+    kept, plus the time part's projection.  One time row (one step for the
+    block) is added to the small table before the gather, one per row after
+    it; each entry is the same sum either way."""
     w = T[prefix + "w"]
-    np.take(T["label_emb"] @ w.T, labels, axis=0, out=out, mode="clip")
-    out += tc @ w.T + T[prefix + "b"]
+    table = ws.get("label_" + prefix)
+    if table is None:
+        table = ws["label_" + prefix] = T["label_emb"] @ w.T
+    time_rows = tc @ w.T + T[prefix + "b"]
+    if time_rows.shape[0] == 1:
+        return np.take(table + time_rows, labels, axis=0, out=out, mode="clip")
+    np.take(table, labels, axis=0, out=out, mode="clip")
+    out += time_rows
     return out
 
 
@@ -266,17 +279,18 @@ def _forward_cached(
 
     A parameter set with a label embedding is FiLM-conditioned on the
     timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
-    is a plain SiLU MLP.  With a workspace ``ws`` the cache lasts until its next use.
+    is a plain SiLU MLP.  The cache holds what :func:`_backward` needs, the
+    time part and the layer blocks among it; an eval forward only drops it.
+    With a workspace ``ws`` the layer blocks in the cache last until its
+    next use, and the FiLM label tables are the ones built on its first use.
     """
     T = params.tensors
     n = x.shape[0]
     ws = {} if ws is None else ws
-    temb = cond = tc = None
+    temb = tc = None
     if "label_emb" in T:
         temb = time_embedding(np.atleast_1d(t), params.time_dim)
         tc = temb @ T["time_w"].T + T["time_b"]
-        temb = np.broadcast_to(temb, (n, params.time_dim))
-        cond = tc + T["label_emb"][labels]
     h = x
     layers = []
     for i, width in enumerate(params.hidden):
@@ -284,15 +298,16 @@ def _forward_cached(
         a += T[f"layer{i}_b"]
         s = _buffer(ws, f"s{i}", (n, width))
         gamma, m = None, a
-        if cond is not None:
-            gamma = _film(T, f"layer{i}_film_g", tc, labels, _buffer(ws, f"gamma{i}", (n, width)))
-            m = _film(T, f"layer{i}_film_d", tc, labels, _buffer(ws, f"m{i}", (n, width)))
+        if tc is not None:
+            gamma = _film(T, f"layer{i}_film_g", tc, labels,
+                          _buffer(ws, f"gamma{i}", (n, width)), ws)
+            m = _film(T, f"layer{i}_film_d", tc, labels, _buffer(ws, f"m{i}", (n, width)), ws)
             m += np.multiply(gamma, a, out=s)
         z, s = _silu(m, s, _buffer(ws, f"z{i}", (n, width)))
         layers.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
     out = h @ T["out_w"].T + T["out_b"]
-    cache = (temb, cond, labels, layers, h, masks)
+    cache = (temb, tc, labels, layers, h, masks)
     return out, cache
 
 
@@ -300,12 +315,15 @@ def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray)
     """Gradients of a scalar loss given its gradient w.r.t. the network output,
     in the same flat layout as the parameters."""
     T = params.tensors
-    temb, cond, labels, layers, h_last, masks = cache
+    temb, tc, labels, layers, h_last, masks = cache
     grads = T.zeros_like()
     grads["out_w"][...] = g_out.T @ h_last
     grads["out_b"][...] = g_out.sum(axis=0)
     g_h = g_out @ T["out_w"]
-    g_cond = None if cond is None else np.zeros_like(cond)
+    cond = g_cond = None
+    if tc is not None:
+        cond = tc + T["label_emb"][labels]
+        g_cond = np.zeros_like(cond)
     for i in reversed(range(len(params.hidden))):
         h_in, a, gamma, m, s = layers[i]
         g_z = g_h if masks is None else g_h * masks[i]
@@ -323,7 +341,7 @@ def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray)
         grads[f"layer{i}_b"][...] = g_a.sum(axis=0)
         g_h = g_a @ T[f"layer{i}_w"]
     if cond is not None:
-        grads["time_w"][...] = g_cond.T @ temb
+        grads["time_w"][...] = g_cond.T @ np.broadcast_to(temb, (cond.shape[0], params.time_dim))
         grads["time_b"][...] = g_cond.sum(axis=0)
         np.add.at(grads["label_emb"], labels, g_cond)
     return grads
@@ -336,8 +354,12 @@ def forward(params: DenoiserParams, x_t: np.ndarray, t, labels, *,
     :func:`draw_batch_noise`).
 
     ``workspace``, a dict kept across calls such as the steps of one chain,
-    holds the layer blocks for reuse; the result is the same with or
-    without it and is never a view of it.
+    holds the layer blocks for reuse, and the FiLM label tables
+    (``label_emb @ w.T`` per coefficient) built on its first call.  A
+    workspace is bound to the parameter set and values of that first call
+    for as long as it is kept: use a fresh one for other or changed
+    parameters.  Bound that way, the result is the same with or without it
+    and is never a view of it.
     """
     x, labels = _check_inputs(params, x_t, labels)
     return _forward_cached(params, x, t, labels, ws=workspace)[0]
@@ -563,7 +585,7 @@ def _fmt_hidden(hidden: tuple[int, ...]) -> str:
 
 
 def _decode_values(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()], dtype=np.float64)
+    return np.array(text.split(), dtype=np.float64)
 
 
 def _parse_width(text: str) -> int:

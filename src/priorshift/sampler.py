@@ -79,7 +79,10 @@ def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> EpsFn:
 
 def model_eps_source(theta: DenoiserParams) -> EpsFn:
     """Trained predictor, always evaluated without dropout.  Every call
-    shares one workspace, so the steps of a chain reuse its row blocks."""
+    shares one workspace, bound to ``theta`` for the source's life: the
+    FiLM label tables are built on the first step and every step of every
+    chain reuses them and the row blocks.  ``theta`` must not change while
+    the source is in use."""
     workspace: dict = {}
 
     def eps_fn(x: np.ndarray, t: int, labels: np.ndarray) -> np.ndarray:

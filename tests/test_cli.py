@@ -64,7 +64,7 @@ class TestGenWorld:
 
     def test_bad_spec_is_runtime_error(self, tmp_path, capsys):
         rc = cli.main(["gen-world", "--out", str(tmp_path / "w.json"),
-                       "--seed", "0", "--dim", "0"])
+                       "--seed", "0", "--var-lo", "2", "--var-hi", "1"])
         assert rc == 1
 
 
@@ -408,6 +408,64 @@ def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv
     assert rc == 2 and len(err) == 1
     assert err[0].startswith(f"error: {flag} ") and message in err[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["gen-world", "--dim", "0"], "--dim", 0),
+    (["gen-world", "--labels", "0"], "--labels", 0),
+    (["gen-world", "--components", "-2"], "--components", -2),
+    (["gen-world", "--codebook-size", "0"], "--codebook-size", 0),
+    (["gen-data", "--n-seq", "0"], "--n-seq", 0),
+    (["gen-data", "--seq-len", "0"], "--seq-len", 0),
+    (["sweep", "--n-seq", "0"], "--n-seq", 0),
+    (["sweep", "--seq-len", "-1"], "--seq-len", -1),
+], ids=["gen-world-dim", "gen-world-labels", "gen-world-components", "gen-world-codebook-size",
+        "gen-data-n-seq", "gen-data-seq-len", "sweep-n-seq", "sweep-seq-len"])
+def test_size_flags_checked_before_any_file(tmp_path, capsys, argv, flag, value):
+    """A size below one is a usage error naming the flag, raised before the
+    world or model file (both missing here) is read, and nothing is written."""
+    missing = str(tmp_path / "missing")
+    extra = {
+        "gen-world": [],
+        "gen-data": ["--world", missing],
+        "sweep": ["--world", missing, "--model", missing],
+    }[argv[0]]
+    out = tmp_path / "out"
+    rc = cli.main(argv + extra + ["--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and err == [f"error: {flag} must be >= 1, got {value}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, existing", [
+    ("gen-data", "--out"), ("train", "--out"), ("convert", "--out"),
+    ("convert", "--diagnostics"), ("sweep", "--out"), ("posterior", "--out-dir"),
+])
+def test_existing_output_fails_before_any_input_is_read(pipeline, tmp_path, capsys, command,
+                                                        existing):
+    """The output paths are checked first: with an input path naming a
+    missing file, the refusal to overwrite still comes first."""
+    missing = str(tmp_path / "missing")
+    out, diag = tmp_path / "out", tmp_path / "diag.csv"
+    argv = [command] + {
+        "gen-data": ["--seed", "0", "--world", missing, "--out", str(out)],
+        "train": ["--seed", "0", "--data", missing, "--out", str(out)],
+        "convert": ["--seed", "0", "--world", pipeline["world"], "--model", missing,
+                    "--data", pipeline["data"], "--t-start", "5", "--out", str(out),
+                    "--diagnostics", str(diag)],
+        "sweep": ["--seed", "0", "--world", pipeline["world"], "--model", missing,
+                  "--out", str(out)],
+        "posterior": ["--world", missing, "--x0", "1.0", "--out-dir", str(out)],
+    }[command]
+    kept = {"--out": out, "--diagnostics": diag, "--out-dir": out / "stale.csv"}[existing]
+    kept.parent.mkdir(exist_ok=True)
+    kept.write_text("keep\n")
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith("error: output ") and err[0].endswith("pass --force to overwrite")
+    assert sorted(tmp_path.rglob("*")) == sorted({kept, kept.parent} - {tmp_path})
+    assert kept.read_text() == "keep\n"
 
 
 class TestVerify:

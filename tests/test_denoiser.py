@@ -31,7 +31,7 @@ from priorshift.denoiser import (
     time_embedding,
     train,
 )
-from priorshift.denoiser import _silu
+from priorshift.denoiser import _backward, _film, _forward_cached, _silu, _silu_grad
 from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
@@ -213,6 +213,39 @@ class TestSplitFilmAndWorkspace:
         first[...] = 1e300
         assert np.array_equal(forward(params, x, 12, labels, workspace=ws), want)
 
+    def test_folded_time_row_matches_gather_then_add(self):
+        """One step for the block adds the time row to the label table before
+        the gather; one step per row adds it after.  Time rows whose
+        projection is exact (eighths) give both paths the same row, so the
+        sums agree bitwise."""
+        rng = np.random.default_rng(44)
+        params = self._net(rng)
+        T = params.tensors
+        T["layer0_film_gw"][...] = rng.integers(-16, 17, T["layer0_film_gw"].shape) / 8
+        tc = rng.integers(-16, 17, (1, params.cond_dim)) / 8
+        labels = rng.integers(0, 5, 40)
+        folded = _film(T, "layer0_film_g", tc, labels, np.empty((40, 16)), {})
+        gathered = _film(T, "layer0_film_g", np.repeat(tc, 40, axis=0), labels,
+                         np.empty((40, 16)), {})
+        assert np.array_equal(folded, gathered)
+
+    def test_workspace_binds_the_label_tables_of_its_first_call(self):
+        """The four FiLM label tables (two layers, scale and shift) are built
+        on a workspace's first call and kept: a later change to the label
+        embedding reaches only a fresh workspace."""
+        rng = np.random.default_rng(45)
+        params = self._net(rng)
+        x = rng.standard_normal((30, 3))
+        labels = rng.integers(0, 5, 30)
+        ws: dict = {}
+        first = forward(params, x, 33, labels, workspace=ws)
+        tables = {k: v for k, v in ws.items() if k.startswith("label_")}
+        assert len(tables) == 4
+        params.tensors["label_emb"] += 1.0
+        assert np.array_equal(forward(params, x, 33, labels, workspace=ws), first)
+        assert all(ws[k] is v for k, v in tables.items())
+        assert not np.array_equal(forward(params, x, 33, labels), first)
+
     def test_silu_is_quiet_at_extremes_and_matches_expit(self):
         rng = np.random.default_rng(43)
         x = np.concatenate([[-1000.0, -50.0, 0.0, 50.0, 1000.0], rng.normal(0, 6, 500)])
@@ -354,6 +387,66 @@ class TestGradients:
             assert np.array_equal(tg_a[name], diff_only[name])
             assert np.array_equal(tg_a[name], tg_b[name])
         assert any(not np.array_equal(rg_a[k], rg_b[k]) for k in rg_a)
+
+
+def _reference_denoiser_grads(params, x, t, labels, masks, g_out):
+    """Forward and backward pass written out plainly, with the conditioning
+    vector built in the forward pass, in the operation order of
+    ``_forward_cached`` and ``_backward``."""
+    T = params.tensors
+    temb = time_embedding(t, params.time_dim)
+    tc = temb @ T["time_w"].T + T["time_b"]
+    cond = tc + T["label_emb"][labels]
+    h, layers = x, []
+    for i in range(len(params.hidden)):
+        a = h @ T[f"layer{i}_w"].T + T[f"layer{i}_b"]
+        gw, dw = T[f"layer{i}_film_gw"], T[f"layer{i}_film_dw"]
+        gamma = (T["label_emb"] @ gw.T)[labels] + (tc @ gw.T + T[f"layer{i}_film_gb"])
+        m = (T["label_emb"] @ dw.T)[labels] + (tc @ dw.T + T[f"layer{i}_film_db"])
+        m += gamma * a
+        z, s = _silu(m)
+        layers.append((h, a, gamma, m, s))
+        h = z * masks[i]
+    grads = {"out_w": g_out.T @ h, "out_b": g_out.sum(axis=0)}
+    g_h = g_out @ T["out_w"]
+    g_cond = np.zeros_like(cond)
+    for i in reversed(range(len(params.hidden))):
+        h_in, a, gamma, m, s = layers[i]
+        g_m = g_h * masks[i] * _silu_grad(m, s)
+        g_gamma = g_m * a
+        g_a = g_m * gamma
+        grads[f"layer{i}_film_gw"] = g_gamma.T @ cond
+        grads[f"layer{i}_film_gb"] = g_gamma.sum(axis=0)
+        grads[f"layer{i}_film_dw"] = g_m.T @ cond
+        grads[f"layer{i}_film_db"] = g_m.sum(axis=0)
+        g_cond += g_gamma @ T[f"layer{i}_film_gw"] + g_m @ T[f"layer{i}_film_dw"]
+        grads[f"layer{i}_w"] = g_a.T @ h_in
+        grads[f"layer{i}_b"] = g_a.sum(axis=0)
+        g_h = g_a @ T[f"layer{i}_w"]
+    grads["time_w"] = g_cond.T @ temb
+    grads["time_b"] = g_cond.sum(axis=0)
+    grads["label_emb"] = np.zeros_like(T["label_emb"])
+    np.add.at(grads["label_emb"], labels, g_cond)
+    return grads
+
+
+def test_backward_matches_the_written_out_pass_bitwise():
+    """Building the conditioning vector in ``_backward`` instead of the
+    forward pass leaves every denoiser gradient bitwise unchanged."""
+    rng = np.random.default_rng(46)
+    params = _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(16, 12), cond_dim=6,
+                                 time_dim=8), rng)
+    n = 64
+    x = rng.standard_normal((n, 3))
+    labels = rng.integers(0, 5, n)
+    t = rng.integers(0, SCHED.T, n)
+    masks = dropout_masks(params, n, 0.1, rng)
+    g_out = rng.standard_normal((n, 3))
+    got = _backward(params, _forward_cached(params, x, t, labels, masks)[1], g_out)
+    want = _reference_denoiser_grads(params, x, t, labels, masks, g_out)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.array_equal(got[name], want[name]), name
 
 
 class TestLossTotal:

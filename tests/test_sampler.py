@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from priorshift import sampler as sampler_mod
-from priorshift.denoiser import init_denoiser, init_residual, predict_zc2
+from priorshift.denoiser import forward, init_denoiser, init_residual, predict_zc2
 from priorshift.latent import (
     Codebook,
     LatentSequence,
@@ -239,6 +239,43 @@ class TestDenoiseFrom:
         assert np.array_equal(got, want)
         assert len(seen) == 25 and seen[0][1]
         assert all(ws is seen[0][0] and ids == seen[0][1] for ws, ids in seen)
+
+    def test_network_chain_matches_stateless_forward_bitwise(self):
+        """A 100-step chain through the source's workspace (bound label
+        tables, reused row blocks) equals calling ``forward`` afresh at
+        every step."""
+        rng = np.random.default_rng(10)
+        theta = init_denoiser(3, 4, (16, 12), 6, 8, rng)
+        for arr in theta.tensors.values():
+            arr += 0.2 * rng.standard_normal(arr.shape)
+        x = rng.standard_normal((45, 3))
+        labels = rng.integers(0, 4, 45)
+        got = denoise_from(x, 100, labels, model_eps_source(theta), SCHED)
+        want = denoise_from(x, 100, labels, lambda xt, t, lab: forward(theta, xt, t, lab), SCHED)
+        assert np.array_equal(got, want)
+
+    def test_label_tables_are_built_once_per_source(self):
+        """Each FiLM coefficient's label table ``label_emb @ w.T`` is built on
+        a source's first step only: 2 layers x 2 coefficients per source."""
+        products = []
+
+        class CountingMatmul(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.matmul(np.asarray(self), other)
+
+        rng = np.random.default_rng(11)
+        theta = init_denoiser(2, 3, (8, 8), 4, 4, rng)
+        theta.tensors["label_emb"] = theta.tensors["label_emb"].view(CountingMatmul)
+        x = rng.standard_normal((7, 2))
+        labels = rng.integers(0, 3, 7)
+        eps_fn = model_eps_source(theta)
+        denoise_from(x, 25, labels, eps_fn, SCHED)
+        assert len(products) == 4
+        denoise_from(x, 25, labels, eps_fn, SCHED)
+        assert len(products) == 4
+        denoise_from(x, 25, labels, model_eps_source(theta), SCHED)
+        assert len(products) == 8
 
 
 class TestFrameMetrics:
