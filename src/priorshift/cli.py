@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Every command takes one ``--seed`` and derives all of its randomness from
-named substreams of it, so identical invocations produce byte-identical
+Every command that draws random numbers takes one ``--seed``, checked
+before any file is read, and derives all of its randomness from named
+substreams of it, so identical invocations produce byte-identical
 outputs.  Logs go to stderr; result files and machine-readable verify
 lines go where the flags point.
 """
@@ -252,10 +253,19 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     sched = _schedule_from_args(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     _require_start_steps(t_starts, "--t-starts", 1, sched.T)
+    if args.grid_points < 8:
+        raise UsageError(f"--grid-points must be >= 8, got {args.grid_points}")
+    if args.grid_lo is not None and args.grid_hi is not None and not args.grid_lo < args.grid_hi:
+        raise UsageError(f"--grid-lo must lie below --grid-hi, got {args.grid_lo} and "
+                         f"{args.grid_hi}")
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise UsageError(f"output directory {out_dir} is not empty; pass --force to overwrite")
     world = load_world(args.world)
+    for flag, value, n in (("--label", args.label, world.spec.n_labels),
+                           ("--dim", args.dim, world.spec.dim)):
+        if not 0 <= value < n:
+            raise UsageError(f"{flag} must lie in [0, {n}), the world's range, got {value}")
     if args.grid_lo is None or args.grid_hi is None:
         m1 = marginal_1d(world.native, args.dim)
         sd = float(np.sqrt(m1.variances.max()))
@@ -388,6 +398,8 @@ def main(argv=None) -> int:
         stream=sys.stderr, format="%(levelname)s %(message)s", force=True,
     )
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
+            raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -608,85 +608,74 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return tuple(_parse_width(v) for v in text.split(","))
 
 
-def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
-    """Plain-text model file: header, named tensor blocks, trailing ``end``."""
-    theta, phi = bundle.theta, bundle.phi
-    blocks: list[tuple[str, np.ndarray]] = []
-    blocks += [(f"den.{k}", v) for k, v in theta.tensors.items()]
-    blocks += [(f"res.{k}", v) for k, v in phi.tensors.items()]
-    blocks += [
-        ("std.mean", bundle.standardizer.mean),
-        ("std.scale", bundle.standardizer.std),
-    ]
-    with atomic_write(path) as fh:
-        fh.write(MODEL_MAGIC + "\n")
-        fh.write(f"schedule {sched.beta[0]:.17g} {sched.beta[-1]:.17g} {sched.T}\n")
-        fh.write(f"dim {theta.dim}\n")
-        fh.write(f"labels {theta.n_labels}\n")
-        fh.write(f"cond_dim {theta.cond_dim}\n")
-        fh.write(f"time_dim {theta.time_dim}\n")
-        fh.write(f"hidden {_fmt_hidden(theta.hidden)}\n")
-        fh.write(f"residual_hidden {_fmt_hidden(phi.hidden)}\n")
-        for name, arr in blocks:
-            fh.write(f"tensor {name} {arr.size}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in np.asarray(arr).ravel()) + "\n")
-        fh.write("end\n")
-
-
 def _parse_schedule(text: str) -> Schedule:
     bmin, bmax, t_steps = text.split()
     return linear_schedule(float(bmin), float(bmax), int(t_steps))
 
 
-def _read_kv(fh, path: str, key: str, parse=_parse_width):
-    """Parse the value of the next line, which must start with ``key``."""
+# The model file's header, in file order: (key, its text from the bundle
+# and schedule, its parser).  save_model and load_model both walk it.
+_HEADER = (
+    ("schedule", lambda b, s: f"{s.beta[0]:.17g} {s.beta[-1]:.17g} {s.T}", _parse_schedule),
+    ("dim", lambda b, s: str(b.theta.dim), _parse_width),
+    ("labels", lambda b, s: str(b.theta.n_labels), _parse_width),
+    ("cond_dim", lambda b, s: str(b.theta.cond_dim), _parse_width),
+    ("time_dim", lambda b, s: str(b.theta.time_dim), _parse_time_dim),
+    ("hidden", lambda b, s: _fmt_hidden(b.theta.hidden), _parse_hidden),
+    ("residual_hidden", lambda b, s: _fmt_hidden(b.phi.hidden), _parse_hidden),
+)
+
+
+def _blocks(theta: DenoiserParams, phi: ResidualParams, mean: np.ndarray,
+            scale: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The model file's tensor blocks, in file order."""
+    return ([(f"den.{k}", v) for k, v in theta.tensors.items()]
+            + [(f"res.{k}", v) for k, v in phi.tensors.items()]
+            + [("std.mean", mean), ("std.scale", scale)])
+
+
+def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
+    """Plain-text model file: header, named tensor blocks, trailing ``end``."""
+    std = bundle.standardizer
+    with atomic_write(path) as fh:
+        fh.write(MODEL_MAGIC + "\n")
+        for key, text, _ in _HEADER:
+            fh.write(f"{key} {text(bundle, sched)}\n")
+        for name, arr in _blocks(bundle.theta, bundle.phi, std.mean, std.std):
+            fh.write(f"tensor {name} {arr.size}\n")
+            fh.write(" ".join(f"{v:.17g}" for v in np.asarray(arr).ravel()) + "\n")
+        fh.write("end\n")
+
+
+def _read_line(fh, path: str, key: str) -> str:
+    """The rest of the next line, which must start with ``key``."""
     line = fh.readline().rstrip("\n")
-    name, _, value = line.partition(" ")
-    if name != key:
+    if not line.startswith(key + " "):
         raise ValueError(f"{path}: expected {key!r} line, got {line!r}")
-    return parse_field(path, key, parse, value)
+    return line[len(key) + 1:]
 
 
 def load_model(path: str) -> tuple[ModelBundle, Schedule]:
+    """Read a model file, which must hold the header and tensor blocks in the
+    order ``save_model`` writes them."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not a model file (header {magic!r})")
-        sched = _read_kv(fh, path, "schedule", _parse_schedule)
-        dim = _read_kv(fh, path, "dim")
-        n_labels = _read_kv(fh, path, "labels")
-        cond_dim = _read_kv(fh, path, "cond_dim")
-        time_dim = _read_kv(fh, path, "time_dim", _parse_time_dim)
-        hidden = _read_kv(fh, path, "hidden", _parse_hidden)
-        res_hidden = _read_kv(fh, path, "residual_hidden", _parse_hidden)
-        theta = DenoiserParams(
-            dim=dim, n_labels=n_labels, hidden=hidden, cond_dim=cond_dim, time_dim=time_dim,
-            tensors=FlatTensors(_denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim)),
-        )
+        head = {key: parse_field(path, key, parse, _read_line(fh, path, key))
+                for key, _, parse in _HEADER}
+        arch = {"dim": head["dim"], "n_labels": head["labels"], "hidden": head["hidden"],
+                "cond_dim": head["cond_dim"], "time_dim": head["time_dim"]}
+        theta = DenoiserParams(**arch, tensors=FlatTensors(_denoiser_shapes(**arch)))
+        dim, res_hidden = head["dim"], head["residual_hidden"]
         phi = ResidualParams(
             dim=dim, hidden=res_hidden, tensors=FlatTensors(_residual_shapes(dim, res_hidden)),
         )
-        std = {"mean": np.empty(dim), "scale": np.empty(dim)}
-        targets = {f"den.{k}": v for k, v in theta.tensors.items()}
-        targets.update({f"res.{k}": v for k, v in phi.tensors.items()})
-        targets.update({f"std.{k}": v for k, v in std.items()})
-        seen: set[str] = set()
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated model file, no 'end' marker")
-            line = line.rstrip("\n")
-            if line == "end":
-                break
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "tensor":
-                raise ValueError(f"{path}: bad tensor header {line!r}")
-            name = parts[1]
-            if name not in targets:
-                raise ValueError(f"{path}: unknown tensor {name!r}")
-            size = parse_field(path, f"tensor {name!r} size", int, parts[2])
+        mean, scale = np.empty(dim), np.empty(dim)
+        for name, target in _blocks(theta, phi, mean, scale):
+            size = parse_field(path, f"tensor {name!r} size", int,
+                               _read_line(fh, path, f"tensor {name}"))
             values = parse_field(path, f"tensor {name!r}", _decode_values, fh.readline())
-            target = targets[name]
             if size != values.size or values.size != target.size:
                 raise ValueError(
                     f"{path}: tensor {name!r} has {values.size} values, expected {target.shape}"
@@ -694,9 +683,8 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}: tensor {name!r} has non-finite values")
             target[...] = values.reshape(target.shape)
-            seen.add(name)
-        missing = sorted(set(targets) - seen)
-        if missing:
-            raise ValueError(f"{path}: missing tensors {missing}")
-    standardizer = parse_field(path, "tensor 'std.scale'", Standardizer, std["mean"], std["scale"])
-    return ModelBundle(theta=theta, phi=phi, standardizer=standardizer), sched
+        line = fh.readline().rstrip("\n")
+        if line != "end":
+            raise ValueError(f"{path}: expected 'end' line, got {line!r}")
+    standardizer = parse_field(path, "tensor 'std.scale'", Standardizer, mean, scale)
+    return ModelBundle(theta=theta, phi=phi, standardizer=standardizer), head["schedule"]

@@ -61,6 +61,10 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (type(value) is int if f.type == "int" else np.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite {f.type}, got {value!r}")
         if min(self.dim, self.n_labels, self.n_components, self.codebook_size) < 1:
             raise ValueError("dim, n_labels, n_components, codebook_size must be >= 1")
         if not 0 < self.var_lo <= self.var_hi:
@@ -299,40 +303,6 @@ def posterior_curves(
     return curves
 
 
-def _gmm_to_json(p: ConditionalGMM) -> dict:
-    return {
-        "weights": p.weights.tolist(),
-        "means": p.means.tolist(),
-        "variances": p.variances.tolist(),
-    }
-
-
-def _gmm_from_json(obj: dict) -> ConditionalGMM:
-    return ConditionalGMM(
-        weights=np.array(obj["weights"], dtype=np.float64),
-        means=np.array(obj["means"], dtype=np.float64),
-        variances=np.array(obj["variances"], dtype=np.float64),
-    )
-
-
-def save_world(world: World, path: str) -> None:
-    doc = {
-        "format": WORLD_MAGIC,
-        "spec": asdict(world.spec),
-        "attempts": world.attempts,
-        "native": _gmm_to_json(world.native),
-        "l2": _gmm_to_json(world.l2),
-        "codebook": world.codebook.entries.tolist(),
-        "standardizer": {
-            "mean": world.standardizer.mean.tolist(),
-            "std": world.standardizer.std.tolist(),
-        },
-    }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _spec_from_json(obj: dict) -> WorldSpec:
     unknown = sorted(set(obj) - {f.name for f in fields(WorldSpec)})
     if unknown:
@@ -340,11 +310,40 @@ def _spec_from_json(obj: dict) -> WorldSpec:
     return WorldSpec(**obj)
 
 
-def _standardizer_from_json(obj: dict) -> Standardizer:
-    return Standardizer(
-        mean=np.array(obj["mean"], dtype=np.float64),
-        std=np.array(obj["std"], dtype=np.float64),
-    )
+def _attempts_from_json(obj) -> int:
+    if type(obj) is not int or obj < 1:
+        raise ValueError(f"must be a positive integer, got {obj!r}")
+    return obj
+
+
+def _arrays_to_json(obj) -> dict:
+    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
+
+
+def _arrays_from_json(cls):
+    """Builder of ``cls`` from a JSON object holding each field as nested lists."""
+    return lambda obj: cls(**{f.name: np.array(obj[f.name], dtype=np.float64)
+                              for f in fields(cls)})
+
+
+# The world file's fields, named as World's: (field, to JSON, from JSON).
+# save_world and load_world both walk it; the file also holds "format".
+_WORLD_FIELDS = (
+    ("spec", lambda w: asdict(w.spec), _spec_from_json),
+    ("native", lambda w: _arrays_to_json(w.native), _arrays_from_json(ConditionalGMM)),
+    ("l2", lambda w: _arrays_to_json(w.l2), _arrays_from_json(ConditionalGMM)),
+    ("codebook", lambda w: w.codebook.entries.tolist(),
+     lambda obj: Codebook(entries=np.array(obj, dtype=np.float64))),
+    ("standardizer", lambda w: _arrays_to_json(w.standardizer), _arrays_from_json(Standardizer)),
+    ("attempts", lambda w: w.attempts, _attempts_from_json),
+)
+
+
+def save_world(world: World, path: str) -> None:
+    doc = {"format": WORLD_MAGIC, **{name: to_json(world) for name, to_json, _ in _WORLD_FIELDS}}
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _world_field(path: str, doc: dict, name: str, build):
@@ -368,16 +367,8 @@ def load_world(path: str) -> World:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != WORLD_MAGIC:
         raise ValueError(f"{path}: not a world file (format {fmt!r})")
-    world = World(
-        spec=_world_field(path, doc, "spec", _spec_from_json),
-        native=_world_field(path, doc, "native", _gmm_from_json),
-        l2=_world_field(path, doc, "l2", _gmm_from_json),
-        codebook=_world_field(
-            path, doc, "codebook", lambda obj: Codebook(entries=np.array(obj, dtype=np.float64))
-        ),
-        standardizer=_world_field(path, doc, "standardizer", _standardizer_from_json),
-        attempts=_world_field(path, doc, "attempts", int),
-    )
+    world = World(**{name: _world_field(path, doc, name, from_json)
+                      for name, _, from_json in _WORLD_FIELDS})
     spec = world.spec
     for name, got, want in (
         ("native", world.native.means.shape, (spec.n_labels, spec.n_components, spec.dim)),

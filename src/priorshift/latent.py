@@ -38,12 +38,14 @@ class LatentSequence:
             raise ValueError(
                 f"labels shape {labels.shape} does not match {frames.shape[0]} frames"
             )
-        if not np.isfinite(frames).all():
-            raise ValueError(f"sequence {self.id!r} has non-finite frames")
-        for name in ("zc2", "h"):
+        for name in ("frames", "zc2", "h"):
             track = getattr(self, name)
-            if track is not None and np.asarray(track).shape != frames.shape:
+            if track is None:
+                continue
+            if np.shape(track) != frames.shape:
                 raise ValueError(f"{name} track shape does not match frames")
+            if not np.isfinite(track).all():
+                raise ValueError(f"sequence {self.id!r} has non-finite {name}")
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
@@ -67,6 +69,8 @@ class Standardizer:
             raise ValueError("mean and std must be matching 1-D arrays")
         if not (std > 0).all():
             raise ValueError("standardizer scale must be strictly positive")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("standardizer mean and scale must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,8 @@ class Codebook:
         e = np.asarray(self.entries)
         if e.ndim != 2 or e.shape[0] < 1:
             raise ValueError(f"codebook must be (M, d) with M >= 1, got shape {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("codebook entries must be finite")
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
@@ -135,7 +141,11 @@ def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarra
 # Frame tracks join dimensions with "," and frames with "|".  A leading
 # header line "#dim=<d> labels=<K>" pins the frame dimension and the label
 # vocabulary size.  Floats are written with 17 significant digits, which
-# round-trips float64 exactly.
+# round-trips float64 exactly.  _TRACKS lists the tracks in field order as
+# (LatentSequence field, name in errors); save_dataset and load_dataset
+# both walk it.
+_TRACKS = (("frames", "latent track"), ("zc2", "zc2 track"), ("h", "h track"))
+
 
 def _encode_track(track: np.ndarray) -> str:
     return "|".join(",".join(f"{v:.17g}" for v in row) for row in track)
@@ -191,16 +201,11 @@ def save_dataset(seqs: Sequence[LatentSequence], path: str, n_labels: int) -> No
                 raise ValueError(f"sequence {seq.id!r} dim {seq.dim} != dataset dim {dim}")
             if seq.labels.min() < 0 or seq.labels.max() >= n_labels:
                 raise ValueError(f"sequence {seq.id!r} has labels outside [0, {n_labels})")
-            fields = [
-                seq.id,
-                ",".join(str(int(v)) for v in seq.labels),
-                _encode_track(seq.frames),
-            ]
-            if seq.zc2 is not None or seq.h is not None:
-                if seq.zc2 is None or seq.h is None:
-                    raise ValueError(f"sequence {seq.id!r} must carry both zc2 and h or neither")
-                fields.append(_encode_track(seq.zc2))
-                fields.append(_encode_track(seq.h))
+            tracks = [t for t in (getattr(seq, name) for name, _ in _TRACKS) if t is not None]
+            if len(tracks) == 2:
+                raise ValueError(f"sequence {seq.id!r} must carry both zc2 and h or neither")
+            fields = [seq.id, ",".join(str(int(v)) for v in seq.labels)]
+            fields += [_encode_track(t) for t in tracks]
             fh.write("\t".join(fields) + "\n")
 
 
@@ -225,13 +230,10 @@ def load_dataset(path: str) -> tuple[list[LatentSequence], int, int]:
             labels = parse_field(where, "labels", _decode_labels, fields[1])
             if labels.min() < 0 or labels.max() >= n_labels:
                 raise ValueError(f"{where}: label outside [0, {n_labels})")
-            frames = parse_field(where, "latent track", _decode_track, fields[2], dim)
-            zc2 = h = None
-            if len(fields) == 5:
-                zc2 = parse_field(where, "zc2 track", _decode_track, fields[3], dim)
-                h = parse_field(where, "h track", _decode_track, fields[4], dim)
-            seqs.append(parse_field(where, "sequence", LatentSequence,
-                                    fields[0], labels, frames, zc2, h))
+            tracks = [parse_field(where, field, _decode_track, text, dim)
+                      for (_, field), text in zip(_TRACKS, fields[2:])]
+            seqs.append(parse_field(where, "sequence", LatentSequence, fields[0], labels,
+                                    *tracks))
     if not seqs:
         raise ValueError(f"{path}: dataset has no sequences")
     return seqs, dim, n_labels

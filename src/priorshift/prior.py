@@ -44,6 +44,8 @@ class ConditionalGMM:
             raise ValueError("mixture weights must be nonnegative and sum to 1 per label")
         if not (v > 0).all():
             raise ValueError("component variances must be strictly positive")
+        if not (np.isfinite(m).all() and np.isfinite(v).all()):
+            raise ValueError("component means and variances must be finite")
 
     @property
     def n_labels(self) -> int:

@@ -388,8 +388,15 @@ class TestPosterior:
     (["sweep", "--t-starts", "0,101"], "--t-starts", "must lie in [0, 100], got 101"),
     (["sweep", "--t-starts", "50,25"], "--t-starts", "must be distinct and ascending"),
     (["posterior", "--t-starts", "0,50"], "--t-starts", "must lie in [1, 100], got 0"),
+    (["posterior", "--grid-points", "3"], "--grid-points", "must be >= 8, got 3"),
+    (["posterior", "--grid-lo", "3", "--grid-hi", "-3"], "--grid-lo",
+     "must lie below --grid-hi, got 3.0 and -3.0"),
+    (["posterior", "--dim", "99"], "--dim", "must lie in [0, 2)"),
+    (["posterior", "--label", "99"], "--label", "must lie in [0, 3)"),
+    (["posterior", "--label", "-1"], "--label", "got -1"),
 ], ids=["convert-high", "convert-negative", "sweep-high", "sweep-descending",
-        "posterior-zero"])
+        "posterior-zero", "posterior-grid-points", "posterior-grid-order", "posterior-dim",
+        "posterior-label", "posterior-label-negative"])
 def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv, flag,
                                                 message):
     """A start step off the schedule is a usage error naming the flag, and
@@ -400,7 +407,7 @@ def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv
                     "--out", str(out), "--diagnostics", str(tmp_path / "diag.csv")],
         "sweep": ["--model", "exact", "--seed", "0", "--out", str(out), "--n-seq", "2",
                   "--seq-len", "4"],
-        "posterior": ["--out-dir", str(out), "--x0", "1.0", "--grid-points", "51"],
+        "posterior": ["--out-dir", str(out), "--x0", "1.0"],
     }[argv[0]]
     capsys.readouterr()
     rc = cli.main(argv + ["--world", pipeline["world"]] + extra)
@@ -434,6 +441,29 @@ def test_size_flags_checked_before_any_file(tmp_path, capsys, argv, flag, value)
     rc = cli.main(argv + extra + ["--seed", "0", "--out", str(out)])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 2 and err == [f"error: {flag} must be >= 1, got {value}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen-world", "gen-data", "train", "convert", "sweep",
+                                     "verify"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_checked_before_any_file(tmp_path, capsys, command, seed):
+    """A seed outside [0, 2**64) is a usage error naming the flag, raised
+    before any input file (all missing here) is read, and nothing is written."""
+    missing = str(tmp_path / "missing")
+    out = str(tmp_path / "out")
+    argv = [command, "--seed", seed] + {
+        "gen-world": ["--out", out],
+        "gen-data": ["--world", missing, "--out", out],
+        "train": ["--data", missing, "--out", out],
+        "convert": ["--world", missing, "--model", missing, "--data", missing,
+                    "--t-start", "5", "--out", out],
+        "sweep": ["--world", missing, "--model", missing, "--out", out],
+        "verify": [],
+    }[command]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and err == [f"error: --seed must lie in [0, 2**64), got {seed}"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -913,6 +913,28 @@ class TestModelIO:
         with pytest.raises(ValueError, match="mystery"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("edit, expected", [
+        ("repeat", "tensor res.layer0_w"),
+        ("swap", "tensor den.out_w"),
+    ])
+    def test_blocks_out_of_order_fail_naming_the_expected_tensor(self, tmp_path, edit,
+                                                                 expected):
+        """Blocks must come in the written order: a repeated or swapped block
+        fails with one line naming the file and the tensor due next."""
+        rng = np.random.default_rng(36)
+        path = tmp_path / "model.txt"
+        save_model(str(path), self._bundle(rng), SCHED)
+        lines = path.read_text().splitlines(keepends=True)
+        i = lines.index("tensor den.out_w 12\n")
+        w, b = lines[i:i + 2], lines[i + 2:i + 4]
+        lines[i:i + 4] = w + b + b if edit == "repeat" else b + w
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: expected {expected!r} line, got 'tensor den.out_")
+        assert "\n" not in message
+
     @pytest.mark.parametrize("old, new, field", [
         ("\ndim 3\n", "\ndim four\n", "dim: invalid literal"),
         ("\ntensor den.out_b 3\n", "\ntensor den.out_b many\n", "tensor 'den.out_b' size"),

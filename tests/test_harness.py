@@ -1,12 +1,19 @@
 """Synthetic world generation, datasets, sweeps, and posterior curve export."""
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from priorshift.harness import (
     SEPARATION_MIN,
     SweepRow,
     SweepTable,
+    World,
     WorldSpec,
     build_context,
     posterior_curves,
@@ -16,8 +23,8 @@ from priorshift.harness import (
     save_world,
     sweep,
 )
-from priorshift.latent import snap_frames
-from priorshift.prior import grid_moments, native_class_prob_batch, sample_frames
+from priorshift.latent import Codebook, Standardizer, snap_frames
+from priorshift.prior import ConditionalGMM, grid_moments, native_class_prob_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, substream
 from priorshift.sampler import convert_sequences, frame_metrics
 from priorshift.schedule import default_schedule
@@ -29,6 +36,33 @@ def _small_spec(**kwargs):
     base = dict(dim=3, n_labels=4, n_components=2, codebook_size=24, seed=0)
     base.update(kwargs)
     return WorldSpec(**base)
+
+
+_WORLD_SPECS = st.builds(
+    WorldSpec, dim=st.integers(1, 4), n_labels=st.integers(1, 4),
+    n_components=st.integers(1, 3), codebook_size=st.integers(1, 5),
+    h_noise=st.floats(0, 1), l2_shift=st.floats(0, 3), mean_scale=st.floats(-3, 3),
+    var_lo=st.floats(0.1, 1), var_hi=st.floats(1, 2), seed=st.integers(0, 2 ** 64 - 1),
+)
+# A JSON number: what follows "[" or the ", " and ": " separators.
+_JSON_NUMBER = re.compile(r"(?<=[\[ ])-?[0-9][0-9.eE+-]*")
+
+
+def _random_world(spec: WorldSpec, seed: int) -> World:
+    """Any world whose parts fit the spec, drawn without the separation search."""
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_labels, spec.n_components, spec.dim)
+
+    def gmm():
+        w = rng.uniform(0.1, 1, shape[:2])
+        return ConditionalGMM(weights=w / w.sum(axis=1, keepdims=True),
+                              means=rng.normal(0, 3, shape), variances=rng.uniform(0.2, 2, shape))
+
+    return World(spec=spec, native=gmm(), l2=gmm(),
+                 codebook=Codebook(rng.normal(0, 3, (spec.codebook_size, spec.dim))),
+                 standardizer=Standardizer(rng.normal(0, 1, spec.dim),
+                                           rng.uniform(0.5, 2, spec.dim)),
+                 attempts=int(rng.integers(1, 65)))
 
 
 class TestWorldSpec:
@@ -330,3 +364,36 @@ class TestWorldIO:
         save_world(world, str(p1))
         save_world(world, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @given(spec=_WORLD_SPECS, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_world_round_trips_bytes(self, spec, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            save_world(_random_world(spec, seed), p1)
+            save_world(load_world(p1), p2)
+            with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                assert f1.read() == f2.read()
+
+    @given(spec=_WORLD_SPECS, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_token_fails_naming_the_file(self, spec, seed, data):
+        """Any one number replaced by a non-number or a non-finite value fails
+        at load with one line that starts with the path."""
+        bad = st.one_of(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+            .filter(lambda t: t not in ("true", "false", "null")),
+            st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "world.json")
+            save_world(_random_world(spec, seed), path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            m = data.draw(st.sampled_from(list(_JSON_NUMBER.finditer(text))))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text[:m.start()] + data.draw(bad) + text[m.end():])
+            with pytest.raises(ValueError) as info:
+                load_world(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message

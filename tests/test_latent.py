@@ -1,4 +1,8 @@
 """Frame containers, standardization, codebook snapping, IO."""
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,29 @@ def _seq(rng, n=10, d=3, with_tracks=False, seq_id="s"):
     return LatentSequence(
         id=seq_id, labels=rng.integers(0, 4, n), frames=frames, **kw
     )
+
+
+_DATASETS = st.fixed_dictionaries({
+    "dim": st.integers(1, 3),
+    "n_labels": st.integers(1, 5),
+    "lengths": st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    "with_tracks": st.booleans(),
+    "scale": st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]),
+})
+# A number in a dataset file: what follows "=", a tab, "," or "|".
+_DATASET_NUMBER = re.compile(r"(?<=[=\t,|])[^=\t,|\n ]+")
+
+
+def _random_dataset(shape: dict, seed: int) -> list[LatentSequence]:
+    rng = np.random.default_rng(seed)
+
+    def track(n):
+        return shape["scale"] * rng.standard_normal((n, shape["dim"]))
+
+    return [LatentSequence(id=f"u{i}", labels=rng.integers(0, shape["n_labels"], n),
+                           frames=track(n), **({"zc2": track(n), "h": track(n)}
+                                               if shape["with_tracks"] else {}))
+            for i, n in enumerate(shape["lengths"])]
 
 
 class TestLatentSequence:
@@ -207,10 +234,54 @@ class TestDatasetIO:
         ("#dim=1 labels=2\nid\t0\t1\tzz\t1\n", ":2: zc2 track: could not convert"),
         ("#dim=1 labels=2\nid\t0\t1\t0\t\n", ":2: h track: could not convert"),
         ("#dim=1 labels=2\nid\t0\tnan\n", ":2: sequence: sequence 'id' has non-finite"),
-    ], ids=["dim", "n-labels", "label", "frame", "frame-width", "zc2", "h", "non-finite"])
+        ("#dim=1 labels=2\nok\t0\t1\t0\t1\nid\t0\t1\tinf\t1\n",
+         ":3: sequence: sequence 'id' has non-finite zc2"),
+        ("#dim=1 labels=2\nid\t0,1\t1|2\t0|0\t1|nan\n",
+         ":2: sequence: sequence 'id' has non-finite h"),
+    ], ids=["dim", "n-labels", "label", "frame", "frame-width", "zc2", "h", "non-finite",
+            "non-finite-zc2", "non-finite-h"])
     def test_malformed_value_names_line_and_field(self, tmp_path, text, where):
         path = tmp_path / "bad.tsv"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             load_dataset(str(path))
         assert str(info.value).startswith(f"{path}{where}")
+
+    @given(shape=_DATASETS, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_dataset_round_trips_bytes(self, shape, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = os.path.join(tmp, "a.tsv"), os.path.join(tmp, "b.tsv")
+            save_dataset(_random_dataset(shape, seed), p1, shape["n_labels"])
+            seqs, dim, n_labels = load_dataset(p1)
+            assert (dim, n_labels) == (shape["dim"], shape["n_labels"])
+            save_dataset(seqs, p2, n_labels)
+            with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                assert f1.read() == f2.read()
+
+    @given(shape=_DATASETS, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_token_fails_naming_the_file(self, shape, seed, data):
+        """Any one header value, label or track value replaced by a non-number
+        or a non-finite value, or a header value or label by a negative number,
+        fails at load with one line that starts with the path."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.tsv")
+            save_dataset(_random_dataset(shape, seed), path, shape["n_labels"])
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            m = data.draw(st.sampled_from(list(_DATASET_NUMBER.finditer(text))))
+            line_start = text.rfind("\n", 0, m.start()) + 1
+            # A negative number is a legal track value, so only the header and
+            # the labels (the first and second field) take one.
+            integer = line_start == 0 or text.count("\t", line_start, m.start()) == 1
+            bad = [st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
+                   st.sampled_from(["nan", "inf", "-inf", "1e999"])]
+            if integer:
+                bad.append(st.integers(-10 ** 6, -1).map(str))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text[:m.start()] + data.draw(st.one_of(bad)) + text[m.end():])
+            with pytest.raises(ValueError) as info:
+                load_dataset(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:") and "\n" not in message
