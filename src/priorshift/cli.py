@@ -30,7 +30,7 @@ from .harness import (
     save_world,
     sweep,
 )
-from .latent import atomic_write, load_dataset, save_dataset
+from .latent import atomic_write, load_dataset, save_dataset, settings_from_json
 from .prior import marginal_1d
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from .sampler import convert_sequences, frame_metrics
@@ -96,16 +96,15 @@ def _reject_schedule_flags(args: argparse.Namespace) -> None:
             )
 
 
+# gen-world has one flag per WorldSpec field, named as the field but for these.
+_GEN_WORLD_FLAGS = {"n_labels": "labels", "n_components": "components"}
+
+
 def _cmd_gen_world(args: argparse.Namespace) -> int:
     _require_sizes(args, "--dim", "--labels", "--components", "--codebook-size")
     out = _out_path(args.out, args.force)
-    spec = WorldSpec(
-        dim=args.dim, n_labels=args.labels, n_components=args.components,
-        codebook_size=args.codebook_size, h_noise=args.h_noise,
-        l2_shift=args.l2_shift, mean_scale=args.mean_scale,
-        var_lo=args.var_lo, var_hi=args.var_hi, seed=args.seed,
-    )
-    world = gen_world(spec)
+    world = gen_world(WorldSpec(**{f.name: getattr(args, _GEN_WORLD_FLAGS.get(f.name, f.name))
+                                   for f in dataclasses.fields(WorldSpec)}))
     save_world(world, out)
     log.info("gen-world out=%s attempts=%d", args.out, world.attempts)
     return 0
@@ -126,40 +125,15 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-
-
 def _read_train_config(path: str) -> TrainConfig:
-    """TrainConfig from a JSON object of overrides, each value checked against
-    its field's type and range; any problem is a usage error naming the
-    file and the field."""
+    """TrainConfig from a JSON object of overrides; errors name the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return settings_from_json(TrainConfig, json.load(fh))
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: training config must be a JSON object")
-    unknown = sorted(set(doc) - set(_TRAIN_DEFAULTS))
-    if unknown:
-        raise UsageError(f"{path}: unknown training config keys: {', '.join(unknown)}")
-    for key, value in doc.items():
-        default = _TRAIN_DEFAULTS[key]
-        if isinstance(default, tuple):
-            want = "a list of integers"
-            ok = isinstance(value, list) and all(type(w) is int for w in value)
-        elif isinstance(default, float):
-            want, ok = "a number", type(value) in (int, float)
-        else:
-            want, ok = "an integer", type(value) is int
-        if not ok:
-            raise UsageError(f"{path}: field {key!r} must be {want}, got {value!r}")
-        if isinstance(default, tuple):
-            doc[key] = tuple(value)
-    try:
-        return TrainConfig(**doc)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -217,12 +191,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     )
     save_dataset(results, out, n_labels)
     if diag_path is not None:
+        import csv  # only this writer uses it; runs without diagnostics skip loading it
         bounds = np.cumsum([len(s) for s in seqs])[:-1]
         with atomic_write(diag_path) as fh:
-            fh.write("id,t_start,identity_l2,identity_cos,native_prob\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(["id", "t_start", "identity_l2", "identity_cos", "native_prob"])
             for seq, *means in zip(seqs, *(np.split(v, bounds) for v in (l2d, cos, prob))):
-                fh.write(f"{seq.id},{args.t_start},"
-                         + ",".join(f"{v.mean():.17g}" for v in means) + "\n")
+                rows.writerow([seq.id, args.t_start, *(f"{v.mean():.17g}" for v in means)])
     log.info("convert out=%s t_start=%d frames=%d identity_l2=%.4f native_prob=%.4f",
              out, args.t_start, l2d.size, l2d.mean(), prob.mean())
     return 0
@@ -255,9 +230,10 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     _require_start_steps(t_starts, "--t-starts", 1, sched.T)
     if args.grid_points < 8:
         raise UsageError(f"--grid-points must be >= 8, got {args.grid_points}")
-    if args.grid_lo is not None and args.grid_hi is not None and not args.grid_lo < args.grid_hi:
-        raise UsageError(f"--grid-lo must lie below --grid-hi, got {args.grid_lo} and "
-                         f"{args.grid_hi}")
+    for flag, value in (("--x0", args.x0), ("--grid-lo", args.grid_lo),
+                        ("--grid-hi", args.grid_hi)):
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise UsageError(f"output directory {out_dir} is not empty; pass --force to overwrite")
@@ -275,6 +251,10 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         lo = args.grid_lo
     if args.grid_hi is not None:
         hi = args.grid_hi
+    if not lo < hi:
+        if args.grid_lo is None:
+            raise UsageError(f"--grid-hi must lie above --grid-lo, got {hi} and {lo}")
+        raise UsageError(f"--grid-lo must lie below --grid-hi, got {lo} and {hi}")
     grid = np.linspace(lo, hi, args.grid_points)
     posterior_curves(world, args.label, args.x0, t_starts, grid, sched,
               dim=args.dim, out_dir=str(out_dir))
@@ -306,15 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-world", help="draw a synthetic pair of priors plus codebook")
     p.add_argument("--out", required=True, help="world JSON path")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--labels", type=int, default=16)
-    p.add_argument("--components", type=int, default=2)
-    p.add_argument("--codebook-size", type=int, default=64)
-    p.add_argument("--h-noise", type=float, default=0.05)
-    p.add_argument("--l2-shift", type=float, default=1.5)
-    p.add_argument("--mean-scale", type=float, default=2.0)
-    p.add_argument("--var-lo", type=float, default=0.5)
-    p.add_argument("--var-hi", type=float, default=1.5)
+    for f in dataclasses.fields(WorldSpec):
+        if f.name != "seed":
+            p.add_argument("--" + _GEN_WORLD_FLAGS.get(f.name, f.name).replace("_", "-"),
+                           type=int if f.type == "int" else float, default=f.default)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_gen_world)
 

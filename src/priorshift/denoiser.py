@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latent import LatentSequence, Standardizer, atomic_write, destandardize_frames, \
-    fit_standardizer, parse_field, standardize_frames
+from .latent import LatentSequence, Standardizer, atomic_write, check_field_types, \
+    destandardize_frames, fit_standardizer, parse_field, standardize_frames
 from .schedule import Schedule, forward_corrupt, linear_schedule, reconstruct_x0
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
@@ -48,6 +48,7 @@ class TrainConfig:
     time_dim: int = 32
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name, ok, want in (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),

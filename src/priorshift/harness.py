@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import ModelBundle
-from .latent import Codebook, LatentSequence, Standardizer, atomic_write, fit_standardizer, \
-    snap_frames
+from .latent import Codebook, LatentSequence, Standardizer, atomic_write, check_field_types, \
+    fit_standardizer, settings_from_json, snap_frames
 from .prior import (
     ConditionalGMM,
     PosteriorGrid,
@@ -61,16 +61,13 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (type(value) is int if f.type == "int" else np.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite {f.type}, got {value!r}")
+        check_field_types(self)
         if min(self.dim, self.n_labels, self.n_components, self.codebook_size) < 1:
             raise ValueError("dim, n_labels, n_components, codebook_size must be >= 1")
         if not 0 < self.var_lo <= self.var_hi:
             raise ValueError("need 0 < var_lo <= var_hi")
-        if self.l2_shift < 0 or self.h_noise < 0:
-            raise ValueError("l2_shift and h_noise must be >= 0")
+        if min(self.l2_shift, self.h_noise, self.mean_scale) < 0:
+            raise ValueError("l2_shift, h_noise and mean_scale must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -303,13 +300,6 @@ def posterior_curves(
     return curves
 
 
-def _spec_from_json(obj: dict) -> WorldSpec:
-    unknown = sorted(set(obj) - {f.name for f in fields(WorldSpec)})
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-    return WorldSpec(**obj)
-
-
 def _attempts_from_json(obj) -> int:
     if type(obj) is not int or obj < 1:
         raise ValueError(f"must be a positive integer, got {obj!r}")
@@ -329,7 +319,7 @@ def _arrays_from_json(cls):
 # The world file's fields, named as World's: (field, to JSON, from JSON).
 # save_world and load_world both walk it; the file also holds "format".
 _WORLD_FIELDS = (
-    ("spec", lambda w: asdict(w.spec), _spec_from_json),
+    ("spec", lambda w: asdict(w.spec), lambda obj: settings_from_json(WorldSpec, obj)),
     ("native", lambda w: _arrays_to_json(w.native), _arrays_from_json(ConditionalGMM)),
     ("l2", lambda w: _arrays_to_json(w.l2), _arrays_from_json(ConditionalGMM)),
     ("codebook", lambda w: w.codebook.entries.tolist(),

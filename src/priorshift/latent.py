@@ -2,13 +2,13 @@
 
 Covers per-dimension standardization, nearest-entry codebook quantization,
 and the line-delimited dataset format used to move sequences between
-commands.
+commands, with the value checks that the file and settings readers share.
 """
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,6 +173,36 @@ def parse_field(where: str, field: str, parse, *args):
         raise ValueError(f"{where}: {field}: {exc}") from None
 
 
+# A settings field's annotation string -> (what it must hold, the test of a value).
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number",
+              lambda v: type(v) is int or isinstance(v, float) and np.isfinite(v)),
+    "tuple[int, ...]": ("a tuple of integers",
+                        lambda v: type(v) is tuple and all(type(w) is int for w in v)),
+}
+
+
+def check_field_types(settings) -> None:
+    """Check each field of a settings dataclass against its annotation; a
+    mismatch fails as ``<field>: must be <kind>, got <value>``."""
+    for f in fields(settings):
+        kind, ok = _FIELD_TYPES[f.type]
+        if not ok(value := getattr(settings, f.name)):
+            raise ValueError(f"{f.name}: must be {kind}, got {value!r}")
+
+
+def settings_from_json(cls, doc):
+    """A settings dataclass ``cls`` from a JSON object of field values, lists
+    read as tuples; a field the object leaves out keeps its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+
 @contextmanager
 def atomic_write(path: str):
     """Text handle on a new temp file beside ``path``, moved onto ``path`` only
@@ -197,6 +227,8 @@ def save_dataset(seqs: Sequence[LatentSequence], path: str, n_labels: int) -> No
     with atomic_write(path) as fh:
         fh.write(f"#dim={dim} labels={int(n_labels)}\n")
         for seq in seqs:
+            if any(c in seq.id for c in "\t\r\n"):
+                raise ValueError(f"sequence {seq.id!r} id holds a tab or line break")
             if seq.dim != dim:
                 raise ValueError(f"sequence {seq.id!r} dim {seq.dim} != dataset dim {dim}")
             if seq.labels.min() < 0 or seq.labels.max() >= n_labels:

@@ -1,12 +1,14 @@
 """Command-line entry points, exit codes, and end-to-end file flows."""
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from priorshift import cli
-from priorshift.harness import load_world
-from priorshift.latent import load_dataset
+from priorshift.harness import WorldSpec, load_world
+from priorshift.latent import load_dataset, save_dataset
 from priorshift.sampler import frame_metrics
 
 
@@ -61,6 +63,12 @@ class TestGenWorld:
                 "--labels", "2", "--codebook-size", "8"]
         assert cli.main(args) == 0
         assert cli.main(args + ["--force"]) == 0
+
+    def test_flag_defaults_are_the_spec_defaults(self):
+        args = cli.build_parser().parse_args(["gen-world", "--out", "w.json", "--seed", "0"])
+        flags = {"n_labels": "labels", "n_components": "components"}
+        assert WorldSpec(**{f.name: getattr(args, flags.get(f.name, f.name))
+                            for f in dataclasses.fields(WorldSpec)}) == WorldSpec()
 
     def test_bad_spec_is_runtime_error(self, tmp_path, capsys):
         rc = cli.main(["gen-world", "--out", str(tmp_path / "w.json"),
@@ -177,6 +185,23 @@ class TestConvert:
             assert row[0] == inp.id
             assert float(row[2]) == l2d.mean() and float(row[3]) == cos.mean()
             assert float(row[4]) == prob.mean()
+
+    def test_diagnostics_quote_ids(self, pipeline, tmp_path):
+        """Ids holding a comma or a quote are quoted, so every row has the
+        header's five columns; a plain id is written as it is."""
+        ids = ["spk,01", 'say "hi"', "plain"]
+        seqs, _, n_labels = load_dataset(pipeline["data"])
+        data = str(tmp_path / "ids.tsv")
+        save_dataset([dataclasses.replace(s, id=i) for s, i in zip(seqs, ids)], data, n_labels)
+        diag = tmp_path / "diag.csv"
+        assert cli.main(["convert", "--world", pipeline["world"], "--model", "exact",
+                         "--data", data, "--out", str(tmp_path / "x.tsv"), "--seed", "4",
+                         "--t-start", "40", "--diagnostics", str(diag)]) == 0
+        text = diag.read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert [len(r) for r in rows] == [5] * 4
+        assert [r[0] for r in rows[1:]] == ids
+        assert text.splitlines()[3] == ",".join(rows[3])
 
     def test_dim_mismatch_is_usage_error(self, pipeline, tmp_path, capsys):
         other_world = str(tmp_path / "w3.json")
@@ -315,7 +340,7 @@ class TestTrainCommand:
                        "--config", str(cfg)])
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 2 and len(err) == 1
-        assert err[0].startswith("error: ") and "bad.json" in err[0] and "'hidden'" in err[0]
+        assert err[0].startswith(f"error: {cfg}: hidden: ")
         assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("widths", [[0], [-2]])
@@ -336,6 +361,8 @@ class TestTrainCommand:
         ({"batch_size": 0}, [], "batch_size"),
         ({"dropout": 1.0}, [], "dropout"),
         (None, ["--epochs", "-1"], "--epochs"),
+        ({"adam_eps": float("inf")}, [], "adam_eps"),
+        ({"lr": float("inf")}, [], "lr"),
     ])
     def test_out_of_range_value_names_the_field(self, pipeline, tmp_path, capsys,
                                                 doc, flags, field):
@@ -394,9 +421,16 @@ class TestPosterior:
     (["posterior", "--dim", "99"], "--dim", "must lie in [0, 2)"),
     (["posterior", "--label", "99"], "--label", "must lie in [0, 3)"),
     (["posterior", "--label", "-1"], "--label", "got -1"),
+    (["posterior", "--grid-lo", "100"], "--grid-lo", "must lie below --grid-hi, got 100.0 and "),
+    (["posterior", "--grid-hi", "-100"], "--grid-hi", "must lie above --grid-lo, got -100.0 and "),
+    (["posterior", "--grid-lo", "nan"], "--grid-lo", "must be finite, got nan"),
+    (["posterior", "--grid-hi", "inf"], "--grid-hi", "must be finite, got inf"),
+    (["posterior", "--x0", "nan"], "--x0", "must be finite, got nan"),
 ], ids=["convert-high", "convert-negative", "sweep-high", "sweep-descending",
         "posterior-zero", "posterior-grid-points", "posterior-grid-order", "posterior-dim",
-        "posterior-label", "posterior-label-negative"])
+        "posterior-label", "posterior-label-negative", "posterior-grid-lo-alone",
+        "posterior-grid-hi-alone", "posterior-grid-lo-nan", "posterior-grid-hi-inf",
+        "posterior-x0-nan"])
 def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv, flag,
                                                 message):
     """A start step off the schedule is a usage error naming the flag, and
@@ -410,7 +444,8 @@ def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv
         "posterior": ["--out-dir", str(out), "--x0", "1.0"],
     }[argv[0]]
     capsys.readouterr()
-    rc = cli.main(argv + ["--world", pipeline["world"]] + extra)
+    # The case's own flags come last, so they override the fixed ones.
+    rc = cli.main(argv[:1] + ["--world", pipeline["world"]] + extra + argv[1:])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 2 and len(err) == 1
     assert err[0].startswith(f"error: {flag} ") and message in err[0]

@@ -785,6 +785,12 @@ class TestTrainConfig:
         dict(time_dim=7),
         dict(adam_eps=0.0),
         dict(residual_hidden=(4, 0)),
+        dict(epochs=2.5),
+        dict(epochs=True),
+        dict(lr="x"),
+        dict(lr=float("inf")),
+        dict(adam_eps=float("inf")),
+        dict(hidden=[3]),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):

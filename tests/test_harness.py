@@ -41,7 +41,7 @@ def _small_spec(**kwargs):
 _WORLD_SPECS = st.builds(
     WorldSpec, dim=st.integers(1, 4), n_labels=st.integers(1, 4),
     n_components=st.integers(1, 3), codebook_size=st.integers(1, 5),
-    h_noise=st.floats(0, 1), l2_shift=st.floats(0, 3), mean_scale=st.floats(-3, 3),
+    h_noise=st.floats(0, 1), l2_shift=st.floats(0, 3), mean_scale=st.floats(0, 3),
     var_lo=st.floats(0.1, 1), var_hi=st.floats(1, 2), seed=st.integers(0, 2 ** 64 - 1),
 )
 # A JSON number: what follows "[" or the ", " and ": " separators.
@@ -75,6 +75,10 @@ class TestWorldSpec:
         dict(var_lo=2.0, var_hi=1.0),
         dict(l2_shift=-0.1),
         dict(h_noise=-0.1),
+        dict(l2_shift=True),
+        dict(h_noise="0.1"),
+        dict(dim=4.0),
+        dict(mean_scale=-1.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

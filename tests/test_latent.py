@@ -195,12 +195,16 @@ class TestDatasetIO:
         """A sequence rejected after earlier ones were written fails the whole
         write: nothing lands at the target and no temp file is left beside it."""
         rng = np.random.default_rng(24)
-        seqs = [_seq(rng, d=3, seq_id="ok"), _seq(rng, d=2, seq_id="bad")]
         path = tmp_path / "data.tsv"
-        with pytest.raises(ValueError, match="'bad' dim 2"):
-            save_dataset(seqs, str(path), n_labels=4)
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
+        bad = [("bad", 2, "'bad' dim 2")] + [
+            (i, 3, re.escape(f"{i!r} id holds a tab or line break")) for i in ("a\tb", "a\nb", "a\rb")
+        ]
+        for seq_id, d, match in bad:
+            seqs = [_seq(rng, d=3, seq_id="ok"), _seq(rng, d=d, seq_id=seq_id)]
+            with pytest.raises(ValueError, match=match):
+                save_dataset(seqs, str(path), n_labels=4)
+            assert not path.exists()
+            assert list(tmp_path.iterdir()) == []
 
     def test_header_line(self, tmp_path):
         rng = np.random.default_rng(23)
