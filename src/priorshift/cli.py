@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -70,6 +71,13 @@ def _require_sizes(args: argparse.Namespace, *flags: str) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
+def _flag_error(exc: ValueError, flags: dict[str, str]) -> UsageError:
+    """A settings error ``<field>: <why>`` as a usage error naming flags in
+    place of fields, by ``flags`` (field -> flag)."""
+    field, _, why = str(exc).partition(": ")
+    return UsageError(flags[field] + " " + re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), why))
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-min", type=float, default=None,
                    help=f"first noise rate (default {DEFAULT_BETA_MIN})")
@@ -80,11 +88,15 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _schedule_from_args(args: argparse.Namespace):
-    return linear_schedule(
-        DEFAULT_BETA_MIN if args.beta_min is None else args.beta_min,
-        DEFAULT_BETA_MAX if args.beta_max is None else args.beta_max,
-        DEFAULT_T if args.T is None else args.T,
-    )
+    try:
+        return linear_schedule(
+            DEFAULT_BETA_MIN if args.beta_min is None else args.beta_min,
+            DEFAULT_BETA_MAX if args.beta_max is None else args.beta_max,
+            DEFAULT_T if args.T is None else args.T,
+        )
+    except ValueError as exc:
+        raise _flag_error(exc, {"beta_min": "--beta-min", "beta_max": "--beta-max",
+                                "T": "--T"}) from None
 
 
 def _reject_schedule_flags(args: argparse.Namespace) -> None:
@@ -96,15 +108,19 @@ def _reject_schedule_flags(args: argparse.Namespace) -> None:
             )
 
 
-# gen-world has one flag per WorldSpec field, named as the field but for these.
-_GEN_WORLD_FLAGS = {"n_labels": "labels", "n_components": "components"}
+# gen-world has one flag per WorldSpec field, named as the field but for two.
+_GEN_WORLD_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in dataclasses.fields(WorldSpec)}
+_GEN_WORLD_FLAGS.update(n_labels="--labels", n_components="--components")
 
 
 def _cmd_gen_world(args: argparse.Namespace) -> int:
-    _require_sizes(args, "--dim", "--labels", "--components", "--codebook-size")
+    try:
+        spec = WorldSpec(**{name: getattr(args, flag[2:].replace("-", "_"))
+                            for name, flag in _GEN_WORLD_FLAGS.items()})
+    except ValueError as exc:
+        raise _flag_error(exc, _GEN_WORLD_FLAGS) from None
     out = _out_path(args.out, args.force)
-    world = gen_world(WorldSpec(**{f.name: getattr(args, _GEN_WORLD_FLAGS.get(f.name, f.name))
-                                   for f in dataclasses.fields(WorldSpec)}))
+    world = gen_world(spec)
     save_world(world, out)
     log.info("gen-world out=%s attempts=%d", args.out, world.attempts)
     return 0
@@ -255,6 +271,9 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         if args.grid_lo is None:
             raise UsageError(f"--grid-hi must lie above --grid-lo, got {hi} and {lo}")
         raise UsageError(f"--grid-lo must lie below --grid-hi, got {lo} and {hi}")
+    if not np.isfinite(hi - lo):
+        raise UsageError(f"--grid-lo and --grid-hi must lie a finite distance apart, "
+                         f"got {lo} and {hi}")
     grid = np.linspace(lo, hi, args.grid_points)
     posterior_curves(world, args.label, args.x0, t_starts, grid, sched,
               dim=args.dim, out_dir=str(out_dir))
@@ -288,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     for f in dataclasses.fields(WorldSpec):
         if f.name != "seed":
-            p.add_argument("--" + _GEN_WORLD_FLAGS.get(f.name, f.name).replace("_", "-"),
-                           type=int if f.type == "int" else float, default=f.default)
+            p.add_argument(_GEN_WORLD_FLAGS[f.name], type=int if f.type == "int" else float,
+                           default=f.default)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_gen_world)
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latent import LatentSequence, Standardizer, atomic_write, check_field_types, \
-    destandardize_frames, fit_standardizer, parse_field, standardize_frames
+from .latent import LatentSequence, Standardizer, atomic_write, check_field_ranges, \
+    check_field_types, check_labels, destandardize_frames, fit_standardizer, frame_block, \
+    parse_field, standardize_frames
 from .schedule import Schedule, forward_corrupt, linear_schedule, reconstruct_x0
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
@@ -49,7 +50,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        for name, ok, want in (
+        check_field_ranges(self, (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("lr", self.lr > 0, "positive"),
@@ -62,11 +63,7 @@ class TrainConfig:
             ("residual_hidden", all(w >= 1 for w in self.residual_hidden), "all positive"),
             ("cond_dim", self.cond_dim >= 1, ">= 1"),
             ("time_dim", self.time_dim >= 1 and self.time_dim % 2 == 0, "positive and even"),
-        ):
-            if not ok:
-                got = getattr(self, name)
-                got = list(got) if isinstance(got, tuple) else got
-                raise ValueError(f"{name}: must be {want}, got {got}")
+        ))
 
 
 class FlatTensors(dict):
@@ -230,14 +227,10 @@ def dropout_masks(
 
 def _check_inputs(params: DenoiserParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
     """An (n, d) float64 frame block and its n in-range labels, as arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ValueError(f"input shape {x.shape} does not match model dim {params.dim}")
+    x = frame_block(x, params.dim, "model")
+    labels = check_labels(labels, params.n_labels)
     if labels.shape != (x.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= params.n_labels):
-        raise ValueError(f"labels outside [0, {params.n_labels})")
     return x, labels
 
 
@@ -369,12 +362,10 @@ def forward(params: DenoiserParams, x_t: np.ndarray, t, labels, *,
 def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     """Second-stage residual from (n, d) blocks of encoder features and
     first-stage frames."""
-    h = np.asarray(h, dtype=np.float64)
-    zc1 = np.asarray(zc1, dtype=np.float64)
-    if h.ndim != 2 or h.shape != zc1.shape or h.shape[1] != phi.dim:
-        raise ValueError(
-            f"feature shape {h.shape} and frame shape {zc1.shape} must both be (n, {phi.dim})"
-        )
+    h = frame_block(h, phi.dim, "residual head")
+    zc1 = frame_block(zc1, phi.dim, "residual head")
+    if h.shape != zc1.shape:
+        raise ValueError(f"feature shape {h.shape} does not match frame shape {zc1.shape}")
     return _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
 
 
@@ -495,9 +486,7 @@ def train(
     x0_raw = np.concatenate([seq.frames for seq in dataset], axis=0)
     zc2 = np.concatenate([seq.zc2 for seq in dataset], axis=0)
     h = np.concatenate([seq.h for seq in dataset], axis=0)
-    labels = np.concatenate([np.asarray(seq.labels) for seq in dataset])
-    if labels.min() < 0 or labels.max() >= n_labels:
-        raise ValueError(f"dataset labels outside [0, {n_labels})")
+    labels = check_labels(np.concatenate([np.asarray(seq.labels) for seq in dataset]), n_labels)
     std = fit_standardizer(dataset)
     x0 = standardize_frames(x0_raw, std)
     dim = x0.shape[1]

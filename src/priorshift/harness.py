@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .denoiser import ModelBundle
-from .latent import Codebook, LatentSequence, Standardizer, atomic_write, check_field_types, \
-    fit_standardizer, settings_from_json, snap_frames
+from .latent import Codebook, LatentSequence, Standardizer, atomic_write, check_field_ranges, \
+    check_field_types, fit_standardizer, settings_from_json, snap_frames
 from .prior import (
     ConditionalGMM,
     PosteriorGrid,
@@ -62,12 +62,17 @@ class WorldSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if min(self.dim, self.n_labels, self.n_components, self.codebook_size) < 1:
-            raise ValueError("dim, n_labels, n_components, codebook_size must be >= 1")
-        if not 0 < self.var_lo <= self.var_hi:
-            raise ValueError("need 0 < var_lo <= var_hi")
-        if min(self.l2_shift, self.h_noise, self.mean_scale) < 0:
-            raise ValueError("l2_shift, h_noise and mean_scale must be >= 0")
+        check_field_ranges(self, (
+            ("dim", self.dim >= 1, ">= 1"),
+            ("n_labels", self.n_labels >= 1, ">= 1"),
+            ("n_components", self.n_components >= 1, ">= 1"),
+            ("codebook_size", self.codebook_size >= 1, ">= 1"),
+            ("h_noise", self.h_noise >= 0, ">= 0"),
+            ("l2_shift", self.l2_shift >= 0, ">= 0"),
+            ("mean_scale", self.mean_scale >= 0, ">= 0"),
+            ("var_lo", self.var_lo > 0, "positive"),
+            ("var_hi", self.var_hi >= self.var_lo, ">= var_lo"),
+        ))
 
 
 @dataclass(frozen=True)

@@ -108,29 +108,35 @@ def fit_standardizer(dataset: Iterable[LatentSequence]) -> Standardizer:
     return Standardizer(mean=mean, std=np.sqrt(var))
 
 
-def standardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
+def check_labels(labels, n_labels: int) -> np.ndarray:
+    """``labels`` as an array; one outside [0, ``n_labels``) fails as
+    ``labels outside [0, K)``."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
+        raise ValueError(f"labels outside [0, {n_labels})")
+    return labels
+
+
+def frame_block(frames, dim: int, owner: str) -> np.ndarray:
+    """``frames`` as an (n, ``dim``) float64 array; another shape fails as
+    ``frames shape ... does not match <owner> dim <dim>``."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1] != s.mean.shape[0]:
-        raise ValueError(
-            f"frame dim {frames.shape[-1]} does not match standardizer dim {s.mean.shape[0]}"
-        )
-    return (frames - s.mean) / s.std
+    if frames.ndim != 2 or frames.shape[1] != dim:
+        raise ValueError(f"frames shape {frames.shape} does not match {owner} dim {dim}")
+    return frames
+
+
+def standardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
+    return (frame_block(frames, s.mean.shape[0], "standardizer") - s.mean) / s.std
 
 
 def destandardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1] != s.mean.shape[0]:
-        raise ValueError(
-            f"frame dim {frames.shape[-1]} does not match standardizer dim {s.mean.shape[0]}"
-        )
-    return frames * s.std + s.mean
+    return frame_block(frames, s.mean.shape[0], "standardizer") * s.std + s.mean
 
 
 def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized snap of an (n, d) block; returns (indices, snapped frames)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != cb.dim:
-        raise ValueError(f"frames shape {frames.shape} does not match codebook dim {cb.dim}")
+    frames = frame_block(frames, cb.dim, "codebook")
     diff = frames[:, None, :] - cb.entries[None, :, :]
     idx = (diff * diff).sum(axis=2).argmin(axis=1)
     return idx, np.array(cb.entries[idx], dtype=np.float64)
@@ -161,8 +167,8 @@ def _decode_track(text: str, dim: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _decode_labels(text: str) -> np.ndarray:
-    return np.array([int(v) for v in text.split(",")], dtype=np.int64)
+def _decode_labels(text: str, n_labels: int) -> np.ndarray:
+    return check_labels(np.array([int(v) for v in text.split(",")], dtype=np.int64), n_labels)
 
 
 def parse_field(where: str, field: str, parse, *args):
@@ -190,6 +196,17 @@ def check_field_types(settings) -> None:
         kind, ok = _FIELD_TYPES[f.type]
         if not ok(value := getattr(settings, f.name)):
             raise ValueError(f"{f.name}: must be {kind}, got {value!r}")
+
+
+def check_field_ranges(settings, rules) -> None:
+    """Check a settings dataclass against ``rules``, rows of (field, whether
+    its value is in range, what it must be); the first failing row fails as
+    ``<field>: must be <what>, got <value>``."""
+    for name, ok, want in rules:
+        if not ok:
+            got = getattr(settings, name)
+            got = list(got) if isinstance(got, tuple) else got
+            raise ValueError(f"{name}: must be {want}, got {got}")
 
 
 def settings_from_json(cls, doc):
@@ -231,8 +248,7 @@ def save_dataset(seqs: Sequence[LatentSequence], path: str, n_labels: int) -> No
                 raise ValueError(f"sequence {seq.id!r} id holds a tab or line break")
             if seq.dim != dim:
                 raise ValueError(f"sequence {seq.id!r} dim {seq.dim} != dataset dim {dim}")
-            if seq.labels.min() < 0 or seq.labels.max() >= n_labels:
-                raise ValueError(f"sequence {seq.id!r} has labels outside [0, {n_labels})")
+            parse_field(f"sequence {seq.id!r}", "labels", check_labels, seq.labels, n_labels)
             tracks = [t for t in (getattr(seq, name) for name, _ in _TRACKS) if t is not None]
             if len(tracks) == 2:
                 raise ValueError(f"sequence {seq.id!r} must carry both zc2 and h or neither")
@@ -259,9 +275,7 @@ def load_dataset(path: str) -> tuple[list[LatentSequence], int, int]:
             fields = line.split("\t")
             if len(fields) not in (3, 5):
                 raise ValueError(f"{where}: expected 3 or 5 fields, got {len(fields)}")
-            labels = parse_field(where, "labels", _decode_labels, fields[1])
-            if labels.min() < 0 or labels.max() >= n_labels:
-                raise ValueError(f"{where}: label outside [0, {n_labels})")
+            labels = parse_field(where, "labels", _decode_labels, fields[1], n_labels)
             tracks = [parse_field(where, field, _decode_track, text, dim)
                       for (_, field), text in zip(_TRACKS, fields[2:])]
             seqs.append(parse_field(where, "sequence", LatentSequence, fields[0], labels,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .latent import Standardizer
+from .latent import Standardizer, check_labels, frame_block
 from .schedule import Schedule, alpha_bar_at
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -82,21 +82,12 @@ class PosteriorGrid:
     x_t: float
 
 
-def _check_labels(p: ConditionalGMM, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= p.n_labels):
-        raise ValueError(f"labels outside [0, {p.n_labels})")
-    return labels
-
-
 def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
     """Per-frame, per-component log weight plus log density, (n, C), under
     the mixture corrupted to cumulative level ``ab`` (1 is clean); also the
     frames' offsets from the gathered means, and the gathered variances."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.dim:
-        raise ValueError(f"frames shape {x.shape} does not match prior dim {p.dim}")
-    labels = _check_labels(p, labels)
+    x = frame_block(x, p.dim, "prior")
+    labels = check_labels(labels, p.n_labels)
     m = (np.sqrt(ab) * p.means)[labels]
     v = (ab * p.variances + (1.0 - ab))[labels]
     with np.errstate(divide="ignore"):
@@ -107,7 +98,7 @@ def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
 
 def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one frame per entry of ``labels``, in order, from a single stream."""
-    labels = _check_labels(p, labels)
+    labels = check_labels(labels, p.n_labels)
     n = labels.shape[0]
     cum = np.cumsum(p.weights, axis=1)[labels]
     comp = np.minimum((rng.random(n)[:, None] > cum).sum(axis=1), p.n_components - 1)
@@ -175,7 +166,7 @@ def posterior_grid(
     """
     if p.dim != 1:
         raise ValueError(f"gridded posterior requires a 1-D prior, got dim {p.dim}")
-    _check_labels(p, [label])
+    check_labels([label], p.n_labels)
     ab = alpha_bar_at(sched, int(t))
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 8:

@@ -29,11 +29,11 @@ class Schedule:
 def linear_schedule(beta_min: float, beta_max: float, T: int) -> Schedule:
     """Evenly spaced rates from ``beta_min`` to ``beta_max`` inclusive."""
     if not isinstance(T, (int, np.integer)) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
-    if not 0.0 < beta_min <= beta_max < 1.0:
-        raise ValueError(
-            f"need 0 < beta_min <= beta_max < 1, got beta_min={beta_min}, beta_max={beta_max}"
-        )
+        raise ValueError(f"T: must be an integer >= 2, got {T!r}")
+    if not 0.0 < beta_min < 1.0:
+        raise ValueError(f"beta_min: must lie in (0, 1), got {beta_min}")
+    if not beta_min <= beta_max < 1.0:
+        raise ValueError(f"beta_max: must lie in [beta_min, 1), got {beta_max}")
     beta = np.linspace(beta_min, beta_max, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha.astype(np.longdouble))

@@ -73,7 +73,25 @@ class TestGenWorld:
     def test_bad_spec_is_runtime_error(self, tmp_path, capsys):
         rc = cli.main(["gen-world", "--out", str(tmp_path / "w.json"),
                        "--seed", "0", "--var-lo", "2", "--var-hi", "1"])
-        assert rc == 1
+        assert rc == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mean-scale", "-1"], "--mean-scale must be >= 0, got -1.0"),
+        (["--var-lo", "2", "--var-hi", "1"], "--var-hi must be >= --var-lo, got 1.0"),
+        (["--var-lo", "0"], "--var-lo must be positive, got 0.0"),
+        (["--h-noise", "nan"], "--h-noise must be a finite number, got nan"),
+        (["--components", "0"], "--components must be >= 1, got 0"),
+    ])
+    def test_range_error_names_the_flag_before_output(self, pipeline, tmp_path, capsys,
+                                                      flags, message):
+        """A spec value out of range is a usage error naming its flag, raised
+        before the output path is checked, and nothing is written."""
+        out = tmp_path / "w.json"
+        rc = cli.main(["gen-world", "--out", pipeline["world"], "--seed", "0"] + flags)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and err == [f"error: {message}"]
+        rc = cli.main(["gen-world", "--out", str(out), "--seed", "0"] + flags)
+        assert rc == 2 and list(tmp_path.iterdir()) == []
 
 
 class TestGenData:
@@ -130,6 +148,12 @@ class TestGenData:
                                    lambda d: d["spec"].update(tempo=3))
         assert err.startswith("error: ") and "edited.json" in err
         assert "'spec'" in err and "tempo" in err
+
+    def test_spec_out_of_range_names_the_file_and_field(self, pipeline, tmp_path, capsys):
+        err = self._gen_data_error(pipeline, tmp_path, capsys,
+                                   lambda d: d["spec"].update(var_hi=0.1))
+        assert err.startswith("error: ") and "edited.json" in err
+        assert "'spec'" in err and "var_hi: must be >= var_lo, got 0.1" in err
 
     def test_dataset_loads_back(self, pipeline):
         seqs, dim, n_labels = load_dataset(pipeline["data"])
@@ -426,11 +450,22 @@ class TestPosterior:
     (["posterior", "--grid-lo", "nan"], "--grid-lo", "must be finite, got nan"),
     (["posterior", "--grid-hi", "inf"], "--grid-hi", "must be finite, got inf"),
     (["posterior", "--x0", "nan"], "--x0", "must be finite, got nan"),
+    (["posterior", "--x0", "1.5", "--grid-lo=-1e308", "--grid-hi=1e308"], "--grid-lo",
+     "and --grid-hi must lie a finite distance apart, got -1e+308 and 1e+308"),
+    (["posterior", "--T", "1"], "--T", "must be an integer >= 2, got 1"),
+    (["posterior", "--beta-min", "0.5", "--beta-max", "0.1"], "--beta-max",
+     "must lie in [--beta-min, 1), got 0.1"),
+    (["convert", "--t-start", "5", "--T", "1"], "--T", "must be an integer >= 2, got 1"),
+    (["convert", "--t-start", "5", "--beta-min", "0"], "--beta-min",
+     "must lie in (0, 1), got 0.0"),
+    (["convert", "--t-start", "5", "--beta-max", "1"], "--beta-max",
+     "must lie in [--beta-min, 1), got 1.0"),
 ], ids=["convert-high", "convert-negative", "sweep-high", "sweep-descending",
         "posterior-zero", "posterior-grid-points", "posterior-grid-order", "posterior-dim",
         "posterior-label", "posterior-label-negative", "posterior-grid-lo-alone",
         "posterior-grid-hi-alone", "posterior-grid-lo-nan", "posterior-grid-hi-inf",
-        "posterior-x0-nan"])
+        "posterior-x0-nan", "posterior-grid-span", "posterior-T", "posterior-beta-order",
+        "convert-T", "convert-beta-min", "convert-beta-max"])
 def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv, flag,
                                                 message):
     """A start step off the schedule is a usage error naming the flag, and

@@ -139,7 +139,7 @@ class TestForward:
             forward(params, rng.standard_normal((3, 4)), 0, np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="labels"):
             forward(params, x, 0, np.array([0, 1, 5]))
-        with pytest.raises(ValueError, match="input shape"):
+        with pytest.raises(ValueError, match="frames shape"):
             forward(params, x[0], 0, np.zeros(1, dtype=int))
 
     def test_dropout_zero_mask_list_is_none(self):

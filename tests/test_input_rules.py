@@ -1,0 +1,109 @@
+"""The label rule and the frame-block rule hold at every entry point that
+takes labels or an (n, d) block of frames."""
+import re
+
+import numpy as np
+import pytest
+
+from priorshift.denoiser import TrainConfig, forward, init_denoiser, init_residual, \
+    loss_total, predict_zc2, train
+from priorshift.latent import Codebook, LatentSequence, Standardizer, destandardize_frames, \
+    load_dataset, save_dataset, snap_frames, standardize_frames
+from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, posterior_grid, \
+    sample_frames
+from priorshift.schedule import default_schedule
+
+SCHED = default_schedule()
+K, D = 3, 2
+
+
+def _gmm(dim=D):
+    return ConditionalGMM(weights=np.full((K, 2), 0.5), means=np.zeros((K, 2, dim)),
+                          variances=np.ones((K, 2, dim)))
+
+
+def _theta():
+    return init_denoiser(D, K, (4,), 4, 4, np.random.default_rng(0))
+
+
+def _phi():
+    return init_residual(D, (), np.random.default_rng(1))
+
+
+def _seq(labels):
+    n = len(labels)
+    return LatentSequence(id="s", labels=np.asarray(labels), frames=np.ones((n, D)),
+                          zc2=np.zeros((n, D)), h=np.ones((n, D)))
+
+
+def _load_dataset(tmp_path, labels):
+    path = tmp_path / "d.tsv"
+    path.write_text(f"#dim={D} labels={K}\n"
+                    f"s\t{','.join(map(str, labels))}\t{'|'.join(['1,1'] * len(labels))}\n")
+    return load_dataset(str(path))
+
+
+def _loss_total(labels):
+    n = len(labels)
+    return loss_total(_theta(), _phi(), np.ones((n, D)), np.zeros((n, D)), np.ones((n, D)),
+                      np.asarray(labels), np.full(n, 5), np.zeros((n, D)), None, 0.5, SCHED)
+
+
+_LABEL_ENTRY_POINTS = {
+    "sample_frames": lambda labels, tmp: sample_frames(_gmm(), labels,
+                                                       np.random.default_rng(0)),
+    "logpdf_batch": lambda labels, tmp: logpdf_batch(_gmm(), labels, np.ones((len(labels), D))),
+    "exact_eps_batch": lambda labels, tmp: exact_eps_batch(
+        _gmm(), labels, 5, np.ones((len(labels), D)), SCHED),
+    "posterior_grid": lambda labels, tmp: posterior_grid(
+        _gmm(dim=1), labels[-1], 5, 0.0, np.linspace(-9, 9, 101), SCHED),
+    "forward": lambda labels, tmp: forward(_theta(), np.ones((len(labels), D)), 5, labels),
+    "loss_total": lambda labels, tmp: _loss_total(labels),
+    "train": lambda labels, tmp: train(TrainConfig(epochs=1, hidden=(4,), cond_dim=4,
+                                                   time_dim=4),
+                                       [_seq(labels)], SCHED, np.random.default_rng(0), K),
+    "save_dataset": lambda labels, tmp: save_dataset([_seq(labels)], str(tmp / "d.tsv"), K),
+    "load_dataset": lambda labels, tmp: _load_dataset(tmp, labels),
+}
+
+
+@pytest.mark.parametrize("labels", [[0, 1, K], [0, 1, -1]], ids=["high", "negative"])
+@pytest.mark.parametrize("entry", sorted(_LABEL_ENTRY_POINTS))
+def test_out_of_range_label_rejected(tmp_path, entry, labels):
+    with pytest.raises(ValueError, match=re.escape(f"labels outside [0, {K})")):
+        _LABEL_ENTRY_POINTS[entry](labels, tmp_path)
+    assert list(tmp_path.iterdir()) == ([tmp_path / "d.tsv"] if entry == "load_dataset" else [])
+
+
+_WIDE = np.ones((4, D + 1))
+_FRAME_ENTRY_POINTS = {
+    "exact_eps_batch": ("prior", lambda: exact_eps_batch(_gmm(), np.zeros(4, dtype=int), 5,
+                                                         _WIDE, SCHED)),
+    "forward": ("model", lambda: forward(_theta(), _WIDE, 5, np.zeros(4, dtype=int))),
+    "predict_zc2-h": ("residual head", lambda: predict_zc2(_phi(), _WIDE, np.ones((4, D)))),
+    "predict_zc2-zc1": ("residual head", lambda: predict_zc2(_phi(), np.ones((4, D)), _WIDE)),
+    "snap_frames": ("codebook", lambda: snap_frames(_WIDE, Codebook(np.zeros((5, D))))),
+    "standardize_frames": ("standardizer", lambda: standardize_frames(
+        _WIDE, Standardizer(np.zeros(D), np.ones(D)))),
+    "destandardize_frames": ("standardizer", lambda: destandardize_frames(
+        _WIDE, Standardizer(np.zeros(D), np.ones(D)))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FRAME_ENTRY_POINTS))
+def test_wrong_frame_width_names_the_owner(entry):
+    owner, call = _FRAME_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"frames shape (4, {D + 1}) does not match {owner} dim {D}")):
+        call()
+
+
+def test_predict_zc2_rejects_unequal_row_counts():
+    with pytest.raises(ValueError, match="feature shape"):
+        predict_zc2(_phi(), np.ones((4, D)), np.ones((3, D)))
+
+
+@pytest.mark.parametrize("call", [standardize_frames, destandardize_frames])
+def test_standardizer_takes_only_frame_blocks(call):
+    with pytest.raises(ValueError, match=re.escape(f"frames shape ({D},)")):
+        call(np.ones(D), Standardizer(np.zeros(D), np.ones(D)))
