@@ -43,8 +43,8 @@ from .prior import (
     gaussian_posterior_moments,
     posterior_grid,
 )
-from .sampler import convert_sequences, ddim_step, denoise_from
-from .schedule import Schedule, alpha_bar_at, default_schedule, forward_corrupt, \
+from .sampler import convert_sequences, denoise_from
+from .schedule import Schedule, alpha_bar_at, ddim_step, default_schedule, forward_corrupt, \
     linear_schedule, reconstruct_x0
 
 __version__ = "0.1.0"

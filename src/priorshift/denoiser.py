@@ -522,8 +522,10 @@ def train(
     return ModelBundle(theta=theta, phi=phi, standardizer=std), curve
 
 
-def eval_loss_diff(eps_fn, x0, labels, t, eps, sched: Schedule) -> float:
-    """Denoising loss of an arbitrary predictor on fixed (x0, t, eps) triples."""
+def eval_loss_diff(predictor, x0, labels, t, eps, sched: Schedule) -> float:
+    """Denoising loss of an arbitrary predictor on fixed (x0, t, eps) triples.
+    ``predictor(labels)`` gives ``step(x, t)``, as the sampler's sources do;
+    it is bound once per distinct step, to that step's rows."""
     t = np.asarray(t)
     eps = np.asarray(eps, dtype=np.float64)
     labels = np.asarray(labels)
@@ -531,7 +533,7 @@ def eval_loss_diff(eps_fn, x0, labels, t, eps, sched: Schedule) -> float:
     out = np.empty_like(eps)
     for tv in np.unique(t):
         sel = t == tv
-        out[sel] = eps_fn(x_t[sel], int(tv), labels[sel])
+        out[sel] = predictor(labels[sel])(x_t[sel], int(tv))
     r = out - eps
     return float((r * r).mean())
 

@@ -175,14 +175,14 @@ def build_context(
     """
     if bundle is None:
         std = world.standardizer
-        eps_fn = prior_eps_source(standardized(world.native, std), sched)
+        predictor = prior_eps_source(standardized(world.native, std), sched)
         residual = None
     else:
         std = bundle.standardizer
-        eps_fn = model_eps_source(bundle.theta)
+        predictor = model_eps_source(bundle.theta)
         residual = bundle.phi
     return ConvertContext(
-        sched=sched, standardizer=std, eps_fn=eps_fn,
+        sched=sched, standardizer=std, predictor=predictor,
         codebook=world.codebook if snap else None, residual=residual,
     )
 
@@ -279,21 +279,22 @@ def posterior_curves(
     if any(t < 1 or t > sched.T for t in t_starts):
         raise ValueError(f"t_starts must lie in [1, {sched.T}]")
     gmm1 = marginal_1d(world.native, dim)
+    # Every posterior first, so a grid one of them rejects fails before the
+    # prior and likelihood curves are computed on it.
     curves: dict[int, PosteriorGrid] = {}
-    files: list[tuple[str, np.ndarray]] = []
-    prior_dens = np.exp(logpdf_batch(gmm1, np.full(grid.shape[0], int(label)), grid[:, None]))
-    files.append(("prior.csv", prior_dens))
     for ts in t_starts:
         t = int(ts) - 1
-        ab = alpha_bar_at(sched, t)
-        x_t = float(np.sqrt(ab) * x0_l2)
-        pg = posterior_grid(gmm1, label, t, x_t, grid, sched)
-        curves[int(ts)] = pg
+        x_t = float(np.sqrt(alpha_bar_at(sched, t)) * x0_l2)
+        curves[int(ts)] = posterior_grid(gmm1, label, t, x_t, grid, sched)
+    prior_dens = np.exp(logpdf_batch(gmm1, np.full(grid.shape[0], int(label)), grid[:, None]))
+    files: list[tuple[str, np.ndarray]] = [("prior.csv", prior_dens)]
+    for ts, pg in curves.items():
+        ab = alpha_bar_at(sched, pg.t)
         lik_var = (1.0 - ab) / ab
-        lik = np.exp(-0.5 * (grid - x_t / np.sqrt(ab)) ** 2 / lik_var)
+        lik = np.exp(-0.5 * (grid - pg.x_t / np.sqrt(ab)) ** 2 / lik_var)
         lik /= np.sqrt(2.0 * np.pi * lik_var)
-        files.append((f"likelihood_t{int(ts):03d}.csv", lik))
-        files.append((f"posterior_t{int(ts):03d}.csv", pg.density))
+        files.append((f"likelihood_t{ts:03d}.csv", lik))
+        files.append((f"posterior_t{ts:03d}.csv", pg.density))
     if out_dir is not None:
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)

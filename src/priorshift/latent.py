@@ -134,11 +134,23 @@ def destandardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
     return frame_block(frames, s.mean.shape[0], "standardizer") * s.std + s.mean
 
 
+# A snap block holds at most this many codebook values, (rows, M, d), so its
+# memory stays ~4 MB for any frame count (1,024 rows at M=64, d=8).
+SNAP_BLOCK_VALUES = 1 << 19
+
+
 def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized snap of an (n, d) block; returns (indices, snapped frames)."""
+    """Nearest-entry snap of an (n, d) block; returns (indices, snapped
+    frames).  Rows go through in blocks of ``SNAP_BLOCK_VALUES`` codebook
+    values; each row's squared distances and argmin (ties to the first
+    entry) are the same whatever the block."""
     frames = frame_block(frames, cb.dim, "codebook")
-    diff = frames[:, None, :] - cb.entries[None, :, :]
-    idx = (diff * diff).sum(axis=2).argmin(axis=1)
+    rows = max(1, SNAP_BLOCK_VALUES // cb.entries.size)
+    idx = np.empty(frames.shape[0], dtype=np.intp)
+    for lo in range(0, frames.shape[0], rows):
+        diff = frames[lo:lo + rows, None, :] - cb.entries[None, :, :]
+        idx[lo:lo + rows] = np.multiply(diff, diff, out=diff).sum(axis=2).argmin(axis=1)
+        del diff  # freed before the next block is built
     return idx, np.array(cb.entries[idx], dtype=np.float64)
 
 
@@ -154,7 +166,7 @@ _TRACKS = (("frames", "latent track"), ("zc2", "zc2 track"), ("h", "h track"))
 
 
 def _encode_track(track: np.ndarray) -> str:
-    return "|".join(",".join(f"{v:.17g}" for v in row) for row in track)
+    return "|".join(",".join(f"{v:.17g}" for v in row) for row in np.asarray(track).tolist())
 
 
 def _decode_track(text: str, dim: int) -> np.ndarray:

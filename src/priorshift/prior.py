@@ -59,6 +59,13 @@ class ConditionalGMM:
     def dim(self) -> int:
         return int(self.means.shape[2])
 
+    def per_row(self, labels) -> "ConditionalGMM":
+        """The mixture of each entry of ``labels``, one per row; the batch
+        functions take it with ``labels=None``."""
+        labels = check_labels(labels, self.n_labels)
+        return ConditionalGMM(weights=self.weights[labels], means=self.means[labels],
+                              variances=self.variances[labels])
+
     @classmethod
     def from_components(cls, weights, means, variances) -> "ConditionalGMM":
         """Single-label mixture from per-component parameter lists."""
@@ -85,9 +92,16 @@ class PosteriorGrid:
 def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
     """Per-frame, per-component log weight plus log density, (n, C), under
     the mixture corrupted to cumulative level ``ab`` (1 is clean); also the
-    frames' offsets from the gathered means, and the gathered variances."""
+    frames' offsets from the gathered means, and the gathered variances.
+    ``labels`` None means ``p`` holds one mixture per frame
+    (:meth:`ConditionalGMM.per_row`), so nothing is gathered."""
     x = frame_block(x, p.dim, "prior")
-    labels = check_labels(labels, p.n_labels)
+    if labels is None:
+        if x.shape[0] != p.n_labels:
+            raise ValueError(f"{x.shape[0]} frames for {p.n_labels} per-row mixtures")
+        labels = slice(None)
+    else:
+        labels = check_labels(labels, p.n_labels)
     m = (np.sqrt(ab) * p.means)[labels]
     v = (ab * p.variances + (1.0 - ab))[labels]
     with np.errstate(divide="ignore"):
@@ -125,7 +139,8 @@ def exact_eps_batch(
     """Noise prediction that exactly matches the corrupted-marginal score.
 
     Returns -sqrt(1 - alpha_bar_t) times the gradient of the log marginal,
-    computed from component responsibilities (a max-shifted softmax).
+    computed from component responsibilities (a max-shifted softmax).  With
+    ``labels=None``, ``p`` holds one mixture per row of ``x``.
     """
     ab = alpha_bar_at(sched, int(t))
     lj, diff, v = _log_joint(p, labels, x, ab)
@@ -163,6 +178,8 @@ def posterior_grid(
 
     The grid must be wide enough that the truncated tails carry no mass;
     edge density above 1e-6 of the total is rejected as a too-narrow grid.
+    It must also resolve the posterior: fewer than 3 points above 1e-6 of
+    the peak density are rejected as a too-coarse grid.
     """
     if p.dim != 1:
         raise ValueError(f"gridded posterior requires a 1-D prior, got dim {p.dim}")
@@ -173,14 +190,21 @@ def posterior_grid(
         raise ValueError("grid must be a 1-D array with at least 8 points")
     if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly ascending")
-    log_prior = logpdf_batch(p, np.full(grid.shape[0], label), grid[:, None])
-    log_lik = -0.5 * ((x_t - np.sqrt(ab) * grid) ** 2 / (1.0 - ab))
-    log_post = log_prior + log_lik
-    log_post -= log_post.max()
+    # Far from the mass the squares overflow to a zero density; the checks
+    # below reject a grid where too few points are left.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_prior = logpdf_batch(p, np.full(grid.shape[0], label), grid[:, None])
+        log_lik = -0.5 * ((x_t - np.sqrt(ab) * grid) ** 2 / (1.0 - ab))
+        log_post = log_prior + log_lik
+        log_post -= log_post.max()
     dens = np.exp(log_post)
     z = np.trapezoid(dens, grid)
     if not np.isfinite(z) or z <= 0:
         raise ValueError("posterior mass on the grid underflowed; widen or refine the grid")
+    covered = int(np.count_nonzero(dens > 1e-6))
+    if covered < 3:
+        raise ValueError(f"grid too coarse: {covered} of {grid.shape[0]} points lie above "
+                         f"1e-06 of the posterior's peak (need 3); narrow or refine the grid")
     dens /= z
     edge_mass = 0.5 * (dens[0] * (grid[1] - grid[0]) + dens[-1] * (grid[-1] - grid[-2]))
     if edge_mass > 1e-6:

@@ -9,7 +9,9 @@ second-stage residual.  Everything here takes (n, d) frame blocks.  All
 sequences of one conversion run share the start step, so conversion packs
 their frames into one block and runs the reverse chain once over it; each
 sequence keeps its own noise substream, so packing changes only how the
-work is batched.  Conversion returns frames only: callers score them with
+work is batched.  A predictor is bound to the block's labels once per
+chain, which gives the ``step(x, t)`` every reverse step calls.
+Conversion returns frames only: callers score them with
 :func:`frame_metrics`.
 """
 from __future__ import annotations
@@ -24,37 +26,33 @@ from .latent import Codebook, LatentSequence, Standardizer, destandardize_frames
     snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch
 from .rng import PURPOSE_CONVERT, substream
-from .schedule import Schedule, forward_corrupt, reconstruct_x0
+from .schedule import Schedule, ddim_step, forward_corrupt
 
-EpsFn = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
+# A noise prediction for an (n, d) block at one step, bound to n labels.
+EpsStep = Callable[[np.ndarray, int], np.ndarray]
+# Binds a predictor to a chain's labels.
+Predictor = Callable[[np.ndarray], EpsStep]
 
 
 @dataclass(frozen=True)
 class ConvertContext:
     """Fixed machinery shared by every sequence in one conversion run.
 
-    ``eps_fn`` takes (n, d) frame blocks.  With a ``codebook``, conversion
-    snaps its first-stage frames to it; with a ``residual`` head, it adds
-    the predicted second stage.  Conversion returns frames only.
+    ``predictor`` is bound to each run's labels once.  With a ``codebook``,
+    conversion snaps its first-stage frames to it; with a ``residual`` head,
+    it adds the predicted second stage.  Conversion returns frames only.
     """
 
     sched: Schedule
     standardizer: Standardizer
-    eps_fn: EpsFn
+    predictor: Predictor
     codebook: Codebook | None = None
     residual: ResidualParams | None = None
 
 
-def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
-    """One deterministic reverse step from ``t`` to ``t - 1``, or to clean from 0."""
-    x0_hat = reconstruct_x0(x_t, t, eps_hat, sched)
-    return forward_corrupt(x0_hat, t - 1, eps_hat, sched) if t else x0_hat
-
-
-def denoise_from(
-    x: np.ndarray, t_start: int, labels: np.ndarray, eps_fn: EpsFn, sched: Schedule
-) -> np.ndarray:
-    """Run the reverse chain from user-scale step ``t_start`` down to clean.
+def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) -> np.ndarray:
+    """Run the reverse chain from user-scale step ``t_start`` down to clean,
+    with ``step`` bound to the rows of ``x``.
 
     ``t_start`` = k means the input sits at schedule index k - 1 and k
     reverse steps run; 0 returns the input unchanged.
@@ -62,33 +60,36 @@ def denoise_from(
     x = np.array(x, dtype=np.float64)
     if not 0 <= t_start <= sched.T:
         raise ValueError(f"t_start {t_start} outside [0, {sched.T}]")
-    labels = np.asarray(labels)
     for t in range(t_start - 1, -1, -1):
-        x = ddim_step(x, t, eps_fn(x, t, labels), sched)
+        x = ddim_step(x, t, step(x, t), sched)
     return x
 
 
-def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> EpsFn:
-    """Exact predictor from an analytic mixture over the same frame space."""
+def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
+    """Exact predictor from an analytic mixture over the same frame space.
+    Binding checks the labels and gathers each row's mixture once; every
+    step then calls :func:`exact_eps_batch` on those per-row mixtures."""
 
-    def eps_fn(x: np.ndarray, t: int, labels: np.ndarray) -> np.ndarray:
-        return exact_eps_batch(p, labels, t, x, sched)
+    def bind(labels: np.ndarray) -> EpsStep:
+        rows = p.per_row(labels)
+        return lambda x, t: exact_eps_batch(rows, None, t, x, sched)
 
-    return eps_fn
+    return bind
 
 
-def model_eps_source(theta: DenoiserParams) -> EpsFn:
-    """Trained predictor, always evaluated without dropout.  Every call
-    shares one workspace, bound to ``theta`` for the source's life: the
+def model_eps_source(theta: DenoiserParams) -> Predictor:
+    """Trained predictor, always evaluated without dropout.  Every bound
+    step shares one workspace, bound to ``theta`` for the source's life: the
     FiLM label tables are built on the first step and every step of every
     chain reuses them and the row blocks.  ``theta`` must not change while
     the source is in use."""
     workspace: dict = {}
 
-    def eps_fn(x: np.ndarray, t: int, labels: np.ndarray) -> np.ndarray:
-        return forward(theta, x, t, labels, workspace=workspace)
+    def bind(labels: np.ndarray) -> EpsStep:
+        labels = np.asarray(labels)
+        return lambda x, t: forward(theta, x, t, labels, workspace=workspace)
 
-    return eps_fn
+    return bind
 
 
 def frame_metrics(
@@ -118,8 +119,9 @@ def convert_sequences(
     ``t_start`` counts corruption steps on the user scale 1..T (0 skips
     diffusion entirely).  Every sequence shares it, so the frames of all of
     them are packed into one block and go through each stage once:
-    standardize, corrupt to the start step, run the deterministic reverse
-    chain (one predictor call per step), destandardize, add the predicted
+    standardize, corrupt to the start step, bind the predictor to the packed
+    labels and run the deterministic reverse chain (one call of the bound
+    step per reverse step), destandardize, add the predicted
     second-stage residual when the context has a residual head (computed on
     the pre-snap frames), and snap the first-stage frames when the context
     has a codebook.  Sequence ``i`` draws its noise from substream ``(seed,
@@ -142,7 +144,7 @@ def convert_sequences(
             for i, seq in enumerate(seqs)
         ])
         x_t = forward_corrupt(z, t_start - 1, eps, ctx.sched)
-        z = denoise_from(x_t, t_start, labels, ctx.eps_fn, ctx.sched)
+        z = denoise_from(x_t, t_start, ctx.predictor(labels), ctx.sched)
     zc1 = destandardize_frames(z, ctx.standardizer)
     zc2 = 0.0
     if ctx.residual is not None:

@@ -1,6 +1,7 @@
 """Discrete corruption schedule: per-step noise rates, their running products,
-and the corruption x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps with its inverse.
-Every step argument lies on [0, T-1]: one step, or a 1-D array of one per row."""
+the corruption x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps with its inverse, and
+the deterministic reverse step made of the two.  Every step argument lies on
+[0, T-1]: one step, or a 1-D array of one per row."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -73,13 +74,28 @@ def _frames_noise_ab(x, noise, t, sched: Schedule):
     return x, noise, ab
 
 
+def _corrupt(x0, eps, ab):
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+
+
+def _reconstruct(x_t, eps_hat, ab):
+    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+
+
 def forward_corrupt(x0: np.ndarray, t, eps: np.ndarray, sched: Schedule) -> np.ndarray:
     """Corrupt clean frames to step ``t`` with the given unit noise."""
-    x0, eps, ab = _frames_noise_ab(x0, eps, t, sched)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return _corrupt(*_frames_noise_ab(x0, eps, t, sched))
 
 
 def reconstruct_x0(x_t: np.ndarray, t, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
     """Invert the corruption at step ``t`` given a noise estimate."""
+    return _reconstruct(*_frames_noise_ab(x_t, eps_hat, t, sched))
+
+
+def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
+    """One deterministic reverse step from ``t`` to ``t - 1``, or to clean
+    from 0: :func:`reconstruct_x0`, then :func:`forward_corrupt` to ``t - 1``
+    with the same estimate, on blocks checked once."""
     x_t, eps_hat, ab = _frames_noise_ab(x_t, eps_hat, t, sched)
-    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+    x0_hat = _reconstruct(x_t, eps_hat, ab)
+    return _corrupt(x0_hat, eps_hat, alpha_bar_at(sched, t - 1)) if t else x0_hat

@@ -14,8 +14,7 @@ import numpy as np
 from .denoiser import draw_batch_noise, gradient_check, init_denoiser, init_residual, loss_total
 from .prior import ConditionalGMM, gaussian_posterior_moments, grid_moments, posterior_grid
 from .rng import PURPOSE_VERIFY, substream
-from .sampler import ddim_step
-from .schedule import default_schedule, forward_corrupt, reconstruct_x0
+from .schedule import ddim_step, default_schedule, forward_corrupt, reconstruct_x0
 
 GRAD_TOL = 1e-4
 MOMENT_TOL = 1e-6

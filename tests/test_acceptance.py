@@ -39,13 +39,11 @@ from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from priorshift.sampler import (
     ConvertContext,
     convert_sequences,
-    ddim_step,
     denoise_from,
     forward_corrupt,
     prior_eps_source,
-    reconstruct_x0,
 )
-from priorshift.schedule import alpha_bar_at, default_schedule
+from priorshift.schedule import alpha_bar_at, ddim_step, default_schedule, reconstruct_x0
 from priorshift.verify import gradient_suite
 
 SCHED = default_schedule()
@@ -167,8 +165,8 @@ def test_criterion_04_prior_transport():
     x0 = np.where(u < 0.3, -2.0, 2.0) + rng.standard_normal(n)
     eps = rng.standard_normal((n, 1))
     x_T = forward_corrupt(x0[:, None], SCHED.T - 1, eps, SCHED)
-    out = denoise_from(x_T, SCHED.T, np.zeros(n, dtype=int),
-                       prior_eps_source(p, SCHED), SCHED)[:, 0]
+    out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED)(np.zeros(n, dtype=int)),
+                       SCHED)[:, 0]
     left = np.abs(out + 2.0) < np.abs(out - 2.0)
     freq = float(left.mean())
     mean_l = float(out[left].mean())
@@ -242,13 +240,10 @@ def test_criterion_08_trained_denoiser_quality(world, trained):
     t = rng.integers(0, SCHED.T, size=x0.shape[0])
     eps = rng.standard_normal(x0.shape)
     model_loss = eval_loss_diff(
-        lambda x, tv, lab: forward(bundle.theta, x, tv, lab), x0, labels, t, eps, SCHED
+        lambda lab: lambda x, tv: forward(bundle.theta, x, tv, lab), x0, labels, t, eps, SCHED
     )
     oracle = standardized(world.native, bundle.standardizer)
-    oracle_loss = eval_loss_diff(
-        lambda x, tv, lab: prior_eps_source(oracle, SCHED)(x, tv, lab),
-        x0, labels, t, eps, SCHED,
-    )
+    oracle_loss = eval_loss_diff(prior_eps_source(oracle, SCHED), x0, labels, t, eps, SCHED)
     ratio = model_loss / oracle_loss
     tab = sweep(world, bundle, [25, 50, 75, 100], n_seq=12, seq_len=50,
                 seed=42, sched=SCHED)
@@ -349,7 +344,7 @@ def test_criterion_11_identity_endpoint(world):
     ctx = ConvertContext(
         sched=SCHED,
         standardizer=world.standardizer,
-        eps_fn=prior_eps_source(standardized(world.native, world.standardizer), SCHED),
+        predictor=prior_eps_source(standardized(world.native, world.standardizer), SCHED),
     )
     [out] = convert_sequences([seq], ctx, 0, 0)
     err = float(np.abs(out.frames - seq.frames).max())

@@ -2,6 +2,11 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,12 +412,32 @@ class TestTrainCommand:
         assert not (tmp_path / "m.txt").exists()
 
 
+def test_gen_world_peak_memory_is_bounded(tmp_path):
+    """``gen-world`` snaps its 8,192-frame standardizer sample in row blocks:
+    with a 256-entry codebook a fresh process stays under 150 MB (329 MB
+    when the snap built one (n, M, d) block)."""
+    script = ("import resource, sys\n"
+              "from priorshift import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "-q", "gen-world", "--out", str(tmp_path / "w.json"),
+         "--seed", "3", "--codebook-size", "256"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    rc, max_rss_kb = done.stdout.split()
+    assert rc == "0"
+    assert int(max_rss_kb) / 1024 < 150
+
+
 class TestPosterior:
     def test_writes_curves(self, pipeline, tmp_path):
         out_dir = tmp_path / "curves"
         rc = cli.main(["posterior", "--world", pipeline["world"],
                        "--out-dir", str(out_dir), "--x0", "3.0",
-                       "--t-starts", "1,50", "--grid-points", "201"])
+                       "--t-starts", "1,50", "--grid-points", "1001"])
         assert rc == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["likelihood_t001.csv", "likelihood_t050.csv",
@@ -420,7 +445,22 @@ class TestPosterior:
         for name in names:
             lines = (out_dir / name).read_text().splitlines()
             assert lines[0] == "x,density"
-            assert len(lines) == 202
+            assert len(lines) == 1002
+
+    def test_unresolved_grid_fails_without_warnings_or_output(self, pipeline, tmp_path,
+                                                               capsys):
+        """A grid whose spacing dwarfs the posterior fails as one error line,
+        with no overflow warning and no output directory."""
+        out_dir = tmp_path / "curves"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["posterior", "--world", pipeline["world"], "--out-dir",
+                           str(out_dir), "--x0", "1.5", "--grid-lo=-1e200", "--grid-hi=1e200"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1
+        assert err[0].startswith("error: grid too coarse: 1 of 2001 points")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
 
     def test_nonempty_dir_needs_force(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "curves"
@@ -428,7 +468,7 @@ class TestPosterior:
         (out_dir / "stale.csv").write_text("x\n")
         args = ["posterior", "--world", pipeline["world"],
                 "--out-dir", str(out_dir), "--x0", "1.0",
-                "--t-starts", "1", "--grid-points", "51"]
+                "--t-starts", "50", "--grid-points", "51"]
         assert cli.main(args) == 2
         assert cli.main(args + ["--force"]) == 0
 

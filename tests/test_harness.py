@@ -182,7 +182,7 @@ class TestBuildContext:
         assert ctx.residual is None
         assert ctx.codebook is world.codebook
         assert np.array_equal(ctx.standardizer.mean, world.standardizer.mean)
-        out = ctx.eps_fn(np.zeros((2, 3)), 10, np.zeros(2, dtype=int))
+        out = ctx.predictor(np.zeros(2, dtype=int))(np.zeros((2, 3)), 10)
         assert out.shape == (2, 3)
         assert np.isfinite(out).all()
 
@@ -313,7 +313,7 @@ class TestPosteriorCurves:
 
     def test_writes_curve_files(self, tmp_path):
         world = self._world()
-        grid = np.linspace(-10, 10, 101)
+        grid = np.linspace(-10, 10, 1001)
         posterior_curves(world, 0, 2.0, [1, 40], grid, SCHED, out_dir=str(tmp_path))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
@@ -322,7 +322,7 @@ class TestPosteriorCurves:
         ]
         lines = (tmp_path / "prior.csv").read_text().splitlines()
         assert lines[0] == "x,density"
-        assert len(lines) == 102
+        assert len(lines) == 1002
         x, y = lines[1].split(",")
         assert float(x) == -10.0 and float(y) >= 0.0
 

@@ -11,6 +11,7 @@ from priorshift.latent import Codebook, LatentSequence, Standardizer, destandard
     load_dataset, save_dataset, snap_frames, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, posterior_grid, \
     sample_frames
+from priorshift.sampler import prior_eps_source
 from priorshift.schedule import default_schedule
 
 SCHED = default_schedule()
@@ -55,6 +56,8 @@ _LABEL_ENTRY_POINTS = {
     "logpdf_batch": lambda labels, tmp: logpdf_batch(_gmm(), labels, np.ones((len(labels), D))),
     "exact_eps_batch": lambda labels, tmp: exact_eps_batch(
         _gmm(), labels, 5, np.ones((len(labels), D)), SCHED),
+    "per_row": lambda labels, tmp: _gmm().per_row(labels),
+    "prior_eps_source": lambda labels, tmp: prior_eps_source(_gmm(), SCHED)(labels),
     "posterior_grid": lambda labels, tmp: posterior_grid(
         _gmm(dim=1), labels[-1], 5, 0.0, np.linspace(-9, 9, 101), SCHED),
     "forward": lambda labels, tmp: forward(_theta(), np.ones((len(labels), D)), 5, labels),

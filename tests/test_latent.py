@@ -2,6 +2,7 @@
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from priorshift.latent import (
+    SNAP_BLOCK_VALUES,
     Codebook,
     LatentSequence,
     Standardizer,
@@ -164,6 +166,64 @@ class TestCodebook:
         cb = Codebook(entries=np.zeros((4, 3)))
         with pytest.raises(ValueError):
             snap_frames(np.zeros((1, 2)), cb)
+
+
+def _snap_one_block(frames, cb):
+    """Reference snap: one (n, M, d) block over every row."""
+    diff = frames[:, None, :] - cb.entries[None, :, :]
+    idx = (diff * diff).sum(axis=2).argmin(axis=1)
+    return idx, cb.entries[idx]
+
+
+class TestBlockedSnap:
+    """``snap_frames`` works through rows in blocks of at most
+    ``SNAP_BLOCK_VALUES`` codebook values; per row it is the one-block snap."""
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "block-1", "block", "block+1", "3block+5"])
+    def test_bitwise_equal_to_one_block(self, blocks, extra):
+        rng = np.random.default_rng(41)
+        cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
+        n = blocks * (SNAP_BLOCK_VALUES // cb.entries.size) + extra
+        frames = rng.normal(0, 1.2, (n, 8))
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+
+    def test_codebook_above_the_budget_snaps_one_row_per_block(self):
+        rng = np.random.default_rng(42)
+        cb = Codebook(entries=rng.normal(0, 1, ((SNAP_BLOCK_VALUES >> 1) + 1, 2)))
+        assert SNAP_BLOCK_VALUES // cb.entries.size == 0
+        frames = rng.normal(0, 1, (5, 2))
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+
+    def test_ties_take_the_first_entry_in_every_block(self):
+        rng = np.random.default_rng(43)
+        entries = rng.normal(0, 1, (64, 8))
+        entries[40] = entries[10]
+        cb = Codebook(entries=entries)
+        n = 3 * (SNAP_BLOCK_VALUES // cb.entries.size) + 5
+        idx, _ = snap_frames(np.tile(entries[40], (n, 1)), cb)
+        assert (idx == 10).all()
+
+    def test_peak_memory_is_bounded(self):
+        """8,192 rows against 64 entries of dim 8: a one-block snap peaks at
+        68 MB (the difference block and its square); row blocks keep it
+        under 16 MB."""
+        rng = np.random.default_rng(44)
+        cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
+        frames = rng.normal(0, 1, (8192, 8))
+        tracemalloc.start()
+        try:
+            snap_frames(frames, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestDatasetIO:

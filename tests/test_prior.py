@@ -266,6 +266,37 @@ class TestExactEps:
         assert_allclose(got, np.sqrt(1 - ab) * (x - m) / v, rtol=1e-12)
 
 
+def _mixture_with_unused_slot(rng, L=5, C=3, d=4) -> ConditionalGMM:
+    """Random mixture whose label 1 leaves its last component slot at weight 0."""
+    w = rng.dirichlet(np.ones(C), size=L)
+    w[1, -1] = 0.0
+    w[1] /= w[1].sum()
+    return ConditionalGMM(weights=w, means=rng.normal(0, 2, (L, C, d)),
+                          variances=rng.uniform(0.3, 2.5, (L, C, d)))
+
+
+class TestPerRowMixtures:
+    """``per_row`` gathers each label's mixture once; the batch functions take
+    the result with ``labels=None`` and give the bits of the gathered path."""
+
+    def test_log_densities_bitwise_equal_to_labels(self):
+        """The exact step's equality is pinned in ``test_sampler.TestBoundSteps``."""
+        rng = np.random.default_rng(52)
+        p = _mixture_with_unused_slot(rng)
+        labels = rng.integers(0, 5, 30)
+        x = rng.normal(0, 2, (30, 4))
+        rows = p.per_row(labels)
+        assert np.array_equal(logpdf_batch(rows, None, x), logpdf_batch(p, labels, x))
+        assert np.array_equal(noised_marginal_logpdf_batch(rows, None, 37, x, SCHED),
+                              noised_marginal_logpdf_batch(p, labels, 37, x, SCHED))
+
+    def test_row_count_must_match(self):
+        rng = np.random.default_rng(54)
+        rows = _mixture_with_unused_slot(rng).per_row(np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="4 frames for 3 per-row mixtures"):
+            exact_eps_batch(rows, None, 10, rng.normal(0, 1, (4, 4)), SCHED)
+
+
 class TestGaussianPosterior:
     def test_exact_values_at_half_signal(self):
         sched = _plateau_schedule(0.5)
@@ -341,6 +372,13 @@ class TestPosteriorGrid:
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         with pytest.raises(ValueError, match="narrow"):
             posterior_grid(p, 0, 50, 0.0, np.linspace(-1, 1, 101), SCHED)
+
+    def test_coarse_grid_rejected(self):
+        """At step 0 the posterior is ~0.01 wide; a 0.16 spacing leaves one
+        point above 1e-6 of the peak, which is a spike, not a density."""
+        p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
+        with pytest.raises(ValueError, match="too coarse: 1 of 101 points"):
+            posterior_grid(p, 0, 0, 0.0, np.linspace(-8, 8, 101), SCHED)
 
     def test_requires_one_dimension(self):
         p = ConditionalGMM.from_components([1.0], [[0.0, 0.0]], [[1.0, 1.0]])

@@ -17,6 +17,7 @@ from priorshift.latent import (
 )
 from priorshift.prior import (
     ConditionalGMM,
+    exact_eps_batch,
     gaussian_posterior_moments,
     sample_frames,
 )
@@ -24,15 +25,14 @@ from priorshift.rng import PURPOSE_CONVERT, PURPOSE_DATA, substream
 from priorshift.sampler import (
     ConvertContext,
     convert_sequences,
-    ddim_step,
     denoise_from,
     forward_corrupt,
     frame_metrics,
     model_eps_source,
     prior_eps_source,
-    reconstruct_x0,
 )
-from priorshift.schedule import Schedule, alpha_bar_at, default_schedule
+from priorshift.schedule import Schedule, alpha_bar_at, ddim_step, default_schedule, \
+    reconstruct_x0
 
 SCHED = default_schedule()
 
@@ -109,11 +109,11 @@ class TestReconstruct:
         posterior mean, computed here by an unrelated closed form."""
         mu, var = 1.3, 0.7
         p = ConditionalGMM.from_components([1.0], [[mu]], [[var]])
-        eps_fn = prior_eps_source(p, SCHED)
+        step = prior_eps_source(p, SCHED)(np.zeros(8, dtype=int))
         rng = np.random.default_rng(1)
         for t in (0, 7, 33, 60, 99):
             x_t = rng.normal(0, 2, (8, 1))
-            xhat = reconstruct_x0(x_t, t, eps_fn(x_t, t, np.zeros(8, dtype=int)), SCHED)
+            xhat = reconstruct_x0(x_t, t, step(x_t, t), SCHED)
             for i in range(8):
                 mean, _ = gaussian_posterior_moments(mu, var, t, float(x_t[i, 0]), SCHED)
                 assert_allclose(xhat[i, 0], mean, atol=1e-16 + 1e-14 * abs(mean))
@@ -138,6 +138,20 @@ class TestDdimStep:
             want = forward_corrupt(x0, t - 1, eps, SCHED)
             assert_allclose(ddim_step(x_t, t, eps, SCHED), want, rtol=0, atol=1e-12)
 
+    def test_bitwise_equal_to_reconstruct_then_corrupt(self):
+        rng = np.random.default_rng(63)
+        for t in (0, 1, 17, 50, SCHED.T - 1):
+            x_t = rng.standard_normal((135, 8))
+            eps_hat = rng.standard_normal((135, 8))
+            want = reconstruct_x0(x_t, t, eps_hat, SCHED)
+            if t:
+                want = forward_corrupt(want, t - 1, eps_hat, SCHED)
+            assert ddim_step(x_t, t, eps_hat, SCHED).tobytes() == want.tobytes()
+
+    def test_mismatched_estimate_rejected(self):
+        with pytest.raises(ValueError, match="noise shape"):
+            ddim_step(np.zeros((3, 2)), 5, np.zeros((3, 1)), SCHED)
+
     def test_constant_noise_level_is_a_fixed_point(self):
         """If the cumulative signal fraction does not change between steps,
         the update must return its input for any noise estimate."""
@@ -148,30 +162,62 @@ class TestDdimStep:
         assert_allclose(ddim_step(x, 2, eps_hat, sched), x, rtol=0, atol=1e-15)
 
 
+class TestBoundSteps:
+    """A predictor bound to a chain's labels gives the bits of the unbound
+    per-step calls."""
+
+    @pytest.mark.parametrize("t", [0, 50, SCHED.T - 1])
+    def test_exact_step_bitwise_equal_to_exact_eps_batch(self, t):
+        rng = np.random.default_rng(61)
+        w = rng.dirichlet(np.ones(3), size=4)
+        w[2, 0] = 0.0
+        w[2] /= w[2].sum()
+        p = ConditionalGMM(weights=w, means=rng.normal(0, 2, (4, 3, 5)),
+                           variances=rng.uniform(0.3, 2.0, (4, 3, 5)))
+        labels = rng.integers(0, 4, 33)
+        labels[0] = 2
+        x = rng.normal(0, 2, (33, 5))
+        got = prior_eps_source(p, SCHED)(labels)(x, t)
+        assert got.tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
+
+    def test_model_step_bitwise_equal_to_forward(self):
+        rng = np.random.default_rng(62)
+        theta = init_denoiser(3, 4, (16, 12), 6, 8, rng)
+        for arr in theta.tensors.values():
+            arr += 0.2 * rng.standard_normal(arr.shape)
+        labels = rng.integers(0, 4, 21)
+        step = model_eps_source(theta)(labels)
+        ws: dict = {}
+        for t in (99, 50, 0):
+            x = rng.normal(0, 1, (21, 3))
+            got = step(x, t)
+            assert got.tobytes() == forward(theta, x, t, labels).tobytes()
+            assert got.tobytes() == forward(theta, x, t, labels, workspace=ws).tobytes()
+
+
 class TestDenoiseFrom:
     def test_zero_start_is_identity(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2))
         p = ConditionalGMM.from_components([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-        out = denoise_from(x, 0, np.zeros(4, dtype=int), prior_eps_source(p, SCHED), SCHED)
+        out = denoise_from(x, 0, prior_eps_source(p, SCHED)(np.zeros(4, dtype=int)), SCHED)
         assert np.array_equal(out, x)
 
     def test_single_step_equals_ddim_step(self):
         p = ConditionalGMM.from_components([1.0], [[0.5]], [[1.0]])
-        eps_fn = prior_eps_source(p, SCHED)
+        step = prior_eps_source(p, SCHED)(np.zeros(5, dtype=int))
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 1))
-        labels = np.zeros(5, dtype=int)
-        want = ddim_step(x, 0, eps_fn(x, 0, labels), SCHED)
-        assert np.array_equal(denoise_from(x, 1, labels, eps_fn, SCHED), want)
+        want = ddim_step(x, 0, step(x, 0), SCHED)
+        assert np.array_equal(denoise_from(x, 1, step, SCHED), want)
 
     def test_start_range_checked(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
-        eps_fn = prior_eps_source(p, SCHED)
+        step = prior_eps_source(p, SCHED)(np.zeros(1, dtype=int))
         with pytest.raises(ValueError):
-            denoise_from(np.zeros((1, 1)), SCHED.T + 1, np.zeros(1, dtype=int), eps_fn, SCHED)
+            denoise_from(np.zeros((1, 1)), SCHED.T + 1, step, SCHED)
         with pytest.raises(ValueError):
-            denoise_from(np.zeros((1, 1)), -1, np.zeros(1, dtype=int), eps_fn, SCHED)
+            denoise_from(np.zeros((1, 1)), -1, step, SCHED)
 
     def test_transports_terminal_marginal_onto_prior(self):
         """Corrupt prior draws to the last step, then run the full reverse
@@ -184,8 +230,8 @@ class TestDenoiseFrom:
         x0 = sample_frames(p, np.zeros(n, dtype=int), rng)
         eps = rng.standard_normal((n, 1))
         x_T = forward_corrupt(x0, SCHED.T - 1, eps, SCHED)
-        out = denoise_from(x_T, SCHED.T, np.zeros(n, dtype=int),
-                           prior_eps_source(p, SCHED), SCHED)
+        out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED)(np.zeros(n, dtype=int)),
+                           SCHED)
         assert abs(out.mean() - mu) < 4 * np.sqrt(var / n)
         assert 0.98 < out.std() / np.sqrt(var) < 1.005
 
@@ -193,13 +239,13 @@ class TestDenoiseFrom:
         p = ConditionalGMM.from_components(
             [0.4, 0.6], [[-1.0, 0.5], [1.0, -0.5]], [[1.0, 0.8], [0.6, 1.2]]
         )
-        eps_fn = prior_eps_source(p, SCHED)
+        predictor = prior_eps_source(p, SCHED)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 2))
         labels = np.zeros(6, dtype=int)
-        batch = denoise_from(x, 40, labels, eps_fn, SCHED)
+        batch = denoise_from(x, 40, predictor(labels), SCHED)
         for i in range(6):
-            row = denoise_from(x[i:i + 1], 40, labels[i:i + 1], eps_fn, SCHED)
+            row = denoise_from(x[i:i + 1], 40, predictor(labels[i:i + 1]), SCHED)
             assert np.array_equal(batch[i], row[0])
 
     def test_rows_nearly_independent_for_network_predictor(self):
@@ -209,12 +255,12 @@ class TestDenoiseFrom:
         theta = init_denoiser(2, 1, (8,), 4, 4, rng)
         for arr in theta.tensors.values():
             arr += 0.2 * rng.standard_normal(arr.shape)
-        eps_fn = model_eps_source(theta)
+        predictor = model_eps_source(theta)
         x = rng.standard_normal((5, 2))
         labels = np.zeros(5, dtype=int)
-        batch = denoise_from(x, 30, labels, eps_fn, SCHED)
+        batch = denoise_from(x, 30, predictor(labels), SCHED)
         for i in range(5):
-            row = denoise_from(x[i:i + 1], 30, labels[i:i + 1], eps_fn, SCHED)
+            row = denoise_from(x[i:i + 1], 30, predictor(labels[i:i + 1]), SCHED)
             assert_allclose(batch[i], row[0], atol=1e-12)
 
     def test_network_predictor_reuses_one_workspace_over_the_chain(self, monkeypatch):
@@ -230,12 +276,12 @@ class TestDenoiseFrom:
 
         rng = np.random.default_rng(9)
         theta = init_denoiser(2, 3, (8, 8), 4, 4, rng)
-        eps_fn = model_eps_source(theta)
+        predictor = model_eps_source(theta)
         x = rng.standard_normal((7, 2))
         labels = rng.integers(0, 3, 7)
-        want = denoise_from(x, 25, labels, eps_fn, SCHED)
+        want = denoise_from(x, 25, predictor(labels), SCHED)
         monkeypatch.setattr(sampler_mod, "forward", spy)
-        got = denoise_from(x, 25, labels, eps_fn, SCHED)
+        got = denoise_from(x, 25, predictor(labels), SCHED)
         assert np.array_equal(got, want)
         assert len(seen) == 25 and seen[0][1]
         assert all(ws is seen[0][0] and ids == seen[0][1] for ws, ids in seen)
@@ -250,8 +296,8 @@ class TestDenoiseFrom:
             arr += 0.2 * rng.standard_normal(arr.shape)
         x = rng.standard_normal((45, 3))
         labels = rng.integers(0, 4, 45)
-        got = denoise_from(x, 100, labels, model_eps_source(theta), SCHED)
-        want = denoise_from(x, 100, labels, lambda xt, t, lab: forward(theta, xt, t, lab), SCHED)
+        got = denoise_from(x, 100, model_eps_source(theta)(labels), SCHED)
+        want = denoise_from(x, 100, lambda xt, t: forward(theta, xt, t, labels), SCHED)
         assert np.array_equal(got, want)
 
     def test_label_tables_are_built_once_per_source(self):
@@ -269,12 +315,12 @@ class TestDenoiseFrom:
         theta.tensors["label_emb"] = theta.tensors["label_emb"].view(CountingMatmul)
         x = rng.standard_normal((7, 2))
         labels = rng.integers(0, 3, 7)
-        eps_fn = model_eps_source(theta)
-        denoise_from(x, 25, labels, eps_fn, SCHED)
+        predictor = model_eps_source(theta)
+        denoise_from(x, 25, predictor(labels), SCHED)
         assert len(products) == 4
-        denoise_from(x, 25, labels, eps_fn, SCHED)
+        denoise_from(x, 25, predictor(labels), SCHED)
         assert len(products) == 4
-        denoise_from(x, 25, labels, model_eps_source(theta), SCHED)
+        denoise_from(x, 25, model_eps_source(theta)(labels), SCHED)
         assert len(products) == 8
 
 
@@ -314,7 +360,7 @@ def _convert_fixture(d=2, snap=True):
     ctx = ConvertContext(
         sched=SCHED,
         standardizer=_identity_standardizer(d),
-        eps_fn=prior_eps_source(native, SCHED),
+        predictor=prior_eps_source(native, SCHED),
         codebook=Codebook(entries=entries) if snap else None,
     )
     frames = rng.normal(1.5, 1.0, (20, d))
@@ -347,7 +393,7 @@ class TestConvert:
         frames = np.array([[0.8], [-0.4], [2.2]])
         labels = np.zeros(3, dtype=int)
         x_t = forward_corrupt(frames, 0, np.zeros_like(frames), SCHED)
-        out = denoise_from(x_t, 1, labels, ctx.eps_fn, SCHED)
+        out = denoise_from(x_t, 1, ctx.predictor(labels), SCHED)
         ab = alpha_bar_at(SCHED, 0)
         for i in range(3):
             mean, _ = gaussian_posterior_moments(0.0, 1.0, 0, np.sqrt(ab) * frames[i, 0], SCHED)
@@ -356,7 +402,7 @@ class TestConvert:
     def test_standardizer_round_trip_preserved(self):
         ctx, seq = _convert_fixture(snap=False)
         std = Standardizer(mean=np.array([0.7, -0.3]), std=np.array([1.4, 0.6]))
-        ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, eps_fn=ctx.eps_fn)
+        ctx2 = ConvertContext(sched=ctx.sched, standardizer=std, predictor=ctx.predictor)
         [out] = convert_sequences([seq], ctx2, 0, 2)
         assert_allclose(out.frames, seq.frames, atol=1e-9)
 
@@ -368,7 +414,7 @@ class TestConvert:
         h = np.random.default_rng(4).normal(0, 1, seq.frames.shape)
         seq2 = LatentSequence(id=seq.id, labels=seq.labels, frames=seq.frames, h=h)
         ctx2 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
-                              eps_fn=ctx.eps_fn, codebook=ctx.codebook, residual=phi)
+                              predictor=ctx.predictor, codebook=ctx.codebook, residual=phi)
         [base] = convert_sequences([seq2], ctx, 15, 5)
         [res] = convert_sequences([seq2], ctx2, 15, 5)
         assert_allclose(res.frames - base.frames,
@@ -378,7 +424,7 @@ class TestConvert:
         ctx, seq = _convert_fixture(snap=False)
         phi = init_residual(2, (), np.random.default_rng(1))
         ctx3 = ConvertContext(sched=ctx.sched, standardizer=ctx.standardizer,
-                              eps_fn=ctx.eps_fn, residual=phi)
+                              predictor=ctx.predictor, residual=phi)
         with pytest.raises(ValueError, match="sequence 'case' lacks the h track"):
             convert_sequences([seq], ctx3, 5, 0)
 
@@ -397,7 +443,7 @@ def _packing_fixture(model: bool):
     rng = np.random.default_rng(12)
     std = Standardizer(mean=np.array([0.3, -0.2]), std=np.array([1.3, 0.8]))
     if model:
-        eps_fn = model_eps_source(init_denoiser(d, 3, (16, 16), 8, 8, rng))
+        predictor = model_eps_source(init_denoiser(d, 3, (16, 16), 8, 8, rng))
         phi = init_residual(d, (8,), rng)
     else:
         p = ConditionalGMM(
@@ -405,8 +451,8 @@ def _packing_fixture(model: bool):
             means=rng.normal(0.0, 1.5, (3, 2, d)),
             variances=rng.uniform(0.4, 1.2, (3, 2, d)),
         )
-        eps_fn, phi = prior_eps_source(p, SCHED), None
-    ctx = ConvertContext(sched=SCHED, standardizer=std, eps_fn=eps_fn,
+        predictor, phi = prior_eps_source(p, SCHED), None
+    ctx = ConvertContext(sched=SCHED, standardizer=std, predictor=predictor,
                          codebook=Codebook(entries=rng.normal(0, 1, (24, d))), residual=phi)
     seqs = []
     for i, n in enumerate((1, 7, 3, 12, 5)):
@@ -423,7 +469,7 @@ def _convert_alone(seq: LatentSequence, ctx: ConvertContext, t_start: int, seed:
     eps = substream(seed, PURPOSE_CONVERT, i).standard_normal(xs.shape)
     x_t = forward_corrupt(xs, t_start - 1, eps, ctx.sched)
     zc1 = destandardize_frames(
-        denoise_from(x_t, t_start, seq.labels, ctx.eps_fn, ctx.sched), ctx.standardizer
+        denoise_from(x_t, t_start, ctx.predictor(seq.labels), ctx.sched), ctx.standardizer
     )
     zc2 = predict_zc2(ctx.residual, seq.h, zc1) if ctx.residual is not None else 0.0
     if ctx.codebook is not None:
