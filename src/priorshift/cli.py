@@ -32,13 +32,15 @@ from .harness import (
     sweep,
 )
 from .latent import atomic_write, load_dataset, save_dataset, settings_from_json
-from .prior import marginal_1d
+from .prior import marginal_1d, resolving_points
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from .sampler import convert_sequences, frame_metrics
 from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, linear_schedule
 from .verify import run_suites
 
 log = logging.getLogger("priorshift")
+# Points of `posterior`'s default grid, unless it needs more.
+DEFAULT_GRID_POINTS = 2001
 
 
 class UsageError(Exception):
@@ -244,7 +246,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     sched = _schedule_from_args(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     _require_start_steps(t_starts, "--t-starts", 1, sched.T)
-    if args.grid_points < 8:
+    if args.grid_points is not None and args.grid_points < 8:
         raise UsageError(f"--grid-points must be >= 8, got {args.grid_points}")
     for flag, value in (("--x0", args.x0), ("--grid-lo", args.grid_lo),
                         ("--grid-hi", args.grid_hi)):
@@ -274,7 +276,12 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if not np.isfinite(hi - lo):
         raise UsageError(f"--grid-lo and --grid-hi must lie a finite distance apart, "
                          f"got {lo} and {hi}")
-    grid = np.linspace(lo, hi, args.grid_points)
+    points = args.grid_points
+    if points is None:
+        points = DEFAULT_GRID_POINTS
+        if args.grid_lo is None and args.grid_hi is None:
+            points = max(points, resolving_points(m1, min(t_starts) - 1, hi - lo, sched))
+    grid = np.linspace(lo, hi, points)
     posterior_curves(world, args.label, args.x0, t_starts, grid, sched,
               dim=args.dim, out_dir=str(out_dir))
     log.info("posterior out_dir=%s curves=%d grid=[%.3f, %.3f]",
@@ -370,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-starts", default="1,25,50,75,100")
     p.add_argument("--grid-lo", type=float, default=None)
     p.add_argument("--grid-hi", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--grid-points", type=int, default=None,
+                   help=f"default {DEFAULT_GRID_POINTS}, or more when the default grid "
+                        "needs them to resolve the narrowest posterior")
     _add_schedule_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_posterior)

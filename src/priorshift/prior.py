@@ -18,6 +18,10 @@ from .latent import Standardizer, check_labels, frame_block
 from .schedule import Schedule, alpha_bar_at
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# Most noised values (steps x labels x components x dim) in one block of a
+# table build.  Temporaries of 2^15 float64 values (256 KB) stay in cache;
+# for 110 labels over 100 steps, a one-block build took twice as long.
+TABLE_BLOCK_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,6 @@ class ConditionalGMM:
     def dim(self) -> int:
         return int(self.means.shape[2])
 
-    def per_row(self, labels) -> "ConditionalGMM":
-        """The mixture of each entry of ``labels``, one per row; the batch
-        functions take it with ``labels=None``."""
-        labels = check_labels(labels, self.n_labels)
-        return ConditionalGMM(weights=self.weights[labels], means=self.means[labels],
-                              variances=self.variances[labels])
-
     @classmethod
     def from_components(cls, weights, means, variances) -> "ConditionalGMM":
         """Single-label mixture from per-component parameter lists."""
@@ -89,25 +86,77 @@ class PosteriorGrid:
     x_t: float
 
 
-def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0):
+def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
     """Per-frame, per-component log weight plus log density, (n, C), under
-    the mixture corrupted to cumulative level ``ab`` (1 is clean); also the
-    frames' offsets from the gathered means, and the gathered variances.
-    ``labels`` None means ``p`` holds one mixture per frame
-    (:meth:`ConditionalGMM.per_row`), so nothing is gathered."""
+    the mixture corrupted to cumulative level ``ab`` (1 is clean).  Direct
+    form: squares of the frames' offsets, so values far from the mass
+    overflow to a density of zero rather than to inf - inf."""
     x = frame_block(x, p.dim, "prior")
-    if labels is None:
-        if x.shape[0] != p.n_labels:
-            raise ValueError(f"{x.shape[0]} frames for {p.n_labels} per-row mixtures")
-        labels = slice(None)
-    else:
-        labels = check_labels(labels, p.n_labels)
+    labels = check_labels(labels, p.n_labels)
     m = (np.sqrt(ab) * p.means)[labels]
     v = (ab * p.variances + (1.0 - ab))[labels]
     with np.errstate(divide="ignore"):
         lw = np.log(p.weights)[labels]
     diff = x[:, None, :] - m
-    return lw - 0.5 * (diff * diff / v + np.log(v) + _LOG_2PI).sum(axis=2), diff, v
+    return lw - 0.5 * (diff * diff / v + np.log(v) + _LOG_2PI).sum(axis=2)
+
+
+@dataclass(frozen=True)
+class NoisedTables:
+    """The terms of a mixture corrupted to each step of ``steps`` that do not
+    depend on the frames, for the distinct labels of a block of rows.
+
+    With v = ab_t var + 1 - ab_t, P = 1/v and sμP = sqrt(ab_t) mean P,
+    ``table[t - steps.start]`` holds, per label and component, P and sμP
+    (d values each) and K = log w - (Σ sμ²P + Σ log v + d log 2π)/2: the
+    log joint of a frame x is then -x²/2·P + x·sμP + K.  ``rows`` holds
+    each row's entry in the table.
+    """
+
+    steps: range
+    table: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return (self.table.shape[-1] - 1) // 2
+
+
+def noised_tables(p: ConditionalGMM, labels, first: int, last: int,
+                  sched: Schedule) -> NoisedTables:
+    """The tables of ``p`` noised to each step from ``first`` to ``last``,
+    for the rows of ``labels``: built once for a reverse chain, they hold
+    the x-independent work of :func:`exact_eps_batch` for its steps.  Only
+    the labels' distinct mixtures get an entry.  Steps are built in blocks
+    of at most ``TABLE_BLOCK_VALUES`` noised values, so that with many
+    labels the temporaries stay in cache; every entry's bits are those of
+    a one-block build."""
+    keep, rows = np.unique(check_labels(labels, p.n_labels), return_inverse=True)
+    mean, var = p.means[keep], p.variances[keep]
+    with np.errstate(divide="ignore"):
+        lw = np.log(p.weights[keep])
+    ab_all = alpha_bar_at(sched, np.arange(first, last + 1))[:, :, None, None]
+    table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * p.dim + 1,))
+    block = max(1, TABLE_BLOCK_VALUES // mean.size)
+    for lo in range(0, table.shape[0], block):
+        ab = ab_all[lo:lo + block]
+        v = ab * var + (1.0 - ab)
+        prec = 1.0 / v
+        smu = np.sqrt(ab) * mean
+        smp = smu * prec
+        k = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
+                        + np.einsum("slcd->slc", np.log(v)) + p.dim * _LOG_2PI)
+        np.concatenate((prec, smp, k[..., None]), axis=3, out=table[lo:lo + block])
+    return NoisedTables(steps=range(first, last + 1), table=table, rows=rows)
+
+
+def _alpha_bar_one(sched: Schedule, t) -> float:
+    """Cumulative product at one step.  An array of steps would broadcast
+    against the components when its length matched their count, so it is
+    refused."""
+    if np.ndim(t):
+        raise TypeError(f"one step per call, got steps of shape {np.shape(t)}")
+    return alpha_bar_at(sched, t)
 
 
 def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -122,32 +171,61 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
 
 def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Uncorrupted mixture log density per frame."""
-    return logsumexp(_log_joint(p, labels, x)[0], axis=1)
+    return logsumexp(_log_joint(p, labels, x), axis=1)
 
 
 def noised_marginal_logpdf_batch(
     p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
     """Log density of the corrupted marginal at step ``t``, one value per frame."""
-    ab = alpha_bar_at(sched, int(t))
-    return logsumexp(_log_joint(p, labels, x, ab)[0], axis=1)
+    ab = _alpha_bar_one(sched, t)
+    return logsumexp(_log_joint(p, labels, x, ab), axis=1)
 
 
 def exact_eps_batch(
-    p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
+    p: ConditionalGMM | NoisedTables, labels, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
     """Noise prediction that exactly matches the corrupted-marginal score.
 
     Returns -sqrt(1 - alpha_bar_t) times the gradient of the log marginal,
-    computed from component responsibilities (a max-shifted softmax).  With
-    ``labels=None``, ``p`` holds one mixture per row of ``x``.
+    sqrt(1 - ab_t) Σ_c r_c (x P_c - sμP_c), with responsibilities r from a
+    max-shifted softmax of the log joint.  ``p`` is a mixture with one
+    label per row of ``x``, or the :class:`NoisedTables` of one bound to
+    the rows of ``x`` and built on ``sched``, with ``labels`` None; either
+    way one kernel runs, so the two give the same bits.  Each row's result
+    depends on that row alone: the contractions are ``np.einsum`` loops
+    over one row, never BLAS, and the max and the normalizer loop over
+    components.
     """
-    ab = alpha_bar_at(sched, int(t))
-    lj, diff, v = _log_joint(p, labels, x, ab)
-    resp = np.exp(lj - lj.max(axis=1, keepdims=True))
-    resp /= resp.sum(axis=1, keepdims=True)
-    grad = -(resp[:, :, None] * diff / v).sum(axis=1)
-    return -np.sqrt(1.0 - ab) * grad
+    ab = _alpha_bar_one(sched, t)
+    x = frame_block(x, p.dim, "prior")
+    if isinstance(p, NoisedTables):
+        if labels is not None:
+            raise ValueError("noised tables are bound to their rows; pass labels=None")
+        tables = p
+    else:
+        tables = noised_tables(p, labels, t, t, sched)
+    if x.shape[0] != tables.rows.shape[0]:
+        raise ValueError(f"{x.shape[0]} frames for {tables.rows.shape[0]} labeled rows")
+    if t not in tables.steps:
+        raise ValueError(f"step {t} outside the tables' steps "
+                         f"[{tables.steps.start}, {tables.steps.stop - 1}]")
+    i = t - tables.steps.start
+    w = np.take(tables.table[i], tables.rows, axis=0)
+    feats = np.concatenate((-0.5 * x * x, x, np.ones((x.shape[0], 1))), axis=1)
+    lj = np.einsum("nk,nck->nc", feats, w)
+    top = lj[:, 0]
+    for c in range(1, lj.shape[1]):
+        top = np.maximum(top, lj[:, c])
+    resp = np.exp(lj - top[:, None])
+    norm = resp[:, 0]
+    for c in range(1, lj.shape[1]):
+        norm = norm + resp[:, c]
+    resp /= norm[:, None]
+    d = x.shape[1]
+    # K stays out: an unused slot's K is -inf, and its zero weight times it nan.
+    acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d])
+    return np.sqrt(1.0 - ab) * (x * acc[:, :d] - acc[:, d:])
 
 
 def gaussian_posterior_moments(
@@ -160,10 +238,27 @@ def gaussian_posterior_moments(
     """
     if var_p <= 0:
         raise ValueError(f"prior variance must be positive, got {var_p}")
-    ab = alpha_bar_at(sched, int(t))
+    ab = _alpha_bar_one(sched, t)
     precision = 1.0 / var_p + ab / (1.0 - ab)
     mean = (mu_p / var_p + np.sqrt(ab) * x_t / (1.0 - ab)) / precision
     return float(mean), float(1.0 / precision)
+
+
+# A grid resolves a posterior with this many points above this fraction of
+# its peak.
+_RESOLVE_POINTS, _RESOLVE_FLOOR = 3, 1e-6
+
+
+def resolving_points(p: ConditionalGMM, t: int, span: float, sched: Schedule) -> int:
+    """Fewest points of an even grid over ``span`` that resolve, as
+    :func:`posterior_grid` requires, the narrowest clean-frame posterior of
+    the 1-D ``p`` at step ``t``.  That is the conjugate posterior of its
+    slimmest component, which lies above 1e-6 of its peak over
+    2 sqrt(2 ln 1e6) standard deviations."""
+    ab = _alpha_bar_one(sched, t)
+    sd = np.sqrt(1.0 / (1.0 / p.variances.min() + ab / (1.0 - ab)))
+    width = 2.0 * np.sqrt(-2.0 * np.log(_RESOLVE_FLOOR)) * sd
+    return int(np.ceil(_RESOLVE_POINTS * span / width)) + 1
 
 
 def posterior_grid(
@@ -179,12 +274,13 @@ def posterior_grid(
     The grid must be wide enough that the truncated tails carry no mass;
     edge density above 1e-6 of the total is rejected as a too-narrow grid.
     It must also resolve the posterior: fewer than 3 points above 1e-6 of
-    the peak density are rejected as a too-coarse grid.
+    the peak density are rejected as a too-coarse grid
+    (:func:`resolving_points` sizes a grid that passes).
     """
     if p.dim != 1:
         raise ValueError(f"gridded posterior requires a 1-D prior, got dim {p.dim}")
     check_labels([label], p.n_labels)
-    ab = alpha_bar_at(sched, int(t))
+    ab = _alpha_bar_one(sched, t)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 8:
         raise ValueError("grid must be a 1-D array with at least 8 points")
@@ -201,10 +297,11 @@ def posterior_grid(
     z = np.trapezoid(dens, grid)
     if not np.isfinite(z) or z <= 0:
         raise ValueError("posterior mass on the grid underflowed; widen or refine the grid")
-    covered = int(np.count_nonzero(dens > 1e-6))
-    if covered < 3:
+    covered = int(np.count_nonzero(dens > _RESOLVE_FLOOR))
+    if covered < _RESOLVE_POINTS:
         raise ValueError(f"grid too coarse: {covered} of {grid.shape[0]} points lie above "
-                         f"1e-06 of the posterior's peak (need 3); narrow or refine the grid")
+                         f"{_RESOLVE_FLOOR:g} of the posterior's peak (need {_RESOLVE_POINTS}); "
+                         f"narrow or refine the grid")
     dens /= z
     edge_mass = 0.5 * (dens[0] * (grid[1] - grid[0]) + dens[-1] * (grid[-1] - grid[-2]))
     if edge_mass > 1e-6:

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .denoiser import DenoiserParams, ResidualParams, forward, predict_zc2
-from .latent import Codebook, LatentSequence, Standardizer, destandardize_frames, \
-    snap_frames, standardize_frames
-from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch
+from .latent import Codebook, LatentSequence, Standardizer, check_labels, \
+    destandardize_frames, snap_frames, standardize_frames
+from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
 from .rng import PURPOSE_CONVERT, substream
 from .schedule import Schedule, ddim_step, forward_corrupt
 
@@ -67,12 +67,22 @@ def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) ->
 
 def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     """Exact predictor from an analytic mixture over the same frame space.
-    Binding checks the labels and gathers each row's mixture once; every
-    step then calls :func:`exact_eps_batch` on those per-row mixtures."""
+    Binding checks the labels.  The first step builds the noised tables of
+    the labels' distinct mixtures for that step and every step below it,
+    the steps of a chain that runs down from there; every step then calls
+    :func:`exact_eps_batch` on those tables.  A step above them rebuilds."""
 
     def bind(labels: np.ndarray) -> EpsStep:
-        rows = p.per_row(labels)
-        return lambda x, t: exact_eps_batch(rows, None, t, x, sched)
+        labels = check_labels(labels, p.n_labels)
+        tables = None
+
+        def step(x: np.ndarray, t: int) -> np.ndarray:
+            nonlocal tables
+            if tables is None or t >= tables.steps.stop:
+                tables = noised_tables(p, labels, 0, t, sched)
+            return exact_eps_batch(tables, None, t, x, sched)
+
+        return step
 
     return bind
 

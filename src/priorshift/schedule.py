@@ -47,11 +47,16 @@ def default_schedule() -> Schedule:
 
 def alpha_bar_at(sched: Schedule, t: int | np.ndarray) -> float | np.ndarray:
     """Cumulative product at step ``t``: a float for one step, an (n, 1)
-    float64 column for a 1-D integer array of steps."""
+    float64 column for a 1-D integer array of steps.  A step that is not an
+    integer (a float, a bool) is refused rather than truncated."""
     if not isinstance(t, np.ndarray) or t.ndim == 0:
+        if np.asarray(t).dtype.kind not in "iu":
+            raise ValueError(f"timestep {t!r} is not an integer")
         if not 0 <= t <= sched.T - 1:
             raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
         return float(sched.alpha_bar[t])
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"timesteps must be integers, got dtype {t.dtype}")
     if t.size and (t.min() < 0 or t.max() > sched.T - 1):
         raise ValueError(f"timesteps outside [0, {sched.T - 1}]")
     return alpha_bar_array(sched)[t][:, None]

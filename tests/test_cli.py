@@ -462,6 +462,24 @@ class TestPosterior:
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("x0", ["60", "-200"])
+    def test_default_grid_resolves_far_frames(self, pipeline, tmp_path, x0):
+        """Far from the prior's means the default grid's span grows, so it
+        takes the points that the start-step-1 posterior, ~0.01 wide, needs."""
+        out_dir = tmp_path / "curves"
+        rc = cli.main(["posterior", "--world", pipeline["world"], "--out-dir", str(out_dir),
+                       f"--x0={x0}", "--t-starts", "1,100"])
+        assert rc == 0
+        dens = np.loadtxt(out_dir / "posterior_t001.csv", delimiter=",", skiprows=1)[:, 1]
+        assert dens.shape[0] > 2001
+        assert np.count_nonzero(dens > 1e-6 * dens.max()) >= 3
+
+    def test_default_grid_keeps_2001_points_near_the_means(self, pipeline, tmp_path):
+        out_dir = tmp_path / "curves"
+        assert cli.main(["posterior", "--world", pipeline["world"], "--out-dir", str(out_dir),
+                         "--x0", "1.5", "--t-starts", "1"]) == 0
+        assert len((out_dir / "posterior_t001.csv").read_text().splitlines()) == 2002
+
     def test_nonempty_dir_needs_force(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "curves"
         out_dir.mkdir()

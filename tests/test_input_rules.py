@@ -9,8 +9,8 @@ from priorshift.denoiser import TrainConfig, forward, init_denoiser, init_residu
     loss_total, predict_zc2, train
 from priorshift.latent import Codebook, LatentSequence, Standardizer, destandardize_frames, \
     load_dataset, save_dataset, snap_frames, standardize_frames
-from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, posterior_grid, \
-    sample_frames
+from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, noised_tables, \
+    posterior_grid, sample_frames
 from priorshift.sampler import prior_eps_source
 from priorshift.schedule import default_schedule
 
@@ -56,7 +56,7 @@ _LABEL_ENTRY_POINTS = {
     "logpdf_batch": lambda labels, tmp: logpdf_batch(_gmm(), labels, np.ones((len(labels), D))),
     "exact_eps_batch": lambda labels, tmp: exact_eps_batch(
         _gmm(), labels, 5, np.ones((len(labels), D)), SCHED),
-    "per_row": lambda labels, tmp: _gmm().per_row(labels),
+    "noised_tables": lambda labels, tmp: noised_tables(_gmm(), labels, 0, 5, SCHED),
     "prior_eps_source": lambda labels, tmp: prior_eps_source(_gmm(), SCHED)(labels),
     "posterior_grid": lambda labels, tmp: posterior_grid(
         _gmm(dim=1), labels[-1], 5, 0.0, np.linspace(-9, 9, 101), SCHED),

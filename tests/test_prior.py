@@ -1,9 +1,12 @@
 """Closed-form mixture math against sampling, quadrature, and difference oracles."""
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from priorshift import prior
 from priorshift.latent import Standardizer
 from priorshift.prior import (
     ConditionalGMM,
@@ -14,6 +17,7 @@ from priorshift.prior import (
     marginal_1d,
     native_class_prob_batch,
     noised_marginal_logpdf_batch,
+    noised_tables,
     posterior_grid,
     sample_frames,
     standardized,
@@ -266,35 +270,132 @@ class TestExactEps:
         assert_allclose(got, np.sqrt(1 - ab) * (x - m) / v, rtol=1e-12)
 
 
-def _mixture_with_unused_slot(rng, L=5, C=3, d=4) -> ConditionalGMM:
-    """Random mixture whose label 1 leaves its last component slot at weight 0."""
+def _direct_eps(p, labels, t, x):
+    """Exact noise prediction one row and one component at a time, in the
+    direct form: offsets from the noised means over the noised variances."""
+    ab = alpha_bar_at(SCHED, t)
+    out = np.zeros_like(x)
+    for i, lab in enumerate(labels):
+        lj, terms = [], []
+        for c in range(p.n_components):
+            m = np.sqrt(ab) * p.means[lab, c]
+            v = ab * p.variances[lab, c] + (1 - ab)
+            w = p.weights[lab, c]
+            lj.append(np.log(w) + _gauss_logpdf(x[i], m, v).sum() if w > 0 else -np.inf)
+            terms.append((x[i] - m) / v)
+        r = np.exp(np.array(lj) - max(lj))
+        r /= r.sum()
+        out[i] = np.sqrt(1 - ab) * sum(rc * term for rc, term in zip(r, terms))
+    return out
+
+
+def _random_mixture(rng, L, C, d) -> ConditionalGMM:
+    """Random mixture; with C > 1, label 0 leaves its last slot at weight 0."""
     w = rng.dirichlet(np.ones(C), size=L)
-    w[1, -1] = 0.0
-    w[1] /= w[1].sum()
+    if C > 1:
+        w[0, -1] = 0.0
+        w[0] /= w[0].sum()
     return ConditionalGMM(weights=w, means=rng.normal(0, 2, (L, C, d)),
                           variances=rng.uniform(0.3, 2.5, (L, C, d)))
 
 
-class TestPerRowMixtures:
-    """``per_row`` gathers each label's mixture once; the batch functions take
-    the result with ``labels=None`` and give the bits of the gathered path."""
+class TestNoisedTableKernel:
+    """``exact_eps_batch`` runs one kernel on noised tables: built per call
+    from a mixture and its labels, or once per chain by ``noised_tables``."""
 
-    def test_log_densities_bitwise_equal_to_labels(self):
-        """The exact step's equality is pinned in ``test_sampler.TestBoundSteps``."""
-        rng = np.random.default_rng(52)
-        p = _mixture_with_unused_slot(rng)
-        labels = rng.integers(0, 5, 30)
-        x = rng.normal(0, 2, (30, 4))
-        rows = p.per_row(labels)
-        assert np.array_equal(logpdf_batch(rows, None, x), logpdf_batch(p, labels, x))
-        assert np.array_equal(noised_marginal_logpdf_batch(rows, None, 37, x, SCHED),
-                              noised_marginal_logpdf_batch(p, labels, 37, x, SCHED))
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("C", [1, 2, 3, 8, 9])
+    def test_matches_direct_reference(self, C, d):
+        """C >= 8 crosses the length at which numpy's sums switch to
+        pairwise order; rows 0-3 lie 1e3 standard deviations out."""
+        rng = np.random.default_rng(100 + 10 * C + d)
+        p = _random_mixture(rng, 5, C, d)
+        labels = rng.integers(0, 5, 24)
+        labels[:2] = 0
+        x = rng.normal(0, 3, (24, d))
+        x[:4] += 1e3 * np.sqrt(p.variances.max())
+        for t in (0, 37, SCHED.T - 1):
+            got = exact_eps_batch(p, labels, t, x, SCHED)
+            want = _direct_eps(p, labels, t, x)
+            assert np.isfinite(got).all()
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * (np.abs(want) + scale)).all()
+
+    @pytest.mark.parametrize("L, C, d", [(4, 3, 5), (256, 2, 8)], ids=["C3", "256-labels"])
+    def test_rows_independent_and_packing_invariant(self, L, C, d):
+        """A row's bits depend on its frame and label alone: not on the other
+        rows of the block, their order, or which labels the tables hold."""
+        rng = np.random.default_rng(101 + L)
+        p = _random_mixture(rng, L, C, d)
+        n = 135
+        labels = rng.integers(0, L, n)
+        x = rng.normal(0, 2, (n, d))
+        for t in (0, 60, SCHED.T - 1):
+            batch = exact_eps_batch(p, labels, t, x, SCHED)
+            for i in range(0, n, 7):
+                one = exact_eps_batch(p, labels[i:i + 1], t, x[i:i + 1], SCHED)
+                assert one.tobytes() == batch[i:i + 1].tobytes()
+            perm = rng.permutation(n)
+            shuffled = exact_eps_batch(p, labels[perm], t, x[perm], SCHED)
+            assert shuffled.tobytes() == batch[perm].tobytes()
+            halves = [exact_eps_batch(p, labels[sl], t, x[sl], SCHED)
+                      for sl in (slice(0, 50), slice(50, n))]
+            assert np.concatenate(halves).tobytes() == batch.tobytes()
+
+    def test_tables_hold_distinct_labels_and_the_chains_steps(self):
+        rng = np.random.default_rng(102)
+        p = _random_mixture(rng, 16, 2, 3)
+        labels = np.array([5, 3, 5, 9, 3])
+        tables = noised_tables(p, labels, 0, 19, SCHED)
+        assert tables.table.shape == (20, 3, 2, 7)
+        assert tables.steps == range(0, 20)
+        assert np.array_equal(tables.rows, [1, 0, 1, 2, 0])
+        x = rng.normal(0, 1, (5, 3))
+        for t in (19, 0):
+            assert (exact_eps_batch(tables, None, t, x, SCHED).tobytes()
+                    == exact_eps_batch(p, labels, t, x, SCHED).tobytes())
+        with pytest.raises(ValueError, match=r"step 20 outside the tables' steps \[0, 19\]"):
+            exact_eps_batch(tables, None, 20, x, SCHED)
+        with pytest.raises(ValueError, match="labels=None"):
+            exact_eps_batch(tables, labels, 5, x, SCHED)
+
+    def test_blocked_build_gives_the_bits_of_one_block(self, monkeypatch):
+        rng = np.random.default_rng(103)
+        p = _random_mixture(rng, 40, 3, 5)
+        labels = rng.integers(0, 40, 90)
+        whole = noised_tables(p, labels, 0, SCHED.T - 1, SCHED).table
+        for values in (1, 600, 7000):
+            monkeypatch.setattr(prior, "TABLE_BLOCK_VALUES", values)
+            assert noised_tables(p, labels, 0, SCHED.T - 1, SCHED).table.tobytes() == whole.tobytes()
 
     def test_row_count_must_match(self):
         rng = np.random.default_rng(54)
-        rows = _mixture_with_unused_slot(rng).per_row(np.zeros(3, dtype=int))
-        with pytest.raises(ValueError, match="4 frames for 3 per-row mixtures"):
-            exact_eps_batch(rows, None, 10, rng.normal(0, 1, (4, 4)), SCHED)
+        tables = noised_tables(_random_mixture(rng, 5, 3, 4), np.zeros(3, dtype=int), 0, 10, SCHED)
+        with pytest.raises(ValueError, match="4 frames for 3 labeled rows"):
+            exact_eps_batch(tables, None, 10, rng.normal(0, 1, (4, 4)), SCHED)
+
+
+class TestStepRule:
+    """A step is one integer on the schedule: a float or a bool is refused,
+    not truncated, with one error naming it."""
+
+    @pytest.mark.parametrize("bad", [3.7, 99.9, 3.0, True, np.float64(2.0)])
+    def test_non_integer_step_refused(self, bad):
+        p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
+        x = np.zeros((1, 1))
+        for call in (lambda: exact_eps_batch(p, L0, bad, x, SCHED),
+                     lambda: noised_marginal_logpdf_batch(p, L0, bad, x, SCHED),
+                     lambda: gaussian_posterior_moments(0.0, 1.0, bad, 0.5, SCHED),
+                     lambda: alpha_bar_at(SCHED, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"timestep {bad!r} is not an integer")):
+                call()
+
+    def test_integer_steps_of_any_width_accepted(self):
+        p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
+        x = np.array([[0.4]])
+        want = exact_eps_batch(p, L0, 7, x, SCHED)
+        for t in (np.int64(7), np.uint8(7), np.asarray(7)):
+            assert exact_eps_batch(p, L0, t, x, SCHED).tobytes() == want.tobytes()
 
 
 class TestGaussianPosterior:

@@ -19,6 +19,7 @@ from priorshift.prior import (
     ConditionalGMM,
     exact_eps_batch,
     gaussian_posterior_moments,
+    noised_tables,
     sample_frames,
 )
 from priorshift.rng import PURPOSE_CONVERT, PURPOSE_DATA, substream
@@ -179,6 +180,32 @@ class TestBoundSteps:
         x = rng.normal(0, 2, (33, 5))
         got = prior_eps_source(p, SCHED)(labels)(x, t)
         assert got.tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
+
+    @pytest.mark.parametrize("L", [4, 256])
+    def test_exact_chain_builds_tables_once(self, L, monkeypatch):
+        """The first step builds the tables of the chain's distinct labels for
+        its steps; every step of the chain then gives the bits of an unbound
+        call, and only a step above the tables rebuilds them."""
+        rng = np.random.default_rng(63)
+        p = ConditionalGMM(weights=rng.dirichlet(np.ones(2), size=L),
+                           means=rng.normal(0, 2, (L, 2, 8)),
+                           variances=rng.uniform(0.5, 1.5, (L, 2, 8)))
+        labels = rng.integers(0, L, 135)
+        builds = []
+
+        def counting(*args):
+            builds.append(args[2:4])
+            return noised_tables(*args)
+
+        monkeypatch.setattr(sampler_mod, "noised_tables", counting)
+        step = prior_eps_source(p, SCHED)(labels)
+        assert builds == []
+        for t in range(60, -1, -1):
+            x = rng.normal(0, 2, (135, 8))
+            assert step(x, t).tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
+        assert builds == [(0, 60)]
+        step(x, 80)
+        assert builds == [(0, 60), (0, 80)]
 
     def test_model_step_bitwise_equal_to_forward(self):
         rng = np.random.default_rng(62)

@@ -111,6 +111,14 @@ class TestAlphaBarInvariants:
         with pytest.raises(ValueError, match="timesteps outside"):
             alpha_bar_at(default_schedule(), np.array([0, bad, 3]))
 
+    @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_non_integer_row_steps_rejected(self, bad):
+        """A bool array would otherwise index as a mask, a float one fail
+        with numpy's bare IndexError."""
+        with pytest.raises(ValueError, match=f"timesteps must be integers, got dtype {bad.dtype}"):
+            alpha_bar_at(default_schedule(), bad)
+
     def test_float64_view_matches_accessor(self):
         s = default_schedule()
         arr = alpha_bar_array(s)
