@@ -150,17 +150,18 @@ def gen_dataset(
     if n_seq < 1 or seq_len < 1:
         raise ValueError("n_seq and seq_len must be >= 1")
     gmm = world.native if which == "native" else world.l2
-    out = []
-    for i in range(n_seq):
+    draws = []
+    for _ in range(n_seq):
         labels = rng.integers(0, world.spec.n_labels, size=seq_len)
         c = sample_frames(gmm, labels, rng)
-        _, zc1 = snap_frames(c, world.codebook)
-        zc2 = c - zc1
-        h = c + world.spec.h_noise * rng.standard_normal(c.shape)
-        out.append(
-            LatentSequence(id=f"{which}-{i:05d}", labels=labels, frames=zc1, zc2=zc2, h=h)
-        )
-    return out
+        draws.append((labels, c, c + world.spec.h_noise * rng.standard_normal(c.shape)))
+    # Snapping draws no random numbers, so every sequence's draws are snapped
+    # in one call after the stream has been read in the per-sequence order.
+    _, zc1 = snap_frames(np.concatenate([c for _, c, _ in draws]), world.codebook)
+    return [
+        LatentSequence(id=f"{which}-{i:05d}", labels=labels, frames=q, zc2=c - q, h=h)
+        for i, ((labels, c, h), q) in enumerate(zip(draws, np.split(zc1, n_seq)))
+    ]
 
 
 def build_context(

@@ -134,24 +134,77 @@ def destandardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
     return frame_block(frames, s.mean.shape[0], "standardizer") * s.std + s.mean
 
 
-# A snap block holds at most this many codebook values, (rows, M, d), so its
-# memory stays ~4 MB for any frame count (1,024 rows at M=64, d=8).
-SNAP_BLOCK_VALUES = 1 << 19
+# Both snap stages work in row blocks of at most this many values: the
+# screen's (rows, M) distances and the recheck's (rows, M, d) differences
+# (512 and 64 rows at M=64, d=8), so the snap's memory stays ~1 MB for any
+# frame count and its blocks stay in cache.
+SNAP_BLOCK_VALUES = 1 << 15
+
+# The rounding margin of snap_frames' screen.  Let u = 2^-53, eta = 2^-1074 (the smallest
+# subnormal) and gamma_k = k·u/(1 - k·u).  For a row x and entry c_j, the
+# direct form sum_k fl(x_k - c_j,k)^2 is within gamma_{d+2}·D_j + d·eta of
+# the true squared distance D_j (every term is >= 0; eta bounds each
+# square's underflow).  The screen g_j = fl(|c_j|^2 - 2 fl(x·c_j)) is within
+# gamma_{d+1}·S + 3d·eta of |x - c_j|^2 - |x|^2, with S = (|x| + max|c|)^2,
+# whatever order or fused multiply-adds the GEMM uses; and D_j <= S.  So if
+# every other entry has g_j > g_j' + tau with tau >= 4·gamma_{d+2}·S +
+# 8d·eta, the direct values are strictly ordered the same way: the direct
+# argmin is j', with no tie.  tau = k·(u·S + eta) with k = 64(d+3) leaves a
+# factor of about 16 for the rounding of S, tau and g_j' + tau.  k·S is
+# formed before the product with u, so tau is inf wherever S exceeds the
+# largest double over k, and no row whose screen or direct values could
+# overflow is accepted.
+
+
+def _snap_direct(frames: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Nearest-entry indices from the squared differences themselves, in
+    row blocks of ``SNAP_BLOCK_VALUES`` values; each row's distances and
+    argmin (ties to the first entry) are the same whatever the block."""
+    rows = max(1, SNAP_BLOCK_VALUES // entries.size)
+    idx = np.empty(frames.shape[0], dtype=np.intp)
+    for lo in range(0, frames.shape[0], rows):
+        diff = frames[lo:lo + rows, None, :] - entries[None, :, :]
+        idx[lo:lo + rows] = np.multiply(diff, diff, out=diff).sum(axis=2).argmin(axis=1)
+        del diff  # freed before the next block is built
+    return idx
 
 
 def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-entry snap of an (n, d) block; returns (indices, snapped
-    frames).  Rows go through in blocks of ``SNAP_BLOCK_VALUES`` codebook
-    values; each row's squared distances and argmin (ties to the first
-    entry) are the same whatever the block."""
+    frames), bitwise those of the direct form ``argmin_j sum_k (x_k -
+    c_jk)^2`` with ties to the first entry.
+
+    Rows go through in blocks of ``SNAP_BLOCK_VALUES`` screen values.  The
+    screen ranks the entries by |c|^2 - 2x·c, one matrix product per block,
+    and accepts its argmin when every other entry ranks above it by more
+    than a proven rounding margin.  Every other row (a near or exact tie, a
+    non-finite frame, a scale that could overflow) is recomputed in the
+    direct form."""
     frames = frame_block(frames, cb.dim, "codebook")
-    rows = max(1, SNAP_BLOCK_VALUES // cb.entries.size)
+    entries = np.asarray(cb.entries, dtype=np.float64)
+    m, d = entries.shape
+    k = 64.0 * (d + 3)
+    rows = max(1, SNAP_BLOCK_VALUES // m)
     idx = np.empty(frames.shape[0], dtype=np.intp)
-    for lo in range(0, frames.shape[0], rows):
-        diff = frames[lo:lo + rows, None, :] - cb.entries[None, :, :]
-        idx[lo:lo + rows] = np.multiply(diff, diff, out=diff).sum(axis=2).argmin(axis=1)
-        del diff  # freed before the next block is built
-    return idx, np.array(cb.entries[idx], dtype=np.float64)
+    recheck = np.zeros(frames.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # tau is then inf or nan: rechecked
+        norms2 = np.einsum("jk,jk->j", entries, entries)
+        reach = np.sqrt(norms2.max())
+        for lo in range(0, frames.shape[0], rows):
+            x = frames[lo:lo + rows]
+            g = x @ entries.T
+            g *= -2.0
+            g += norms2
+            best = g.argmin(axis=1)
+            s = np.sqrt(np.einsum("ik,ik->i", x, x)) + reach
+            tau = k * (s * s) * 2.0 ** -53 + k * 2.0 ** -1074
+            bound = g[np.arange(best.size), best] + tau
+            recheck[lo:lo + rows] = np.count_nonzero(g <= bound[:, None], axis=1) != 1
+            idx[lo:lo + rows] = best
+    redo = np.flatnonzero(recheck)
+    if redo.size:
+        idx[redo] = _snap_direct(frames[redo], entries)
+    return idx, entries[idx]
 
 
 # Dataset file format: one sequence per line, tab-separated fields

@@ -67,10 +67,12 @@ def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) ->
 
 def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     """Exact predictor from an analytic mixture over the same frame space.
-    Binding checks the labels.  The first step builds the noised tables of
-    the labels' distinct mixtures for that step and every step below it,
-    the steps of a chain that runs down from there; every step then calls
-    :func:`exact_eps_batch` on those tables.  A step above them rebuilds."""
+    Binding checks the labels.  Every step calls :func:`exact_eps_batch` on
+    noised tables of the labels' distinct mixtures.  The first step builds
+    the tables of its own step alone, so a predictor bound for one call (as
+    :func:`~priorshift.denoiser.eval_loss_diff` binds one per step) builds
+    one step; a step outside the tables builds that step and every step
+    below it, the rest of a chain that runs down from there."""
 
     def bind(labels: np.ndarray) -> EpsStep:
         labels = check_labels(labels, p.n_labels)
@@ -78,7 +80,9 @@ def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
 
         def step(x: np.ndarray, t: int) -> np.ndarray:
             nonlocal tables
-            if tables is None or t >= tables.steps.stop:
+            if tables is None:
+                tables = noised_tables(p, labels, t, t, sched)
+            elif t not in tables.steps:
                 tables = noised_tables(p, labels, 0, t, sched)
             return exact_eps_batch(tables, None, t, x, sched)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from priorshift import harness as harness_mod
 from priorshift.harness import (
     SEPARATION_MIN,
     SweepRow,
@@ -151,6 +152,28 @@ class TestGenDataset:
             assert np.array_equal(resnap, s.frames)
             for row in s.frames:
                 assert any(np.array_equal(row, e) for e in world.codebook.entries)
+
+    def test_one_snap_call_keeps_the_per_sequence_bytes(self, monkeypatch):
+        """Every sequence's draws are snapped in one call; the stream is read
+        in the per-sequence order, so each track has the bits of drawing and
+        snapping one sequence at a time."""
+        world = gen_world(_small_spec(seed=19))
+        rng = substream(4, PURPOSE_DATA)
+        want = []
+        for _ in range(5):
+            labels = rng.integers(0, world.spec.n_labels, size=7)
+            c = sample_frames(world.l2, labels, rng)
+            _, zc1 = snap_frames(c, world.codebook)
+            h = c + world.spec.h_noise * rng.standard_normal(c.shape)
+            want.append((labels, zc1, c - zc1, h))
+        calls = []
+        monkeypatch.setattr(harness_mod, "snap_frames",
+                            lambda f, cb: (calls.append(len(f)), snap_frames(f, cb))[1])
+        seqs = gen_dataset(world, "l2", 5, 7, substream(4, PURPOSE_DATA))
+        assert calls == [35]
+        for s, tracks in zip(seqs, want):
+            for got, track in zip((s.labels, s.frames, s.zc2, s.h), tracks):
+                assert got.tobytes() == track.tobytes()
 
     def test_features_track_raw_draws(self):
         world = gen_world(_small_spec(seed=18, h_noise=0.01))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from priorshift import latent as latent_mod
 from priorshift.latent import (
     SNAP_BLOCK_VALUES,
     Codebook,
@@ -170,14 +171,36 @@ class TestCodebook:
 
 def _snap_one_block(frames, cb):
     """Reference snap: one (n, M, d) block over every row."""
-    diff = frames[:, None, :] - cb.entries[None, :, :]
-    idx = (diff * diff).sum(axis=2).argmin(axis=1)
+    with np.errstate(over="ignore"):
+        diff = frames[:, None, :] - cb.entries[None, :, :]
+        idx = (diff * diff).sum(axis=2).argmin(axis=1)
     return idx, cb.entries[idx]
+
+
+def _spy_recheck(monkeypatch):
+    """Record the rows ``snap_frames`` sends to its direct-form recheck."""
+    seen = []
+    direct = latent_mod._snap_direct
+
+    def spy(frames, entries):
+        seen.append(frames.copy())
+        return direct(frames, entries)
+
+    monkeypatch.setattr(latent_mod, "_snap_direct", spy)
+    return seen
+
+
+def _tie_frames(rng, entries, n):
+    """Rows whose nearest entries are exactly tied: ``entries[40]`` is a copy
+    of ``entries[10]`` and every row lies within 1e-3 of it."""
+    entries[40] = entries[10]
+    return entries[10] + rng.uniform(-1e-3, 1e-3, (n, entries.shape[1]))
 
 
 class TestBlockedSnap:
     """``snap_frames`` works through rows in blocks of at most
-    ``SNAP_BLOCK_VALUES`` codebook values; per row it is the one-block snap."""
+    ``SNAP_BLOCK_VALUES`` values, (rows, M) in the screen and (rows, M, d) in
+    the recheck; per row it is the one-block snap."""
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
                              ids=["1", "block-1", "block", "block+1", "3block+5"])
@@ -190,6 +213,40 @@ class TestBlockedSnap:
         want_idx, want = _snap_one_block(frames, cb)
         assert_array_equal(idx, want_idx)
         assert snapped.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "block-1", "block", "block+1", "3block+5"])
+    def test_screen_blocks_bitwise_equal_to_one_block(self, blocks, extra, monkeypatch):
+        """Row counts around the screen's blocks of ``SNAP_BLOCK_VALUES // M``
+        rows; no row of a tie-free block is rechecked."""
+        rng = np.random.default_rng(45)
+        cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
+        n = blocks * (SNAP_BLOCK_VALUES // len(cb)) + extra
+        frames = rng.normal(0, 1.2, (n, 8))
+        seen = _spy_recheck(monkeypatch)
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+        assert seen == []
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "block-1", "block", "block+1", "3block+5"])
+    def test_recheck_blocks_bitwise_equal_to_one_block(self, blocks, extra, monkeypatch):
+        """Tied rows, in counts around the recheck's blocks of
+        ``SNAP_BLOCK_VALUES // (M * d)`` rows, all go through the recheck."""
+        rng = np.random.default_rng(46)
+        entries = rng.normal(0, 1, (64, 8))
+        n = blocks * (SNAP_BLOCK_VALUES // entries.size) + extra
+        frames = _tie_frames(rng, entries, n)
+        cb = Codebook(entries=entries)
+        seen = _spy_recheck(monkeypatch)
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert (idx == 10).all()
+        assert snapped.tobytes() == want.tobytes()
+        assert len(seen) == 1 and seen[0].tobytes() == frames.tobytes()
 
     def test_codebook_above_the_budget_snaps_one_row_per_block(self):
         rng = np.random.default_rng(42)
@@ -210,10 +267,20 @@ class TestBlockedSnap:
         idx, _ = snap_frames(np.tile(entries[40], (n, 1)), cb)
         assert (idx == 10).all()
 
+    def test_codebook_above_the_screen_budget_screens_one_row_per_block(self):
+        rng = np.random.default_rng(47)
+        cb = Codebook(entries=rng.normal(0, 1, (SNAP_BLOCK_VALUES + 1, 1)))
+        assert SNAP_BLOCK_VALUES // len(cb) == 0
+        frames = np.concatenate([rng.normal(0, 1, (4, 1)), cb.entries[[7]]])
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+
     def test_peak_memory_is_bounded(self):
         """8,192 rows against 64 entries of dim 8: a one-block snap peaks at
         68 MB (the difference block and its square); row blocks keep it
-        under 16 MB."""
+        under 2 MB, of which the returned frames are 0.5 MB."""
         rng = np.random.default_rng(44)
         cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
         frames = rng.normal(0, 1, (8192, 8))
@@ -223,7 +290,88 @@ class TestBlockedSnap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 2 * 2 ** 20
+
+
+_SNAP_CASES = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "d": st.integers(1, 16),
+    "m": st.integers(1, 300),
+    "n": st.integers(1, 120),
+    "scale_exp": st.integers(-160, 160),
+    "dyadic": st.booleans(),
+    "duplicates": st.integers(0, 3),
+})
+
+
+class TestSnapScreen:
+    """The screen accepts a row only when the margin proves its argmin is the
+    direct form's; every other row is rechecked in the direct form."""
+
+    @given(_SNAP_CASES)
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bitwise_equal_to_one_block(self, case):
+        """Random, on-entry, midpoint and subnormal-offset rows against
+        codebooks with duplicate entries, at scales from squares that
+        underflow to ones that overflow (where the direct form warns)."""
+        rng = np.random.default_rng(case["seed"])
+        d, m, n = case["d"], case["m"], case["n"]
+        entries = rng.normal(0, 1, (m, d))
+        if case["dyadic"]:
+            entries = np.round(entries * 4) / 4
+        for _ in range(case["duplicates"]):
+            entries[rng.integers(m)] = entries[rng.integers(m)]
+        entries *= 10.0 ** case["scale_exp"]
+        a, b = rng.integers(m, size=(2, n))
+        offsets = rng.integers(-3, 4, (n, d)) * np.nextafter(0.0, 1.0)
+        kind = rng.integers(5, size=n)[:, None]
+        frames = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [rng.normal(0, 1.5, (n, d)) * 10.0 ** case["scale_exp"], entries[a],
+             (entries[a] + entries[b]) / 2, entries[a] + offsets],
+            offsets,
+        )
+        cb = Codebook(entries=entries)
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+
+    def test_only_exact_ties_reach_the_recheck(self, monkeypatch):
+        """On the integer grid {0..3}^3, rows within 0.4 of a grid point per
+        coordinate are tie-free and the screen settles them; rows halfway
+        between two or four grid points are exact ties and all go to the
+        recheck, which gives them the first of the tied entries."""
+        rng = np.random.default_rng(48)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        base = grid[rng.integers(0, len(grid), 300)]
+        half = np.zeros((300, 3))
+        half[np.arange(300), rng.integers(0, 3, 300)] = 0.5
+        half[::3, 2] = 0.5
+        tied = rng.random(300) < 0.3
+        frames = np.where(tied[:, None], np.minimum(base, 2.0) + half,
+                          base + rng.uniform(-0.4, 0.4, (300, 3)))
+        seen = _spy_recheck(monkeypatch)
+        idx, snapped = snap_frames(frames, Codebook(entries=grid))
+        want_idx, want = _snap_one_block(frames, Codebook(entries=grid))
+        assert len(seen) == 1 and seen[0].tobytes() == frames[tied].tobytes()
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+
+    def test_non_finite_rows_take_the_direct_form(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        cb = Codebook(entries=rng.normal(0, 1, (16, 3)))
+        frames = rng.normal(0, 1, (6, 3))
+        frames[1, 0] = np.nan
+        frames[3, 2] = np.inf
+        frames[4] = -np.inf
+        seen = _spy_recheck(monkeypatch)
+        idx, snapped = snap_frames(frames, cb)
+        want_idx, want = _snap_one_block(frames, cb)
+        assert_array_equal(idx, want_idx)
+        assert snapped.tobytes() == want.tobytes()
+        assert seen[0].tobytes() == frames[[1, 3, 4]].tobytes()
 
 
 class TestDatasetIO:

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from priorshift import sampler as sampler_mod
-from priorshift.denoiser import forward, init_denoiser, init_residual, predict_zc2
+from priorshift.denoiser import eval_loss_diff, forward, init_denoiser, init_residual, \
+    predict_zc2
 from priorshift.latent import (
     Codebook,
     LatentSequence,
@@ -184,8 +185,9 @@ class TestBoundSteps:
     @pytest.mark.parametrize("L", [4, 256])
     def test_exact_chain_builds_tables_once(self, L, monkeypatch):
         """The first step builds the tables of the chain's distinct labels for
-        its steps; every step of the chain then gives the bits of an unbound
-        call, and only a step above the tables rebuilds them."""
+        its own step, the next step those of the rest of the chain; every
+        step of the chain gives the bits of an unbound call, and only a step
+        outside the tables rebuilds them."""
         rng = np.random.default_rng(63)
         p = ConditionalGMM(weights=rng.dirichlet(np.ones(2), size=L),
                            means=rng.normal(0, 2, (L, 2, 8)),
@@ -203,9 +205,33 @@ class TestBoundSteps:
         for t in range(60, -1, -1):
             x = rng.normal(0, 2, (135, 8))
             assert step(x, t).tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
-        assert builds == [(0, 60)]
+        assert builds == [(60, 60), (0, 59)]
         step(x, 80)
-        assert builds == [(0, 60), (0, 80)]
+        assert builds == [(60, 60), (0, 59), (0, 80)]
+
+    def test_one_step_per_binding_builds_that_step_alone(self, monkeypatch):
+        """``eval_loss_diff`` binds once per distinct step and calls each bound
+        step once: 100 distinct steps build 100 step tables, not 5,050."""
+        rng = np.random.default_rng(64)
+        p = ConditionalGMM(weights=rng.dirichlet(np.ones(2), size=3),
+                           means=rng.normal(0, 2, (3, 2, 4)),
+                           variances=rng.uniform(0.5, 1.5, (3, 2, 4)))
+        builds = []
+
+        def counting(*args):
+            builds.append(args[2:4])
+            return noised_tables(*args)
+
+        monkeypatch.setattr(sampler_mod, "noised_tables", counting)
+        t = np.repeat(np.arange(100), 3)
+        labels = rng.integers(0, 3, t.size)
+        x0 = rng.normal(0, 1, (t.size, 4))
+        eps = rng.standard_normal((t.size, 4))
+        got = eval_loss_diff(prior_eps_source(p, SCHED), x0, labels, t, eps, SCHED)
+        assert builds == [(tv, tv) for tv in range(100)]
+        want = eval_loss_diff(lambda lab: lambda x, tv: exact_eps_batch(p, lab, tv, x, SCHED),
+                              x0, labels, t, eps, SCHED)
+        assert got == want
 
     def test_model_step_bitwise_equal_to_forward(self):
         rng = np.random.default_rng(62)
