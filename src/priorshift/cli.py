@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import re
@@ -296,7 +297,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="priorshift",
         description="Latent-frame accent conversion by partial diffusion toward a native prior.",

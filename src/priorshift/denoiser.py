@@ -635,7 +635,7 @@ def save_model(path: str, bundle: ModelBundle, sched: Schedule) -> None:
             fh.write(f"{key} {text(bundle, sched)}\n")
         for name, arr in _blocks(bundle.theta, bundle.phi, std.mean, std.std):
             fh.write(f"tensor {name} {arr.size}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in np.asarray(arr).ravel()) + "\n")
+            fh.write(" ".join(["%.17g"] * arr.size) % tuple(np.ravel(arr).tolist()) + "\n")
         fh.write("end\n")
 
 

@@ -219,7 +219,8 @@ _TRACKS = (("frames", "latent track"), ("zc2", "zc2 track"), ("h", "h track"))
 
 
 def _encode_track(track: np.ndarray) -> str:
-    return "|".join(",".join(f"{v:.17g}" for v in row) for row in np.asarray(track).tolist())
+    n, d = np.shape(track)
+    return "|".join([",".join(["%.17g"] * d)] * n) % tuple(np.ravel(track).tolist())
 
 
 def _decode_track(text: str, dim: int) -> np.ndarray:

@@ -9,10 +9,10 @@ two-class rule turns a pair of priors into a nativeness probability.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .latent import Standardizer, check_labels, frame_block
 from .schedule import Schedule, alpha_bar_at
@@ -86,6 +86,42 @@ class PosteriorGrid:
     x_t: float
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log Σ exp of an (n, C) block, in scipy 1.17's order of
+    operations, so the bits are scipy's: the entries equal to the row's max
+    leave the sum, which is divided by their count m, and the result is
+    log1p(s) + log(m) + max.  A row whose result is not finite (all -inf,
+    or holding +inf or nan) takes log Σ exp directly, so all -inf gives
+    -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = a.max(axis=1, keepdims=True)
+        ties = a == top
+        shifted = a - top
+        shifted[ties] = -np.inf
+        s = np.exp(shifted, out=shifted).sum(axis=1)
+        m = np.count_nonzero(ties, axis=1)
+        out = np.log1p(s / m) + np.log(m) + top[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
+def _expit_one(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)) of a 1-D block, one value at a
+    time on the C library's ``exp`` as scipy's ``expit`` computes it, so the
+    bits are scipy's (numpy's ``exp`` differs in the last bit on ~2% of
+    values); where exp(-z) overflows the result is 0."""
+    return np.array([_expit_one(v) for v in np.asarray(z, dtype=np.float64).tolist()])
+
+
 def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
     """Per-frame, per-component log weight plus log density, (n, C), under
     the mixture corrupted to cumulative level ``ab`` (1 is clean).  Direct
@@ -130,23 +166,27 @@ def noised_tables(p: ConditionalGMM, labels, first: int, last: int,
     the labels' distinct mixtures get an entry.  Steps are built in blocks
     of at most ``TABLE_BLOCK_VALUES`` noised values, so that with many
     labels the temporaries stay in cache; every entry's bits are those of
-    a one-block build."""
+    a one-block build.  P and sμP are written straight into the table:
+    glibc hands blocks of their size back between chains, so copies of
+    them made a long-lived process fault ~270 pages in again per chain."""
     keep, rows = np.unique(check_labels(labels, p.n_labels), return_inverse=True)
     mean, var = p.means[keep], p.variances[keep]
     with np.errstate(divide="ignore"):
         lw = np.log(p.weights[keep])
     ab_all = alpha_bar_at(sched, np.arange(first, last + 1))[:, :, None, None]
-    table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * p.dim + 1,))
+    d = p.dim
+    table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * d + 1,))
     block = max(1, TABLE_BLOCK_VALUES // mean.size)
     for lo in range(0, table.shape[0], block):
         ab = ab_all[lo:lo + block]
+        out = table[lo:lo + block]
+        prec, smp = out[..., :d], out[..., d:2 * d]
         v = ab * var + (1.0 - ab)
-        prec = 1.0 / v
+        np.divide(1.0, v, out=prec)
         smu = np.sqrt(ab) * mean
-        smp = smu * prec
-        k = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
-                        + np.einsum("slcd->slc", np.log(v)) + p.dim * _LOG_2PI)
-        np.concatenate((prec, smp, k[..., None]), axis=3, out=table[lo:lo + block])
+        np.multiply(smu, prec, out=smp)
+        out[..., 2 * d] = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
+                                      + np.einsum("slcd->slc", np.log(v, out=v)) + d * _LOG_2PI)
     return NoisedTables(steps=range(first, last + 1), table=table, rows=rows)
 
 
@@ -171,7 +211,7 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
 
 def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Uncorrupted mixture log density per frame."""
-    return logsumexp(_log_joint(p, labels, x), axis=1)
+    return logsumexp(_log_joint(p, labels, x))
 
 
 def noised_marginal_logpdf_batch(
@@ -179,7 +219,7 @@ def noised_marginal_logpdf_batch(
 ) -> np.ndarray:
     """Log density of the corrupted marginal at step ``t``, one value per frame."""
     ab = _alpha_bar_one(sched, t)
-    return logsumexp(_log_joint(p, labels, x, ab), axis=1)
+    return logsumexp(_log_joint(p, labels, x, ab))
 
 
 def exact_eps_batch(

@@ -56,6 +56,50 @@ class TestTopLevel:
                          "--codebook-size", "8"]) == 0
 
 
+def test_import_loads_no_scipy():
+    """The engine runs on numpy alone: importing the CLI in a fresh process
+    loads no scipy module."""
+    script = ("import sys\n"
+              "import priorshift.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no call's flags
+    reach the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_force_does_not_carry_over(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        out.write_text("keep\n")
+        argv = ["convert", "--world", pipeline["world"], "--model", "exact",
+                "--data", pipeline["data"], "--out", str(out), "--seed", "0",
+                "--t-start", "5"]
+        assert cli.main(argv + ["--force"]) == 0
+        written = out.read_text()
+        assert written != "keep\n"
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert "pass --force to overwrite" in capsys.readouterr().err
+        assert out.read_text() == written
+
+    def test_quiet_does_not_carry_over(self, tmp_path, capsys):
+        argv = ["gen-world", "--seed", "3", "--dim", "2", "--labels", "2",
+                "--codebook-size", "8"]
+        assert cli.main(["-q"] + argv + ["--out", str(tmp_path / "a.json")]) == 0
+        assert "INFO" not in capsys.readouterr().err
+        assert cli.main(argv + ["--out", str(tmp_path / "b.json")]) == 0
+        assert "INFO gen-world" in capsys.readouterr().err
+
+
 class TestGenWorld:
     def test_refuses_to_overwrite(self, pipeline, capsys):
         rc = cli.main(["gen-world", "--out", pipeline["world"], "--seed", "0"])

@@ -3,8 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy.special import logsumexp
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy import special
 
 from priorshift import prior
 from priorshift.latent import Standardizer
@@ -249,7 +249,7 @@ class TestExactEps:
             v = ab * p.variances[labels] + (1 - ab)
             with np.errstate(divide="ignore"):
                 lj = np.log(p.weights[labels]) + _gauss_logpdf(x[:, None, :], m, v).sum(axis=2)
-            resp = np.exp(lj - logsumexp(lj, axis=1, keepdims=True))
+            resp = np.exp(lj - special.logsumexp(lj, axis=1, keepdims=True))
             want = np.sqrt(1 - ab) * (resp[:, :, None] * (x[:, None, :] - m) / v).sum(axis=1)
             got = exact_eps_batch(p, labels, t, x, SCHED)
             assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -367,6 +367,25 @@ class TestNoisedTableKernel:
         for values in (1, 600, 7000):
             monkeypatch.setattr(prior, "TABLE_BLOCK_VALUES", values)
             assert noised_tables(p, labels, 0, SCHED.T - 1, SCHED).table.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("C, d", [(1, 1), (3, 5), (9, 8)])
+    def test_table_holds_the_bits_of_contiguous_terms(self, C, d):
+        """P and sμP are written into strided slices of the table, and K's
+        contraction reads them there; every entry keeps the bits of the
+        terms computed on contiguous arrays, zero-weight slots included."""
+        rng = np.random.default_rng(104 + C)
+        p = _random_mixture(rng, 6, C, d)
+        tables = noised_tables(p, np.arange(6), 0, SCHED.T - 1, SCHED)
+        ab = alpha_bar_at(SCHED, np.arange(SCHED.T))[:, :, None, None]
+        v = ab * p.variances + (1.0 - ab)
+        prec = 1.0 / v
+        smu = np.sqrt(ab) * p.means
+        smp = smu * prec
+        with np.errstate(divide="ignore"):
+            k = np.log(p.weights) - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
+                                           + np.einsum("slcd->slc", np.log(v)) + d * prior._LOG_2PI)
+        want = np.concatenate((prec, smp, k[..., None]), axis=3)
+        assert tables.table.tobytes() == want.tobytes()
 
     def test_row_count_must_match(self):
         rng = np.random.default_rng(54)
@@ -534,6 +553,40 @@ class TestNativeClassProb:
         b = ConditionalGMM.from_components([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ValueError):
             native_class_prob_batch(a, b, np.zeros(1, dtype=int), np.zeros((1, 1)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestScipyMirrors:
+    """``prior.logsumexp`` and ``prior.expit`` stand in for scipy's; scipy,
+    a test dependency only, is the reference, bit for bit."""
+
+    def test_logsumexp_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            n, C = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+            a = rng.normal(size=(n, C)) * 10.0 ** rng.uniform(-3, 3)
+            a[rng.random((n, C)) < rng.uniform(0, 0.5)] = -np.inf
+            if C > 1 and rng.random() < 0.5:  # exact ties with the row's max
+                tie = np.round(rng.normal(size=(n, 1)), int(rng.integers(0, 3)))
+                a[:, rng.choice(C, int(rng.integers(2, C + 1)), replace=False)] = tie
+            a[rng.random(n) < 0.2] = -np.inf
+            assert_array_equal(_bits(prior.logsumexp(a)), _bits(special.logsumexp(a, axis=1)))
+
+    def test_logsumexp_row_of_minus_inf_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [np.inf, 0.0]])
+        with np.errstate(all="raise"):
+            got = prior.logsumexp(a)
+        assert_array_equal(got, [-np.inf, 0.0, np.inf])
+
+    def test_expit_bitwise_equal_to_scipy(self):
+        z = np.concatenate([np.random.default_rng(32).normal(0.0, 3.0, 200_000),
+                            [745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+        got = prior.expit(z)
+        assert got.shape == z.shape
+        assert_array_equal(_bits(got), _bits(special.expit(z)))
 
 
 class TestTransforms:
