@@ -9,6 +9,7 @@ lines go where the flags point.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -36,12 +37,16 @@ from .latent import atomic_write, load_dataset, save_dataset, settings_from_json
 from .prior import marginal_1d, resolving_points
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from .sampler import convert_sequences, frame_metrics
-from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, linear_schedule
+from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, check_start_steps, \
+    linear_schedule
 from .verify import run_suites
 
 log = logging.getLogger("priorshift")
 # Points of `posterior`'s default grid, unless it needs more.
 DEFAULT_GRID_POINTS = 2001
+# Most points of any `posterior` grid; a grid near it peaks at ~540 MB of RSS
+# with one start step, ~660 MB with five.
+MAX_GRID_POINTS = 2 ** 22
 
 
 class UsageError(Exception):
@@ -61,12 +66,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
-def _require_start_steps(t_starts: list[int], flag: str, lo: int, T: int) -> None:
-    for t in t_starts:
-        if not lo <= t <= T:
-            raise UsageError(f"{flag} must lie in [{lo}, {T}], got {t}")
-
-
 def _require_sizes(args: argparse.Namespace, *flags: str) -> None:
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -74,11 +73,18 @@ def _require_sizes(args: argparse.Namespace, *flags: str) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
-def _flag_error(exc: ValueError, flags: dict[str, str]) -> UsageError:
-    """A settings error ``<field>: <why>`` as a usage error naming flags in
-    place of fields, by ``flags`` (field -> flag)."""
-    field, _, why = str(exc).partition(": ")
-    return UsageError(flags[field] + " " + re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), why))
+@contextlib.contextmanager
+def _flags(flags: dict[str, str]):
+    """Re-raise a ``<field>: <why>`` error whose field ``flags`` maps to a flag
+    as a usage error naming flags in place of fields; others pass unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, why = str(exc).partition(": ")
+        if field not in flags:
+            raise
+        why = re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), why)
+        raise UsageError(f"{flags[field]} {why}") from None
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
@@ -91,15 +97,12 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _schedule_from_args(args: argparse.Namespace):
-    try:
+    with _flags({"beta_min": "--beta-min", "beta_max": "--beta-max", "T": "--T"}):
         return linear_schedule(
             DEFAULT_BETA_MIN if args.beta_min is None else args.beta_min,
             DEFAULT_BETA_MAX if args.beta_max is None else args.beta_max,
             DEFAULT_T if args.T is None else args.T,
         )
-    except ValueError as exc:
-        raise _flag_error(exc, {"beta_min": "--beta-min", "beta_max": "--beta-max",
-                                "T": "--T"}) from None
 
 
 def _reject_schedule_flags(args: argparse.Namespace) -> None:
@@ -117,11 +120,9 @@ _GEN_WORLD_FLAGS.update(n_labels="--labels", n_components="--components")
 
 
 def _cmd_gen_world(args: argparse.Namespace) -> int:
-    try:
+    with _flags(_GEN_WORLD_FLAGS):
         spec = WorldSpec(**{name: getattr(args, flag[2:].replace("-", "_"))
                             for name, flag in _GEN_WORLD_FLAGS.items()})
-    except ValueError as exc:
-        raise _flag_error(exc, _GEN_WORLD_FLAGS) from None
     out = _out_path(args.out, args.force)
     world = gen_world(spec)
     save_world(world, out)
@@ -158,9 +159,8 @@ def _read_train_config(path: str) -> TrainConfig:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig() if args.config is None else _read_train_config(args.config)
     if args.epochs is not None:
-        if args.epochs < 0:
-            raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
-        cfg = dataclasses.replace(cfg, epochs=args.epochs)
+        with _flags({"epochs": "--epochs"}):
+            cfg = dataclasses.replace(cfg, epochs=args.epochs)
     out = _out_path(args.out, args.force)
     seqs, _, n_labels = load_dataset(args.data)
     sched = _schedule_from_args(args)
@@ -190,6 +190,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     out = _out_path(args.out, args.force)
     diag_path = None
     if args.diagnostics is not None:
+        if Path(args.diagnostics).resolve() == Path(out).resolve():
+            raise UsageError(f"--diagnostics must name a file other than --out's {out}")
         diag_path = _out_path(args.diagnostics, args.force)
     world = load_world(args.world)
     seqs, dim, n_labels = load_dataset(args.data)
@@ -200,9 +202,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.data}: labels: label {top} outside the world's "
                          f"[0, {world.spec.n_labels})")
     bundle, sched = _load_model_or_exact(args, world)
-    _require_start_steps([args.t_start], "--t-start", 0, sched.T)
     ctx = build_context(world, sched, bundle, snap=not args.no_snap)
-    results = convert_sequences(seqs, ctx, args.t_start, args.seed)
+    with _flags({"t_start": "--t-start"}):
+        results = convert_sequences(seqs, ctx, args.t_start, args.seed)
     # Score every frame before writing anything, so a failure leaves no file.
     l2d, cos, prob = frame_metrics(
         np.concatenate([s.frames for s in seqs]), np.concatenate([s.frames for s in results]),
@@ -225,16 +227,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require_sizes(args, "--n-seq", "--seq-len")
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
-    if not t_starts or t_starts != sorted(set(t_starts)):
-        raise UsageError(f"--t-starts must be distinct and ascending, got {args.t_starts!r}")
     out = _out_path(args.out, args.force)
     world = load_world(args.world)
     bundle, sched = _load_model_or_exact(args, world)
-    _require_start_steps(t_starts, "--t-starts", 0, sched.T)
-    table = sweep(
-        world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
-        snap=not args.no_snap, stratify_labels=args.stratify_labels,
-    )
+    with _flags({"t_starts": "--t-starts"}):
+        table = sweep(
+            world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
+            snap=not args.no_snap, stratify_labels=args.stratify_labels,
+        )
     with atomic_write(out) as fh:
         fh.write(table.to_csv())
     for row in table.rows:
@@ -246,9 +246,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_posterior(args: argparse.Namespace) -> int:
     sched = _schedule_from_args(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
-    _require_start_steps(t_starts, "--t-starts", 1, sched.T)
+    with _flags({"t_starts": "--t-starts"}):
+        check_start_steps("t_starts", t_starts, 1, sched)
     if args.grid_points is not None and args.grid_points < 8:
         raise UsageError(f"--grid-points must be >= 8, got {args.grid_points}")
+    if args.grid_points is not None and args.grid_points > MAX_GRID_POINTS:
+        raise UsageError(f"--grid-points must be <= {MAX_GRID_POINTS}, got {args.grid_points}")
     for flag, value in (("--x0", args.x0), ("--grid-lo", args.grid_lo),
                         ("--grid-hi", args.grid_hi)):
         if value is not None and not np.isfinite(value):
@@ -281,7 +284,11 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     if points is None:
         points = DEFAULT_GRID_POINTS
         if args.grid_lo is None and args.grid_hi is None:
-            points = max(points, resolving_points(m1, min(t_starts) - 1, hi - lo, sched))
+            need = resolving_points(m1, min(t_starts) - 1, hi - lo, sched)
+            if need > MAX_GRID_POINTS:
+                raise UsageError(f"--x0 {args.x0} needs a default grid of {need:.3g} points, "
+                                 f"over {MAX_GRID_POINTS}; pass --grid-lo and --grid-hi")
+            points = max(points, int(need))
     grid = np.linspace(lo, hi, points)
     posterior_curves(world, args.label, args.x0, t_starts, grid, sched,
               dim=args.dim, out_dir=str(out_dir))

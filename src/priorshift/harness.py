@@ -35,7 +35,7 @@ from .sampler import (
     model_eps_source,
     prior_eps_source,
 )
-from .schedule import Schedule, alpha_bar_at
+from .schedule import Schedule, alpha_bar_at, check_start_steps
 
 WORLD_MAGIC = "PRIORSHIFT-WORLD v1"
 
@@ -228,12 +228,7 @@ def sweep(
     ``seed`` alone, so rows differ only through the start step (paired
     noise across rows) and repeated runs are identical.
     """
-    if not t_starts:
-        raise ValueError("t_starts is empty")
-    if list(t_starts) != sorted(set(int(t) for t in t_starts)):
-        raise ValueError("t_starts must be distinct and ascending")
-    if any(t < 0 or t > sched.T for t in t_starts):
-        raise ValueError(f"t_starts must lie in [0, {sched.T}]")
+    check_start_steps("t_starts", t_starts, 0, sched)
     data = gen_dataset(world, "l2", n_seq, seq_len, substream(seed, PURPOSE_DATA))
     ctx = build_context(world, sched, bundle, snap)
     inp = np.concatenate([s.frames for s in data], axis=0)
@@ -277,8 +272,7 @@ def posterior_curves(
     land there as two-column CSV files.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    if any(t < 1 or t > sched.T for t in t_starts):
-        raise ValueError(f"t_starts must lie in [1, {sched.T}]")
+    check_start_steps("t_starts", t_starts, 1, sched)
     gmm1 = marginal_1d(world.native, dim)
     # Every posterior first, so a grid one of them rejects fails before the
     # prior and likelihood curves are computed on it.

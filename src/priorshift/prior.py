@@ -289,16 +289,17 @@ def gaussian_posterior_moments(
 _RESOLVE_POINTS, _RESOLVE_FLOOR = 3, 1e-6
 
 
-def resolving_points(p: ConditionalGMM, t: int, span: float, sched: Schedule) -> int:
+def resolving_points(p: ConditionalGMM, t: int, span: float, sched: Schedule) -> float:
     """Fewest points of an even grid over ``span`` that resolve, as
     :func:`posterior_grid` requires, the narrowest clean-frame posterior of
     the 1-D ``p`` at step ``t``.  That is the conjugate posterior of its
     slimmest component, which lies above 1e-6 of its peak over
-    2 sqrt(2 ln 1e6) standard deviations."""
+    2 sqrt(2 ln 1e6) standard deviations.  The count is a whole-valued
+    float: past float range it is inf rather than an OverflowError."""
     ab = _alpha_bar_one(sched, t)
     sd = np.sqrt(1.0 / (1.0 / p.variances.min() + ab / (1.0 - ab)))
-    width = 2.0 * np.sqrt(-2.0 * np.log(_RESOLVE_FLOOR)) * sd
-    return int(np.ceil(_RESOLVE_POINTS * span / width)) + 1
+    width = float(2.0 * np.sqrt(-2.0 * np.log(_RESOLVE_FLOOR)) * sd)
+    return float(np.ceil(_RESOLVE_POINTS * span / width)) + 1.0
 
 
 def posterior_grid(

@@ -26,7 +26,7 @@ from .latent import Codebook, LatentSequence, Standardizer, check_labels, \
     destandardize_frames, snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
 from .rng import PURPOSE_CONVERT, substream
-from .schedule import Schedule, ddim_step, forward_corrupt
+from .schedule import Schedule, check_start_steps, ddim_step, forward_corrupt
 
 # A noise prediction for an (n, d) block at one step, bound to n labels.
 EpsStep = Callable[[np.ndarray, int], np.ndarray]
@@ -58,8 +58,7 @@ def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) ->
     reverse steps run; 0 returns the input unchanged.
     """
     x = np.array(x, dtype=np.float64)
-    if not 0 <= t_start <= sched.T:
-        raise ValueError(f"t_start {t_start} outside [0, {sched.T}]")
+    check_start_steps("t_start", [t_start], 0, sched)
     for t in range(t_start - 1, -1, -1):
         x = ddim_step(x, t, step(x, t), sched)
     return x
@@ -139,11 +138,12 @@ def convert_sequences(
     second-stage residual when the context has a residual head (computed on
     the pre-snap frames), and snap the first-stage frames when the context
     has a codebook.  Sequence ``i`` draws its noise from substream ``(seed,
-    PURPOSE_CONVERT, i)``, so its result depends only on its position, never
-    on the other sequences in the batch.
+    PURPOSE_CONVERT, i)``.  With the exact predictor its result therefore
+    depends only on its position, bit for bit, never on the other sequences
+    in the batch; with a trained model it does so to rounding level, as the
+    batch's row count can change how BLAS blocks the model's matrix products.
     """
-    if not 0 <= t_start <= ctx.sched.T:
-        raise ValueError(f"t_start must lie in [0, {ctx.sched.T}], got {t_start}")
+    check_start_steps("t_start", [t_start], 0, ctx.sched)
     if ctx.residual is not None:
         for seq in seqs:
             if seq.h is None:

@@ -41,6 +41,17 @@ def linear_schedule(beta_min: float, beta_max: float, T: int) -> Schedule:
     return Schedule(T=int(T), beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 
+def check_start_steps(field: str, steps, lo: int, sched: Schedule) -> None:
+    """Require user-scale start steps to be non-empty, distinct, ascending
+    and each in [``lo``, T]; a failure reads ``<field>: <why>``."""
+    steps = list(steps)
+    if not steps or steps != sorted(set(steps)):
+        raise ValueError(f"{field}: must be distinct and ascending, got {steps}")
+    for t in steps:
+        if not lo <= t <= sched.T:
+            raise ValueError(f"{field}: must lie in [{lo}, {sched.T}], got {t}")
+
+
 def default_schedule() -> Schedule:
     return linear_schedule(DEFAULT_BETA_MIN, DEFAULT_BETA_MAX, DEFAULT_T)
 

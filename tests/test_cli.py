@@ -524,6 +524,25 @@ class TestPosterior:
                          "--x0", "1.5", "--t-starts", "1"]) == 0
         assert len((out_dir / "posterior_t001.csv").read_text().splitlines()) == 2002
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--x0", "1e6"], "--x0 1000000.0 needs a default grid of 2.85e+07 points, "
+                          "over 4194304; pass --grid-lo and --grid-hi"),
+        (["--x0", "1e300"], "--x0 1e+300 needs a default grid of "),
+        (["--x0=-1e307"], "--x0 -1e+307 needs a default grid of inf points, "),
+        (["--x0", "1.5", "--grid-points", "1000000000"],
+         "--grid-points must be <= 4194304, got 1000000000"),
+    ], ids=["x0-far", "x0-huge", "x0-past-float-range", "grid-points"])
+    def test_grid_size_is_bounded(self, pipeline, tmp_path, capsys, flags, message):
+        """A grid over MAX_GRID_POINTS fails as one usage error before any
+        array is sized, naming the flag that asked for it, and creates no
+        output directory."""
+        out_dir = tmp_path / "curves"
+        rc = cli.main(["posterior", "--world", pipeline["world"], "--out-dir", str(out_dir),
+                       "--t-starts", "1"] + flags)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out_dir.exists()
+
     def test_nonempty_dir_needs_force(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "curves"
         out_dir.mkdir()
@@ -587,6 +606,49 @@ def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv
     assert rc == 2 and len(err) == 1
     assert err[0].startswith(f"error: {flag} ") and message in err[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, value, why", [
+    pytest.param(command, value, why, id=f"{command}-{case}")
+    for command, lo in (("convert", 0), ("sweep", 0), ("posterior", 1))
+    for case, value, why in (
+        ("high", "101", f"must lie in [{lo}, 100], got 101"),
+        ("negative", "-1", f"must lie in [{lo}, 100], got -1"),
+        ("empty", "", "must be distinct and ascending, got []"),
+        ("repeated", "5,5", "must be distinct and ascending, got [5, 5]"),
+        ("descending", "50,25", "must be distinct and ascending, got [50, 25]"),
+    ) if command != "convert" or case in ("high", "negative")
+])
+def test_start_step_rule_names_the_flag(pipeline, tmp_path, capsys, command, value, why):
+    """Every command's start steps follow the library's one rule: off it, one
+    error line names the flag (exit status 2) and nothing is written."""
+    out = tmp_path / "out"
+    flag, extra = {
+        "convert": ("--t-start", ["--model", "exact", "--seed", "0", "--data", pipeline["data"],
+                                  "--out", str(out), "--diagnostics", str(tmp_path / "d.csv")]),
+        "sweep": ("--t-starts", ["--model", "exact", "--seed", "0", "--out", str(out),
+                                 "--n-seq", "2", "--seq-len", "4"]),
+        "posterior": ("--t-starts", ["--out-dir", str(out), "--x0", "1.0"]),
+    }[command]
+    capsys.readouterr()
+    rc = cli.main([command, "--world", pipeline["world"], f"{flag}={value}"] + extra)
+    assert rc == 2 and capsys.readouterr().err.splitlines() == [f"error: {flag} {why}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unmapped_library_error_passes_through(pipeline, trained, tmp_path, capsys):
+    """A library error that names no flag's field reaches the user verbatim,
+    with exit status 1: here a model with a residual head converting a
+    dataset that has no h tracks."""
+    seqs, _, n_labels = load_dataset(pipeline["data"])
+    data, out = tmp_path / "no_h.tsv", tmp_path / "out.tsv"
+    save_dataset([dataclasses.replace(s, zc2=None, h=None) for s in seqs], str(data), n_labels)
+    capsys.readouterr()
+    rc = cli.main(["convert", "--world", pipeline["world"], "--model", trained["model"],
+                   "--data", str(data), "--out", str(out), "--seed", "0", "--t-start", "5"])
+    assert rc == 1 and capsys.readouterr().err.splitlines() == [
+        f"error: sequence {seqs[0].id!r} lacks the h track needed for the residual"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -668,6 +730,29 @@ def test_existing_output_fails_before_any_input_is_read(pipeline, tmp_path, caps
     assert err[0].startswith("error: output ") and err[0].endswith("pass --force to overwrite")
     assert sorted(tmp_path.rglob("*")) == sorted({kept, kept.parent} - {tmp_path})
     assert kept.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("diagnostics", ["out.tsv", "sub/../out.tsv"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_diagnostics_must_not_be_the_output(pipeline, tmp_path, capsys, monkeypatch,
+                                            diagnostics, existing):
+    """``--diagnostics`` naming ``--out``'s file would replace the converted
+    dataset: a usage error, even with ``--force``, before any work."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "out.tsv"
+    argv = ["convert", "--world", pipeline["world"], "--model", "exact", "--data",
+            pipeline["data"], "--seed", "0", "--t-start", "5", "--out", str(out),
+            "--diagnostics", diagnostics]
+    if existing:
+        out.write_text("keep\n")
+        argv.append("--force")
+    rc = cli.main(argv)
+    assert rc == 2 and capsys.readouterr().err.splitlines() == [
+        f"error: --diagnostics must name a file other than --out's {out}"]
+    kept = {tmp_path / "sub", out} if existing else {tmp_path / "sub"}
+    assert sorted(tmp_path.rglob("*")) == sorted(kept)
+    assert not existing or out.read_text() == "keep\n"
 
 
 class TestVerify:

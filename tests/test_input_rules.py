@@ -1,5 +1,6 @@
-"""The label rule and the frame-block rule hold at every entry point that
-takes labels or an (n, d) block of frames."""
+"""The label rule, the frame-block rule and the start-step rule hold at
+every entry point that takes labels, an (n, d) block of frames or start
+steps."""
 import re
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 
 from priorshift.denoiser import TrainConfig, forward, init_denoiser, init_residual, \
     loss_total, predict_zc2, train
+from priorshift.harness import WorldSpec, gen_world, posterior_curves, sweep
 from priorshift.latent import Codebook, LatentSequence, Standardizer, destandardize_frames, \
     load_dataset, save_dataset, snap_frames, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, noised_tables, \
     posterior_grid, sample_frames
-from priorshift.sampler import prior_eps_source
-from priorshift.schedule import default_schedule
+from priorshift.sampler import ConvertContext, convert_sequences, denoise_from, \
+    prior_eps_source
+from priorshift.schedule import check_start_steps, default_schedule
 
 SCHED = default_schedule()
 K, D = 3, 2
@@ -110,3 +113,42 @@ def test_predict_zc2_rejects_unequal_row_counts():
 def test_standardizer_takes_only_frame_blocks(call):
     with pytest.raises(ValueError, match=re.escape(f"frames shape ({D},)")):
         call(np.ones(D), Standardizer(np.zeros(D), np.ones(D)))
+
+
+# Start steps off the rule, each with what it violates on [lo, T].
+_START_STEPS = {
+    "high": ([SCHED.T + 1], lambda lo: f"must lie in [{lo}, {SCHED.T}], got {SCHED.T + 1}"),
+    "negative": ([-1], lambda lo: f"must lie in [{lo}, {SCHED.T}], got -1"),
+    "empty": ([], lambda lo: "must be distinct and ascending, got []"),
+    "repeated": ([5, 5], lambda lo: "must be distinct and ascending, got [5, 5]"),
+    "descending": ([50, 25], lambda lo: "must be distinct and ascending, got [50, 25]"),
+}
+_WORLD = gen_world(WorldSpec(dim=D, n_labels=K, codebook_size=8, seed=0))
+_CONVERT_CTX = ConvertContext(sched=SCHED, standardizer=Standardizer(np.zeros(D), np.ones(D)),
+                              predictor=prior_eps_source(_gmm(), SCHED))
+# name -> (field, lo, call on the steps and a scratch dir); a ``t_start``
+# entry takes one step.
+_START_STEP_ENTRY_POINTS = {
+    "check_start_steps": ("t_starts", 0,
+                          lambda steps, tmp: check_start_steps("t_starts", steps, 0, SCHED)),
+    "denoise_from": ("t_start", 0, lambda steps, tmp: denoise_from(
+        np.ones((2, D)), steps[0], prior_eps_source(_gmm(), SCHED)(np.zeros(2, dtype=int)),
+        SCHED)),
+    "convert_sequences": ("t_start", 0, lambda steps, tmp: convert_sequences(
+        [_seq([0, 1])], _CONVERT_CTX, steps[0], 0)),
+    "sweep": ("t_starts", 0, lambda steps, tmp: sweep(_WORLD, None, steps, 2, 3, 0, SCHED)),
+    "posterior_curves": ("t_starts", 1, lambda steps, tmp: posterior_curves(
+        _WORLD, 0, 1.0, steps, np.linspace(-9, 9, 101), SCHED, out_dir=str(tmp / "curves"))),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry, (field, _, _) in sorted(_START_STEP_ENTRY_POINTS.items())
+    for case in _START_STEPS if field == "t_starts" or case in ("high", "negative")])
+def test_start_steps_off_the_rule_rejected(tmp_path, entry, case):
+    """One rule, one message shape: ``<field>: <why>``, and nothing written."""
+    field, lo, call = _START_STEP_ENTRY_POINTS[entry]
+    steps, why = _START_STEPS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{field}: {why(lo)}") + "$"):
+        call(steps, tmp_path)
+    assert list(tmp_path.iterdir()) == []
