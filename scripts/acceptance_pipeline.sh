@@ -1,9 +1,10 @@
 #!/bin/sh
 # Run the acceptance pipeline into OUT_DIR (which must not exist yet):
 # gen-world, gen-data, train, exact and model converts with diagnostics,
-# exact and model sweeps, posterior curves and the oracle suites.  Every
-# step is seeded, so two checkouts that agree on every output give
-# identical trees: compare them with `diff -r OUT_A OUT_B`.
+# the same converts unsnapped (snapping hides rounding-level changes in the
+# reverse chain), exact and model sweeps, posterior curves and the oracle
+# suites.  Every step is seeded, so two checkouts that agree on every output
+# give identical trees: compare them with `diff -r OUT_A OUT_B`.
 #
 #   scripts/acceptance_pipeline.sh OUT_DIR
 set -eu
@@ -24,6 +25,8 @@ for model in exact model; do
     run convert --world "$out/world.json" --model "$src" --data "$out/data.tsv" \
         --out "$out/convert_$model.tsv" --seed 14 --t-start 60 \
         --diagnostics "$out/diag_$model.csv"
+    run convert --world "$out/world.json" --model "$src" --data "$out/data.tsv" \
+        --out "$out/convert_${model}_nosnap.tsv" --seed 14 --t-start 60 --no-snap
     run sweep --world "$out/world.json" --model "$src" --out "$out/sweep_$model.csv" \
         --seed 15 --n-seq 6 --seq-len 20
 done

@@ -145,6 +145,14 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_tracks(path: str, seqs, tracks: tuple[str, ...], user: str) -> None:
+    for seq in seqs:
+        for track in tracks:
+            if getattr(seq, track) is None:
+                raise UsageError(f"--data {path}: sequence {seq.id!r} lacks the {track} track, "
+                                 f"which {user} needs")
+
+
 def _read_train_config(path: str) -> TrainConfig:
     """TrainConfig from a JSON object of overrides; errors name the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -163,6 +171,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             cfg = dataclasses.replace(cfg, epochs=args.epochs)
     out = _out_path(args.out, args.force)
     seqs, _, n_labels = load_dataset(args.data)
+    _require_tracks(args.data, seqs, ("zc2", "h"), "training")
     sched = _schedule_from_args(args)
     bundle, curve = train(
         cfg, seqs, sched, substream(args.seed, PURPOSE_TRAIN), n_labels=n_labels,
@@ -195,6 +204,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         diag_path = _out_path(args.diagnostics, args.force)
     world = load_world(args.world)
     seqs, dim, n_labels = load_dataset(args.data)
+    if args.model != "exact":
+        _require_tracks(args.data, seqs, ("h",), "the model's residual head")
     if dim != world.spec.dim:
         raise UsageError(f"{args.data}: #dim: dataset has {dim}, world has {world.spec.dim}")
     top = max(int(s.labels.max()) for s in seqs)

@@ -524,8 +524,9 @@ def train(
 
 def eval_loss_diff(predictor, x0, labels, t, eps, sched: Schedule) -> float:
     """Denoising loss of an arbitrary predictor on fixed (x0, t, eps) triples.
-    ``predictor(labels)`` gives ``step(x, t)``, as the sampler's sources do;
-    it is bound once per distinct step, to that step's rows."""
+    ``predictor(labels, steps)`` gives ``step(x, t)``, as the sampler's
+    sources do; it is bound once per distinct step, to that step's rows and
+    that step alone."""
     t = np.asarray(t)
     eps = np.asarray(eps, dtype=np.float64)
     labels = np.asarray(labels)
@@ -533,7 +534,8 @@ def eval_loss_diff(predictor, x0, labels, t, eps, sched: Schedule) -> float:
     out = np.empty_like(eps)
     for tv in np.unique(t):
         sel = t == tv
-        out[sel] = predictor(labels[sel])(x_t[sel], int(tv))
+        tv = int(tv)
+        out[sel] = predictor(labels[sel], range(tv, tv + 1))(x_t[sel], tv)
     r = out - eps
     return float((r * r).mean())
 

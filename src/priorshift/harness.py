@@ -45,6 +45,9 @@ SEPARATION_MIN = 0.2
 MAX_WORLD_ATTEMPTS = 64
 _SEP_SAMPLE = 2048
 _STD_SAMPLE = 8192
+# Most lines of a posterior CSV formatted by one `%` call: a call over a
+# whole million-point curve would hold ~100 MB of floats and text.
+CSV_BLOCK_LINES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,10 @@ def posterior_curves(
         for name, dens in files:
             with atomic_write(str(root / name)) as fh:
                 fh.write("x,density\n")
-                for x, y in zip(grid, dens):
-                    fh.write(f"{x:.17g},{y:.17g}\n")
+                for lo in range(0, grid.size, CSV_BLOCK_LINES):
+                    xy = np.column_stack((grid[lo:lo + CSV_BLOCK_LINES],
+                                          dens[lo:lo + CSV_BLOCK_LINES]))
+                    fh.write("%.17g,%.17g\n" * len(xy) % tuple(xy.ravel().tolist()))
     return curves
 
 

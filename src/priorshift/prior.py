@@ -143,7 +143,7 @@ class NoisedTables:
     depend on the frames, for the distinct labels of a block of rows.
 
     With v = ab_t var + 1 - ab_t, P = 1/v and sμP = sqrt(ab_t) mean P,
-    ``table[t - steps.start]`` holds, per label and component, P and sμP
+    ``table[steps.index(t)]`` holds, per label and component, P and sμP
     (d values each) and K = log w - (Σ sμ²P + Σ log v + d log 2π)/2: the
     log joint of a frame x is then -x²/2·P + x·sμP + K.  ``rows`` holds
     each row's entry in the table.
@@ -158,12 +158,11 @@ class NoisedTables:
         return (self.table.shape[-1] - 1) // 2
 
 
-def noised_tables(p: ConditionalGMM, labels, first: int, last: int,
-                  sched: Schedule) -> NoisedTables:
-    """The tables of ``p`` noised to each step from ``first`` to ``last``,
-    for the rows of ``labels``: built once for a reverse chain, they hold
-    the x-independent work of :func:`exact_eps_batch` for its steps.  Only
-    the labels' distinct mixtures get an entry.  Steps are built in blocks
+def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> NoisedTables:
+    """The tables of ``p`` noised to each step of ``steps``, for the rows of
+    ``labels``: built once for a reverse chain, they hold the x-independent
+    work of :func:`exact_eps_batch` for its steps.  Only the labels'
+    distinct mixtures get an entry.  Steps are built in blocks
     of at most ``TABLE_BLOCK_VALUES`` noised values, so that with many
     labels the temporaries stay in cache; every entry's bits are those of
     a one-block build.  P and sμP are written straight into the table:
@@ -173,7 +172,7 @@ def noised_tables(p: ConditionalGMM, labels, first: int, last: int,
     mean, var = p.means[keep], p.variances[keep]
     with np.errstate(divide="ignore"):
         lw = np.log(p.weights[keep])
-    ab_all = alpha_bar_at(sched, np.arange(first, last + 1))[:, :, None, None]
+    ab_all = alpha_bar_at(sched, np.array(steps, dtype=np.int64))[:, :, None, None]
     d = p.dim
     table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * d + 1,))
     block = max(1, TABLE_BLOCK_VALUES // mean.size)
@@ -187,7 +186,7 @@ def noised_tables(p: ConditionalGMM, labels, first: int, last: int,
         np.multiply(smu, prec, out=smp)
         out[..., 2 * d] = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
                                       + np.einsum("slcd->slc", np.log(v, out=v)) + d * _LOG_2PI)
-    return NoisedTables(steps=range(first, last + 1), table=table, rows=rows)
+    return NoisedTables(steps=steps, table=table, rows=rows)
 
 
 def _alpha_bar_one(sched: Schedule, t) -> float:
@@ -244,14 +243,13 @@ def exact_eps_batch(
             raise ValueError("noised tables are bound to their rows; pass labels=None")
         tables = p
     else:
-        tables = noised_tables(p, labels, t, t, sched)
+        tables = noised_tables(p, labels, range(t, t + 1), sched)
     if x.shape[0] != tables.rows.shape[0]:
         raise ValueError(f"{x.shape[0]} frames for {tables.rows.shape[0]} labeled rows")
     if t not in tables.steps:
         raise ValueError(f"step {t} outside the tables' steps "
                          f"[{tables.steps.start}, {tables.steps.stop - 1}]")
-    i = t - tables.steps.start
-    w = np.take(tables.table[i], tables.rows, axis=0)
+    w = np.take(tables.table[tables.steps.index(t)], tables.rows, axis=0)
     feats = np.concatenate((-0.5 * x * x, x, np.ones((x.shape[0], 1))), axis=1)
     lj = np.einsum("nk,nck->nc", feats, w)
     top = lj[:, 0]

@@ -9,8 +9,9 @@ second-stage residual.  Everything here takes (n, d) frame blocks.  All
 sequences of one conversion run share the start step, so conversion packs
 their frames into one block and runs the reverse chain once over it; each
 sequence keeps its own noise substream, so packing changes only how the
-work is batched.  A predictor is bound to the block's labels once per
-chain, which gives the ``step(x, t)`` every reverse step calls.
+work is batched.  The reverse chain binds its predictor once, to the
+block's labels and the steps it will run, which gives the ``step(x, t)``
+every reverse step calls.
 Conversion returns frames only: callers score them with
 :func:`frame_metrics`.
 """
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .denoiser import DenoiserParams, ResidualParams, forward, predict_zc2
-from .latent import Codebook, LatentSequence, Standardizer, check_labels, \
+from .latent import Codebook, LatentSequence, Standardizer, \
     destandardize_frames, snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
 from .rng import PURPOSE_CONVERT, substream
@@ -30,15 +31,15 @@ from .schedule import Schedule, check_start_steps, ddim_step, forward_corrupt
 
 # A noise prediction for an (n, d) block at one step, bound to n labels.
 EpsStep = Callable[[np.ndarray, int], np.ndarray]
-# Binds a predictor to a chain's labels.
-Predictor = Callable[[np.ndarray], EpsStep]
+# Binds a predictor to a chain's labels and the steps it will run.
+Predictor = Callable[[np.ndarray, range], EpsStep]
 
 
 @dataclass(frozen=True)
 class ConvertContext:
     """Fixed machinery shared by every sequence in one conversion run.
 
-    ``predictor`` is bound to each run's labels once.  With a ``codebook``,
+    The chain binds ``predictor`` once per run.  With a ``codebook``,
     conversion snaps its first-stage frames to it; with a ``residual`` head,
     it adds the predicted second stage.  Conversion returns frames only.
     """
@@ -50,15 +51,21 @@ class ConvertContext:
     residual: ResidualParams | None = None
 
 
-def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) -> np.ndarray:
+def denoise_from(x: np.ndarray, t_start: int, predictor: Predictor, labels: np.ndarray,
+                 sched: Schedule) -> np.ndarray:
     """Run the reverse chain from user-scale step ``t_start`` down to clean,
-    with ``step`` bound to the rows of ``x``.
+    with ``predictor`` bound once to ``labels``, one per row of ``x``, and
+    the chain's steps.
 
-    ``t_start`` = k means the input sits at schedule index k - 1 and k
-    reverse steps run; 0 returns the input unchanged.
+    ``t_start`` = k means the input sits at schedule index k - 1 and the k
+    reverse steps k - 1, ..., 0 run; 0 binds nothing and returns the input
+    unchanged.
     """
     x = np.array(x, dtype=np.float64)
     check_start_steps("t_start", [t_start], 0, sched)
+    if t_start == 0:
+        return x
+    step = predictor(labels, range(t_start))
     for t in range(t_start - 1, -1, -1):
         x = ddim_step(x, t, step(x, t), sched)
     return x
@@ -66,26 +73,12 @@ def denoise_from(x: np.ndarray, t_start: int, step: EpsStep, sched: Schedule) ->
 
 def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     """Exact predictor from an analytic mixture over the same frame space.
-    Binding checks the labels.  Every step calls :func:`exact_eps_batch` on
-    noised tables of the labels' distinct mixtures.  The first step builds
-    the tables of its own step alone, so a predictor bound for one call (as
-    :func:`~priorshift.denoiser.eval_loss_diff` binds one per step) builds
-    one step; a step outside the tables builds that step and every step
-    below it, the rest of a chain that runs down from there."""
+    Binding builds the noised tables of the labels' distinct mixtures for
+    the bound steps; every step calls :func:`exact_eps_batch` on them."""
 
-    def bind(labels: np.ndarray) -> EpsStep:
-        labels = check_labels(labels, p.n_labels)
-        tables = None
-
-        def step(x: np.ndarray, t: int) -> np.ndarray:
-            nonlocal tables
-            if tables is None:
-                tables = noised_tables(p, labels, t, t, sched)
-            elif t not in tables.steps:
-                tables = noised_tables(p, labels, 0, t, sched)
-            return exact_eps_batch(tables, None, t, x, sched)
-
-        return step
+    def bind(labels: np.ndarray, steps: range) -> EpsStep:
+        tables = noised_tables(p, labels, steps, sched)
+        return lambda x, t: exact_eps_batch(tables, None, t, x, sched)
 
     return bind
 
@@ -94,11 +87,11 @@ def model_eps_source(theta: DenoiserParams) -> Predictor:
     """Trained predictor, always evaluated without dropout.  Every bound
     step shares one workspace, bound to ``theta`` for the source's life: the
     FiLM label tables are built on the first step and every step of every
-    chain reuses them and the row blocks.  ``theta`` must not change while
-    the source is in use."""
+    chain reuses them and the row blocks, whatever steps it was bound to.
+    ``theta`` must not change while the source is in use."""
     workspace: dict = {}
 
-    def bind(labels: np.ndarray) -> EpsStep:
+    def bind(labels: np.ndarray, steps: range) -> EpsStep:
         labels = np.asarray(labels)
         return lambda x, t: forward(theta, x, t, labels, workspace=workspace)
 
@@ -132,9 +125,9 @@ def convert_sequences(
     ``t_start`` counts corruption steps on the user scale 1..T (0 skips
     diffusion entirely).  Every sequence shares it, so the frames of all of
     them are packed into one block and go through each stage once:
-    standardize, corrupt to the start step, bind the predictor to the packed
-    labels and run the deterministic reverse chain (one call of the bound
-    step per reverse step), destandardize, add the predicted
+    standardize, corrupt to the start step, run the deterministic reverse
+    chain with the predictor bound to the packed labels (one call of the
+    bound step per reverse step), destandardize, add the predicted
     second-stage residual when the context has a residual head (computed on
     the pre-snap frames), and snap the first-stage frames when the context
     has a codebook.  Sequence ``i`` draws its noise from substream ``(seed,
@@ -158,7 +151,7 @@ def convert_sequences(
             for i, seq in enumerate(seqs)
         ])
         x_t = forward_corrupt(z, t_start - 1, eps, ctx.sched)
-        z = denoise_from(x_t, t_start, ctx.predictor(labels), ctx.sched)
+        z = denoise_from(x_t, t_start, ctx.predictor, labels, ctx.sched)
     zc1 = destandardize_frames(z, ctx.standardizer)
     zc2 = 0.0
     if ctx.residual is not None:

@@ -165,7 +165,7 @@ def test_criterion_04_prior_transport():
     x0 = np.where(u < 0.3, -2.0, 2.0) + rng.standard_normal(n)
     eps = rng.standard_normal((n, 1))
     x_T = forward_corrupt(x0[:, None], SCHED.T - 1, eps, SCHED)
-    out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED)(np.zeros(n, dtype=int)),
+    out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED), np.zeros(n, dtype=int),
                        SCHED)[:, 0]
     left = np.abs(out + 2.0) < np.abs(out - 2.0)
     freq = float(left.mean())
@@ -240,7 +240,8 @@ def test_criterion_08_trained_denoiser_quality(world, trained):
     t = rng.integers(0, SCHED.T, size=x0.shape[0])
     eps = rng.standard_normal(x0.shape)
     model_loss = eval_loss_diff(
-        lambda lab: lambda x, tv: forward(bundle.theta, x, tv, lab), x0, labels, t, eps, SCHED
+        lambda lab, steps: lambda x, tv: forward(bundle.theta, x, tv, lab),
+        x0, labels, t, eps, SCHED,
     )
     oracle = standardized(world.native, bundle.standardizer)
     oracle_loss = eval_loss_diff(prior_eps_source(oracle, SCHED), x0, labels, t, eps, SCHED)

@@ -636,19 +636,38 @@ def test_start_step_rule_names_the_flag(pipeline, tmp_path, capsys, command, val
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unmapped_library_error_passes_through(pipeline, trained, tmp_path, capsys):
+def test_unmapped_library_error_passes_through(tmp_path, capsys):
     """A library error that names no flag's field reaches the user verbatim,
-    with exit status 1: here a model with a residual head converting a
-    dataset that has no h tracks."""
+    with exit status 1: here no world separates its classes enough within
+    the attempts allowed."""
+    out = tmp_path / "w.json"
+    rc = cli.main(["gen-world", "--out", str(out), "--seed", "0", "--l2-shift", "0.001"])
+    assert rc == 1 and capsys.readouterr().err.splitlines() == [
+        "error: no world with class separation >= 0.2 in 64 attempts"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "train"])
+def test_missing_tracks_fail_up_front_naming_the_file(command, pipeline, trained, tmp_path,
+                                                      capsys):
+    """A dataset without the tracks a stage needs (a converted one: no zc2,
+    no h) is a usage error naming the ``--data`` file and the track, raised
+    before anything is written."""
     seqs, _, n_labels = load_dataset(pipeline["data"])
     data, out = tmp_path / "no_h.tsv", tmp_path / "out.tsv"
     save_dataset([dataclasses.replace(s, zc2=None, h=None) for s in seqs], str(data), n_labels)
     capsys.readouterr()
-    rc = cli.main(["convert", "--world", pipeline["world"], "--model", trained["model"],
-                   "--data", str(data), "--out", str(out), "--seed", "0", "--t-start", "5"])
-    assert rc == 1 and capsys.readouterr().err.splitlines() == [
-        f"error: sequence {seqs[0].id!r} lacks the h track needed for the residual"]
-    assert not out.exists()
+    if command == "convert":
+        argv = ["convert", "--world", pipeline["world"], "--model", trained["model"],
+                "--t-start", "5"]
+        track, user = "h", "the model's residual head"
+    else:
+        argv, track, user = ["train", "--epochs", "1"], "zc2", "training"
+    rc = cli.main(argv + ["--data", str(data), "--out", str(out), "--seed", "0"])
+    assert rc == 2 and capsys.readouterr().err.splitlines() == [
+        f"error: --data {data}: sequence {seqs[0].id!r} lacks the {track} track, which {user} "
+        "needs"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no_h.tsv"]
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -298,12 +298,12 @@ class TestLossDiff:
         t = rng.integers(0, SCHED.T, size=4000)
         eps = rng.standard_normal((4000, 2))
         exact = eval_loss_diff(
-            lambda lab: lambda x, tv: exact_eps_batch(prior, lab, tv, x, SCHED),
+            lambda lab, steps: lambda x, tv: exact_eps_batch(prior, lab, tv, x, SCHED),
             x0, labels, t, eps, SCHED,
         )
         net = _perturb(_small_net(np.random.default_rng(13), n_labels=1), np.random.default_rng(14))
         model = eval_loss_diff(
-            lambda lab: lambda x, tv: forward(net, x, tv, lab), x0, labels, t, eps, SCHED
+            lambda lab, steps: lambda x, tv: forward(net, x, tv, lab), x0, labels, t, eps, SCHED
         )
         assert exact < model
         assert exact < 1.0
@@ -316,7 +316,7 @@ class TestLossDiff:
         eps = rng.standard_normal((50, 2))
         labels = np.zeros(50, dtype=int)
         got = eval_loss_diff(
-            lambda lab: lambda x, tv: np.full_like(x, float(tv)), x0, labels, t, eps, SCHED
+            lambda lab, steps: lambda x, tv: np.full_like(x, float(tv)), x0, labels, t, eps, SCHED
         )
         want = float(((t[:, None] - eps) ** 2).mean())
         assert_allclose(got, want, rtol=1e-12)
@@ -329,7 +329,7 @@ class TestLossDiff:
         x0 = rng.standard_normal((4, 2))
         t = np.array([0, 5, bad, 9])
         with pytest.raises(ValueError, match="timesteps outside"):
-            eval_loss_diff(lambda lab: lambda x, tv: forward(net, x, tv, lab), x0,
+            eval_loss_diff(lambda lab, steps: lambda x, tv: forward(net, x, tv, lab), x0,
                            np.zeros(4, dtype=int), t, rng.standard_normal((4, 2)), SCHED)
 
 

@@ -205,7 +205,7 @@ class TestBuildContext:
         assert ctx.residual is None
         assert ctx.codebook is world.codebook
         assert np.array_equal(ctx.standardizer.mean, world.standardizer.mean)
-        out = ctx.predictor(np.zeros(2, dtype=int))(np.zeros((2, 3)), 10)
+        out = ctx.predictor(np.zeros(2, dtype=int), range(11))(np.zeros((2, 3)), 10)
         assert out.shape == (2, 3)
         assert np.isfinite(out).all()
 
@@ -348,6 +348,19 @@ class TestPosteriorCurves:
         assert len(lines) == 1002
         x, y = lines[1].split(",")
         assert float(x) == -10.0 and float(y) >= 0.0
+
+    @pytest.mark.parametrize("block", [1, 7, 1001, 2 ** 16])
+    def test_blocked_write_gives_the_bytes_of_one_line_at_a_time(self, block, tmp_path,
+                                                                   monkeypatch):
+        """Each file is formatted in blocks of ``CSV_BLOCK_LINES`` lines, and
+        holds the bytes of one ``{:.17g}`` f-string per line."""
+        world = self._world()
+        grid = np.linspace(-10, 10, 1001)
+        monkeypatch.setattr(harness_mod, "CSV_BLOCK_LINES", block)
+        curves = posterior_curves(world, 0, 2.0, [1, 40], grid, SCHED, out_dir=str(tmp_path))
+        dens = curves[40].density
+        want = "x,density\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(grid, dens))
+        assert (tmp_path / "posterior_t040.csv").read_text() == want
 
     def test_start_step_range_checked(self):
         world = self._world()

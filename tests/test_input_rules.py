@@ -59,8 +59,8 @@ _LABEL_ENTRY_POINTS = {
     "logpdf_batch": lambda labels, tmp: logpdf_batch(_gmm(), labels, np.ones((len(labels), D))),
     "exact_eps_batch": lambda labels, tmp: exact_eps_batch(
         _gmm(), labels, 5, np.ones((len(labels), D)), SCHED),
-    "noised_tables": lambda labels, tmp: noised_tables(_gmm(), labels, 0, 5, SCHED),
-    "prior_eps_source": lambda labels, tmp: prior_eps_source(_gmm(), SCHED)(labels),
+    "noised_tables": lambda labels, tmp: noised_tables(_gmm(), labels, range(6), SCHED),
+    "prior_eps_source": lambda labels, tmp: prior_eps_source(_gmm(), SCHED)(labels, range(6)),
     "posterior_grid": lambda labels, tmp: posterior_grid(
         _gmm(dim=1), labels[-1], 5, 0.0, np.linspace(-9, 9, 101), SCHED),
     "forward": lambda labels, tmp: forward(_theta(), np.ones((len(labels), D)), 5, labels),
@@ -132,7 +132,7 @@ _START_STEP_ENTRY_POINTS = {
     "check_start_steps": ("t_starts", 0,
                           lambda steps, tmp: check_start_steps("t_starts", steps, 0, SCHED)),
     "denoise_from": ("t_start", 0, lambda steps, tmp: denoise_from(
-        np.ones((2, D)), steps[0], prior_eps_source(_gmm(), SCHED)(np.zeros(2, dtype=int)),
+        np.ones((2, D)), steps[0], prior_eps_source(_gmm(), SCHED), np.zeros(2, dtype=int),
         SCHED)),
     "convert_sequences": ("t_start", 0, lambda steps, tmp: convert_sequences(
         [_seq([0, 1])], _CONVERT_CTX, steps[0], 0)),

@@ -346,7 +346,7 @@ class TestNoisedTableKernel:
         rng = np.random.default_rng(102)
         p = _random_mixture(rng, 16, 2, 3)
         labels = np.array([5, 3, 5, 9, 3])
-        tables = noised_tables(p, labels, 0, 19, SCHED)
+        tables = noised_tables(p, labels, range(20), SCHED)
         assert tables.table.shape == (20, 3, 2, 7)
         assert tables.steps == range(0, 20)
         assert np.array_equal(tables.rows, [1, 0, 1, 2, 0])
@@ -363,10 +363,11 @@ class TestNoisedTableKernel:
         rng = np.random.default_rng(103)
         p = _random_mixture(rng, 40, 3, 5)
         labels = rng.integers(0, 40, 90)
-        whole = noised_tables(p, labels, 0, SCHED.T - 1, SCHED).table
+        whole = noised_tables(p, labels, range(SCHED.T), SCHED).table
         for values in (1, 600, 7000):
             monkeypatch.setattr(prior, "TABLE_BLOCK_VALUES", values)
-            assert noised_tables(p, labels, 0, SCHED.T - 1, SCHED).table.tobytes() == whole.tobytes()
+            again = noised_tables(p, labels, range(SCHED.T), SCHED).table
+            assert again.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("C, d", [(1, 1), (3, 5), (9, 8)])
     def test_table_holds_the_bits_of_contiguous_terms(self, C, d):
@@ -375,7 +376,7 @@ class TestNoisedTableKernel:
         terms computed on contiguous arrays, zero-weight slots included."""
         rng = np.random.default_rng(104 + C)
         p = _random_mixture(rng, 6, C, d)
-        tables = noised_tables(p, np.arange(6), 0, SCHED.T - 1, SCHED)
+        tables = noised_tables(p, np.arange(6), range(SCHED.T), SCHED)
         ab = alpha_bar_at(SCHED, np.arange(SCHED.T))[:, :, None, None]
         v = ab * p.variances + (1.0 - ab)
         prec = 1.0 / v
@@ -389,7 +390,8 @@ class TestNoisedTableKernel:
 
     def test_row_count_must_match(self):
         rng = np.random.default_rng(54)
-        tables = noised_tables(_random_mixture(rng, 5, 3, 4), np.zeros(3, dtype=int), 0, 10, SCHED)
+        tables = noised_tables(_random_mixture(rng, 5, 3, 4), np.zeros(3, dtype=int), range(11),
+                               SCHED)
         with pytest.raises(ValueError, match="4 frames for 3 labeled rows"):
             exact_eps_batch(tables, None, 10, rng.normal(0, 1, (4, 4)), SCHED)
 

@@ -111,7 +111,7 @@ class TestReconstruct:
         posterior mean, computed here by an unrelated closed form."""
         mu, var = 1.3, 0.7
         p = ConditionalGMM.from_components([1.0], [[mu]], [[var]])
-        step = prior_eps_source(p, SCHED)(np.zeros(8, dtype=int))
+        step = prior_eps_source(p, SCHED)(np.zeros(8, dtype=int), range(SCHED.T))
         rng = np.random.default_rng(1)
         for t in (0, 7, 33, 60, 99):
             x_t = rng.normal(0, 2, (8, 1))
@@ -165,8 +165,8 @@ class TestDdimStep:
 
 
 class TestBoundSteps:
-    """A predictor bound to a chain's labels gives the bits of the unbound
-    per-step calls."""
+    """A predictor bound to a chain's labels and steps gives the bits of the
+    unbound per-step calls."""
 
     @pytest.mark.parametrize("t", [0, 50, SCHED.T - 1])
     def test_exact_step_bitwise_equal_to_exact_eps_batch(self, t):
@@ -179,15 +179,15 @@ class TestBoundSteps:
         labels = rng.integers(0, 4, 33)
         labels[0] = 2
         x = rng.normal(0, 2, (33, 5))
-        got = prior_eps_source(p, SCHED)(labels)(x, t)
+        got = prior_eps_source(p, SCHED)(labels, range(t, t + 1))(x, t)
         assert got.tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
 
     @pytest.mark.parametrize("L", [4, 256])
     def test_exact_chain_builds_tables_once(self, L, monkeypatch):
-        """The first step builds the tables of the chain's distinct labels for
-        its own step, the next step those of the rest of the chain; every
-        step of the chain gives the bits of an unbound call, and only a step
-        outside the tables rebuilds them."""
+        """A chain from start step 61 makes one table build, for exactly its
+        steps 0..60 and the chain's labels; every step gives the bits of an
+        unbound call, and a step outside the bound steps is refused, not
+        rebuilt."""
         rng = np.random.default_rng(63)
         p = ConditionalGMM(weights=rng.dirichlet(np.ones(2), size=L),
                            means=rng.normal(0, 2, (L, 2, 8)),
@@ -196,22 +196,51 @@ class TestBoundSteps:
         builds = []
 
         def counting(*args):
-            builds.append(args[2:4])
+            builds.append(args[2])
             return noised_tables(*args)
 
         monkeypatch.setattr(sampler_mod, "noised_tables", counting)
-        step = prior_eps_source(p, SCHED)(labels)
-        assert builds == []
-        for t in range(60, -1, -1):
-            x = rng.normal(0, 2, (135, 8))
-            assert step(x, t).tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
-        assert builds == [(60, 60), (0, 59)]
-        step(x, 80)
-        assert builds == [(60, 60), (0, 59), (0, 80)]
+        bound, seen = [], []
+
+        def predictor(lab, steps):
+            bound.append(prior_eps_source(p, SCHED)(lab, steps))
+
+            def checked(x, t):
+                got = bound[0](x, t)
+                assert got.tobytes() == exact_eps_batch(p, labels, t, x, SCHED).tobytes()
+                seen.append(t)
+                return got
+
+            return checked
+
+        x = rng.normal(0, 2, (135, 8))
+        denoise_from(x, 61, predictor, labels, SCHED)
+        assert builds == [range(61)] and len(bound) == 1
+        assert seen == list(range(60, -1, -1))
+        for t in (61, SCHED.T - 1):
+            with pytest.raises(ValueError, match=rf"step {t} outside the tables' steps \[0, 60\]"):
+                bound[0](x, t)
+        assert builds == [range(61)]
+
+    def test_exact_conversion_builds_tables_once(self, monkeypatch):
+        """A conversion binds its exact predictor once, for the steps of its
+        chain; start step 0 binds nothing."""
+        ctx, seqs = _packing_fixture(model=False)
+        builds = []
+
+        def counting(*args):
+            builds.append(args[2])
+            return noised_tables(*args)
+
+        monkeypatch.setattr(sampler_mod, "noised_tables", counting)
+        convert_sequences(seqs, ctx, 100, 3)
+        assert builds == [range(100)]
+        convert_sequences(seqs, ctx, 0, 3)
+        assert builds == [range(100)]
 
     def test_one_step_per_binding_builds_that_step_alone(self, monkeypatch):
-        """``eval_loss_diff`` binds once per distinct step and calls each bound
-        step once: 100 distinct steps build 100 step tables, not 5,050."""
+        """``eval_loss_diff`` binds once per distinct step, to that step's
+        range alone: 100 distinct steps make 100 one-step builds."""
         rng = np.random.default_rng(64)
         p = ConditionalGMM(weights=rng.dirichlet(np.ones(2), size=3),
                            means=rng.normal(0, 2, (3, 2, 4)),
@@ -219,7 +248,7 @@ class TestBoundSteps:
         builds = []
 
         def counting(*args):
-            builds.append(args[2:4])
+            builds.append(args[2])
             return noised_tables(*args)
 
         monkeypatch.setattr(sampler_mod, "noised_tables", counting)
@@ -228,9 +257,11 @@ class TestBoundSteps:
         x0 = rng.normal(0, 1, (t.size, 4))
         eps = rng.standard_normal((t.size, 4))
         got = eval_loss_diff(prior_eps_source(p, SCHED), x0, labels, t, eps, SCHED)
-        assert builds == [(tv, tv) for tv in range(100)]
-        want = eval_loss_diff(lambda lab: lambda x, tv: exact_eps_batch(p, lab, tv, x, SCHED),
-                              x0, labels, t, eps, SCHED)
+        assert builds == [range(tv, tv + 1) for tv in range(100)]
+        want = eval_loss_diff(
+            lambda lab, steps: lambda x, tv: exact_eps_batch(p, lab, tv, x, SCHED),
+            x0, labels, t, eps, SCHED,
+        )
         assert got == want
 
     def test_model_step_bitwise_equal_to_forward(self):
@@ -239,7 +270,7 @@ class TestBoundSteps:
         for arr in theta.tensors.values():
             arr += 0.2 * rng.standard_normal(arr.shape)
         labels = rng.integers(0, 4, 21)
-        step = model_eps_source(theta)(labels)
+        step = model_eps_source(theta)(labels, range(SCHED.T))
         ws: dict = {}
         for t in (99, 50, 0):
             x = rng.normal(0, 1, (21, 3))
@@ -253,24 +284,26 @@ class TestDenoiseFrom:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2))
         p = ConditionalGMM.from_components([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-        out = denoise_from(x, 0, prior_eps_source(p, SCHED)(np.zeros(4, dtype=int)), SCHED)
+        out = denoise_from(x, 0, prior_eps_source(p, SCHED), np.zeros(4, dtype=int), SCHED)
         assert np.array_equal(out, x)
 
     def test_single_step_equals_ddim_step(self):
         p = ConditionalGMM.from_components([1.0], [[0.5]], [[1.0]])
-        step = prior_eps_source(p, SCHED)(np.zeros(5, dtype=int))
+        predictor = prior_eps_source(p, SCHED)
+        labels = np.zeros(5, dtype=int)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 1))
-        want = ddim_step(x, 0, step(x, 0), SCHED)
-        assert np.array_equal(denoise_from(x, 1, step, SCHED), want)
+        want = ddim_step(x, 0, predictor(labels, range(1))(x, 0), SCHED)
+        assert np.array_equal(denoise_from(x, 1, predictor, labels, SCHED), want)
 
     def test_start_range_checked(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
-        step = prior_eps_source(p, SCHED)(np.zeros(1, dtype=int))
+        predictor = prior_eps_source(p, SCHED)
+        labels = np.zeros(1, dtype=int)
         with pytest.raises(ValueError):
-            denoise_from(np.zeros((1, 1)), SCHED.T + 1, step, SCHED)
+            denoise_from(np.zeros((1, 1)), SCHED.T + 1, predictor, labels, SCHED)
         with pytest.raises(ValueError):
-            denoise_from(np.zeros((1, 1)), -1, step, SCHED)
+            denoise_from(np.zeros((1, 1)), -1, predictor, labels, SCHED)
 
     def test_transports_terminal_marginal_onto_prior(self):
         """Corrupt prior draws to the last step, then run the full reverse
@@ -283,7 +316,7 @@ class TestDenoiseFrom:
         x0 = sample_frames(p, np.zeros(n, dtype=int), rng)
         eps = rng.standard_normal((n, 1))
         x_T = forward_corrupt(x0, SCHED.T - 1, eps, SCHED)
-        out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED)(np.zeros(n, dtype=int)),
+        out = denoise_from(x_T, SCHED.T, prior_eps_source(p, SCHED), np.zeros(n, dtype=int),
                            SCHED)
         assert abs(out.mean() - mu) < 4 * np.sqrt(var / n)
         assert 0.98 < out.std() / np.sqrt(var) < 1.005
@@ -296,9 +329,9 @@ class TestDenoiseFrom:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 2))
         labels = np.zeros(6, dtype=int)
-        batch = denoise_from(x, 40, predictor(labels), SCHED)
+        batch = denoise_from(x, 40, predictor, labels, SCHED)
         for i in range(6):
-            row = denoise_from(x[i:i + 1], 40, predictor(labels[i:i + 1]), SCHED)
+            row = denoise_from(x[i:i + 1], 40, predictor, labels[i:i + 1], SCHED)
             assert np.array_equal(batch[i], row[0])
 
     def test_rows_nearly_independent_for_network_predictor(self):
@@ -311,9 +344,9 @@ class TestDenoiseFrom:
         predictor = model_eps_source(theta)
         x = rng.standard_normal((5, 2))
         labels = np.zeros(5, dtype=int)
-        batch = denoise_from(x, 30, predictor(labels), SCHED)
+        batch = denoise_from(x, 30, predictor, labels, SCHED)
         for i in range(5):
-            row = denoise_from(x[i:i + 1], 30, predictor(labels[i:i + 1]), SCHED)
+            row = denoise_from(x[i:i + 1], 30, predictor, labels[i:i + 1], SCHED)
             assert_allclose(batch[i], row[0], atol=1e-12)
 
     def test_network_predictor_reuses_one_workspace_over_the_chain(self, monkeypatch):
@@ -332,9 +365,9 @@ class TestDenoiseFrom:
         predictor = model_eps_source(theta)
         x = rng.standard_normal((7, 2))
         labels = rng.integers(0, 3, 7)
-        want = denoise_from(x, 25, predictor(labels), SCHED)
+        want = denoise_from(x, 25, predictor, labels, SCHED)
         monkeypatch.setattr(sampler_mod, "forward", spy)
-        got = denoise_from(x, 25, predictor(labels), SCHED)
+        got = denoise_from(x, 25, predictor, labels, SCHED)
         assert np.array_equal(got, want)
         assert len(seen) == 25 and seen[0][1]
         assert all(ws is seen[0][0] and ids == seen[0][1] for ws, ids in seen)
@@ -349,8 +382,9 @@ class TestDenoiseFrom:
             arr += 0.2 * rng.standard_normal(arr.shape)
         x = rng.standard_normal((45, 3))
         labels = rng.integers(0, 4, 45)
-        got = denoise_from(x, 100, model_eps_source(theta)(labels), SCHED)
-        want = denoise_from(x, 100, lambda xt, t: forward(theta, xt, t, labels), SCHED)
+        got = denoise_from(x, 100, model_eps_source(theta), labels, SCHED)
+        want = denoise_from(x, 100, lambda lab, steps: lambda xt, t: forward(theta, xt, t, lab),
+                            labels, SCHED)
         assert np.array_equal(got, want)
 
     def test_label_tables_are_built_once_per_source(self):
@@ -369,11 +403,11 @@ class TestDenoiseFrom:
         x = rng.standard_normal((7, 2))
         labels = rng.integers(0, 3, 7)
         predictor = model_eps_source(theta)
-        denoise_from(x, 25, predictor(labels), SCHED)
+        denoise_from(x, 25, predictor, labels, SCHED)
         assert len(products) == 4
-        denoise_from(x, 25, predictor(labels), SCHED)
+        denoise_from(x, 25, predictor, labels, SCHED)
         assert len(products) == 4
-        denoise_from(x, 25, model_eps_source(theta)(labels), SCHED)
+        denoise_from(x, 25, model_eps_source(theta), labels, SCHED)
         assert len(products) == 8
 
 
@@ -446,7 +480,7 @@ class TestConvert:
         frames = np.array([[0.8], [-0.4], [2.2]])
         labels = np.zeros(3, dtype=int)
         x_t = forward_corrupt(frames, 0, np.zeros_like(frames), SCHED)
-        out = denoise_from(x_t, 1, ctx.predictor(labels), SCHED)
+        out = denoise_from(x_t, 1, ctx.predictor, labels, SCHED)
         ab = alpha_bar_at(SCHED, 0)
         for i in range(3):
             mean, _ = gaussian_posterior_moments(0.0, 1.0, 0, np.sqrt(ab) * frames[i, 0], SCHED)
@@ -522,7 +556,7 @@ def _convert_alone(seq: LatentSequence, ctx: ConvertContext, t_start: int, seed:
     eps = substream(seed, PURPOSE_CONVERT, i).standard_normal(xs.shape)
     x_t = forward_corrupt(xs, t_start - 1, eps, ctx.sched)
     zc1 = destandardize_frames(
-        denoise_from(x_t, t_start, ctx.predictor(seq.labels), ctx.sched), ctx.standardizer
+        denoise_from(x_t, t_start, ctx.predictor, seq.labels, ctx.sched), ctx.standardizer
     )
     zc2 = predict_zc2(ctx.residual, seq.h, zc1) if ctx.residual is not None else 0.0
     if ctx.codebook is not None:
