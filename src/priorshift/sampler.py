@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoiser import DenoiserParams, ResidualParams, forward, predict_zc2
+from .denoiser import MLPParams, forward, predict_zc2
 from .latent import Codebook, LatentSequence, Standardizer, \
     destandardize_frames, snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
@@ -48,7 +48,7 @@ class ConvertContext:
     standardizer: Standardizer
     predictor: Predictor
     codebook: Codebook | None = None
-    residual: ResidualParams | None = None
+    residual: MLPParams | None = None
 
 
 def denoise_from(x: np.ndarray, t_start: int, predictor: Predictor, labels: np.ndarray,
@@ -83,7 +83,7 @@ def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     return bind
 
 
-def model_eps_source(theta: DenoiserParams) -> Predictor:
+def model_eps_source(theta: MLPParams) -> Predictor:
     """Trained predictor, always evaluated without dropout.  Every bound
     step shares one workspace, bound to ``theta`` for the source's life: the
     FiLM label tables are built on the first step and every step of every

@@ -27,6 +27,7 @@ def test_reruns_are_byte_identical(tmp_path):
     a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
     assert "verify.txt" in a and "posterior/prior.csv" in a
     assert "convert_exact_nosnap.tsv" in a and "convert_model_nosnap.tsv" in a
+    assert "convert_arch_nosnap.tsv" in a and "sweep_arch.csv" in a
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -574,6 +575,7 @@ class TestPosterior:
     (["posterior", "--x0", "1.5", "--grid-lo=-1e308", "--grid-hi=1e308"], "--grid-lo",
      "and --grid-hi must lie a finite distance apart, got -1e+308 and 1e+308"),
     (["posterior", "--T", "1"], "--T", "must be an integer >= 2, got 1"),
+    (["posterior", "--T", "100000000000"], "--T", "must be at most 10000, got 100000000000"),
     (["posterior", "--beta-min", "0.5", "--beta-max", "0.1"], "--beta-max",
      "must lie in [--beta-min, 1), got 0.1"),
     (["convert", "--t-start", "5", "--T", "1"], "--T", "must be an integer >= 2, got 1"),
@@ -585,7 +587,8 @@ class TestPosterior:
         "posterior-zero", "posterior-grid-points", "posterior-grid-order", "posterior-dim",
         "posterior-label", "posterior-label-negative", "posterior-grid-lo-alone",
         "posterior-grid-hi-alone", "posterior-grid-lo-nan", "posterior-grid-hi-inf",
-        "posterior-x0-nan", "posterior-grid-span", "posterior-T", "posterior-beta-order",
+        "posterior-x0-nan", "posterior-grid-span", "posterior-T", "posterior-T-huge",
+        "posterior-beta-order",
         "convert-T", "convert-beta-min", "convert-beta-max"])
 def test_start_step_flags_checked_before_output(pipeline, tmp_path, capsys, argv, flag,
                                                 message):
@@ -634,6 +637,49 @@ def test_start_step_rule_names_the_flag(pipeline, tmp_path, capsys, command, val
     rc = cli.main([command, "--world", pipeline["world"], f"{flag}={value}"] + extra)
     assert rc == 2 and capsys.readouterr().err.splitlines() == [f"error: {flag} {why}"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_constant_world_dimension_fails_cleanly(tmp_path, capsys):
+    """A one-entry codebook snaps the standardizer sample to one frame, so
+    every dimension is constant: one error line, and nothing written."""
+    out = tmp_path / "w.json"
+    rc = cli.main(["gen-world", "--out", str(out), "--seed", "1", "--dim", "2",
+                   "--labels", "3", "--codebook-size", "1"])
+    assert rc == 1 and capsys.readouterr().err.splitlines() == [
+        "error: all frames equal in dimension 0"]
+    assert not out.exists()
+
+
+def test_model_schedule_over_the_step_bound_fails_at_load(pipeline, trained, tmp_path,
+                                                          capsys):
+    """A model file's step count above the bound fails at load, naming the
+    file and the field, before any table is allocated."""
+    text = Path(trained["model"]).read_text()
+    model = tmp_path / "model.txt"
+    model.write_text(re.sub(r"(?m)^schedule (\S+) (\S+) \d+$",
+                            r"schedule \1 \2 100000000000", text, count=1))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--world", pipeline["world"], "--model", str(model),
+                   "--out", str(out), "--seed", "0", "--n-seq", "2", "--seq-len", "4"])
+    assert rc == 1 and capsys.readouterr().err.splitlines() == [
+        f"error: {model}: schedule: T: must be at most 10000, got 100000000000"]
+    assert not out.exists()
+
+
+def test_memory_error_is_one_line(monkeypatch, tmp_path, capsys):
+    """An allocation the system refuses (here raised by a stand-in, so no
+    run asks for the memory) ends in one error line with exit status 1."""
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type int64")
+
+    monkeypatch.setattr(cli, "gen_world", refuse)
+    out = tmp_path / "w.json"
+    rc = cli.main(["gen-world", "--out", str(out), "--seed", "0"])
+    assert rc == 1 and capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate 745. GiB for an array with shape (100000000000,) and "
+        "data type int64"]
+    assert not out.exists()
 
 
 def test_unmapped_library_error_passes_through(tmp_path, capsys):

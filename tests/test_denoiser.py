@@ -11,10 +11,8 @@ from scipy.special import expit
 
 from priorshift.denoiser import (
     AdamState,
-    DenoiserParams,
     FlatTensors,
     ModelBundle,
-    ResidualParams,
     TrainConfig,
     adam_step,
     draw_batch_noise,
@@ -35,7 +33,7 @@ from priorshift.denoiser import _backward, _film, _forward_cached, _silu, _silu_
 from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
-from priorshift.schedule import alpha_bar_array, alpha_bar_at, default_schedule
+from priorshift.schedule import alpha_bar_at, default_schedule
 
 SCHED = default_schedule()
 
@@ -460,7 +458,7 @@ class TestLossTotal:
         labels = rng.integers(0, 3, 10)
         t, eps, masks = draw_batch_noise(theta, 10, SCHED, np.random.default_rng(5), 0.0)
         total, _, _ = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.0, SCHED)
-        ab = alpha_bar_array(SCHED)[t][:, None]
+        ab = SCHED.alpha_bar[t][:, None]
         eps_hat = forward(theta, np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, t, labels)
         dloss = float(((eps_hat - eps) * (eps_hat - eps)).mean())
         assert total == dloss
@@ -855,6 +853,28 @@ class TestModelIO:
         _perturb(phi, rng)
         std = Standardizer(mean=rng.normal(0, 1, 3), std=rng.uniform(0.5, 2, 3))
         return ModelBundle(theta=theta, phi=phi, standardizer=std)
+
+    def test_tensor_blocks_in_file_order(self, tmp_path):
+        """Block names and sizes in file order, for dim 3, 3 labels, hidden
+        (6, 4), cond_dim 4, time_dim 4 and a residual head with hidden (5,):
+        the init draws and the loader follow this order."""
+        path = tmp_path / "model.txt"
+        save_model(str(path), self._bundle(np.random.default_rng(36)), SCHED)
+        blocks = [(name, int(size)) for kind, name, size in
+                  (line.split() for line in path.read_text().splitlines()
+                   if line.startswith("tensor "))]
+        assert blocks == [
+            ("den.label_emb", 12), ("den.time_w", 16), ("den.time_b", 4),
+            ("den.layer0_w", 18), ("den.layer0_b", 6),
+            ("den.layer0_film_gw", 24), ("den.layer0_film_gb", 6),
+            ("den.layer0_film_dw", 24), ("den.layer0_film_db", 6),
+            ("den.layer1_w", 24), ("den.layer1_b", 4),
+            ("den.layer1_film_gw", 16), ("den.layer1_film_gb", 4),
+            ("den.layer1_film_dw", 16), ("den.layer1_film_db", 4),
+            ("den.out_w", 12), ("den.out_b", 3),
+            ("res.layer0_w", 30), ("res.layer0_b", 5), ("res.out_w", 15), ("res.out_b", 3),
+            ("std.mean", 3), ("std.scale", 3),
+        ]
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(30)

@@ -1,5 +1,9 @@
-"""Module boundaries inside the package: no module imports another's private names."""
+"""Module boundaries inside the package: no module imports another's private names,
+and the package itself re-exports nothing."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "priorshift"
@@ -35,3 +39,15 @@ def test_checker_flags_private_and_spares_dunder(tmp_path):
                    "from priorshift.latent import _decode_track\n"
                    "from numpy import _private\n")
     assert _private_imports(src) == [".denoiser._film", "priorshift.latent._decode_track"]
+
+
+def test_package_import_loads_no_module_of_its_own():
+    """The package exports only ``__version__``: callers import the modules
+    they use, and importing the package alone loads none of them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, priorshift\n"
+            "print(sorted(m for m in sys.modules if m.startswith('priorshift.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -98,9 +98,11 @@ class TestStandardizer:
         assert abs(s.std[0] - 2.0) < 3 * se_std
 
     def test_constant_dimension_rejected_by_index(self):
-        frames = np.column_stack([np.arange(4.0), np.full(4, 5.0)])
-        seq = LatentSequence(id="a", labels=np.zeros(4, dtype=int), frames=frames)
-        with pytest.raises(ValueError, match="dimension 1"):
+        """Refused by its frames being equal: rounding in the mean of these
+        8,192 equal values leaves a variance of ~2e-31, not zero."""
+        frames = np.column_stack([np.arange(8192.0), np.full(8192, 1.3371902790184003)])
+        seq = LatentSequence(id="a", labels=np.zeros(8192, dtype=int), frames=frames)
+        with pytest.raises(ValueError, match="^all frames equal in dimension 1$"):
             fit_standardizer([seq])
 
     def test_standardized_output_is_centered_and_unit(self):

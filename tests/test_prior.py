@@ -30,8 +30,7 @@ SCHED = default_schedule()
 def _plateau_schedule(ab: float) -> Schedule:
     """Synthetic two-step schedule whose cumulative product is exactly ``ab``."""
     beta = np.array([1 - ab, 0.0])
-    return Schedule(T=2, beta=beta, alpha=1 - beta,
-                    alpha_bar=np.array([ab, ab], dtype=np.longdouble))
+    return Schedule(T=2, beta=beta, alpha_bar=np.array([ab, ab]))
 
 
 def _gauss_logpdf(x, mean, var):

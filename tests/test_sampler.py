@@ -41,8 +41,7 @@ SCHED = default_schedule()
 
 def _plateau_schedule(ab: float, T: int = 4) -> Schedule:
     beta = np.concatenate([[1 - ab], np.zeros(T - 1)])
-    return Schedule(T=T, beta=beta, alpha=1 - beta,
-                    alpha_bar=np.full(T, ab, dtype=np.longdouble))
+    return Schedule(T=T, beta=beta, alpha_bar=np.full(T, ab))
 
 
 def _identity_standardizer(d: int) -> Standardizer:

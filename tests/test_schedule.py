@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from priorshift.schedule import (
+    MAX_T,
     Schedule,
-    alpha_bar_array,
     alpha_bar_at,
     default_schedule,
     linear_schedule,
@@ -20,10 +20,6 @@ class TestLinearSchedule:
         assert s.beta[0] == 1e-4
         assert s.beta[-1] == 2e-2
         assert_allclose(np.diff(s.beta), np.diff(s.beta)[0], rtol=1e-12)
-
-    def test_alpha_is_complement(self):
-        s = default_schedule()
-        assert_allclose(s.alpha, 1.0 - s.beta, rtol=0, atol=0)
 
     def test_first_cumulative_value(self):
         s = default_schedule()
@@ -59,6 +55,12 @@ class TestLinearSchedule:
         with pytest.raises(ValueError):
             linear_schedule(**bad)
 
+    def test_step_count_bound(self):
+        """A step count above ``MAX_T`` fails before any table is allocated."""
+        assert linear_schedule(1e-4, 2e-2, MAX_T).T == MAX_T
+        with pytest.raises(ValueError, match=f"^T: must be at most {MAX_T}, got 100000000000$"):
+            linear_schedule(1e-4, 2e-2, 10 ** 11)
+
     def test_constant_rate_allowed(self):
         s = linear_schedule(0.01, 0.01, 10)
         assert_allclose(s.beta, 0.01)
@@ -66,12 +68,13 @@ class TestLinearSchedule:
 
 class TestAlphaBarInvariants:
     def test_recurrence(self):
-        """alpha_bar(t) = alpha_bar(t-1) * alpha(t) at every step, from alpha(0)."""
+        """alpha_bar(t) = alpha_bar(t-1) * (1 - beta(t)) at every step, from 1 - beta(0)."""
         s = default_schedule()
-        assert abs(alpha_bar_at(s, 0) - s.alpha[0]) <= 1e-15 * s.alpha[0]
+        alpha = 1.0 - s.beta
+        assert abs(alpha_bar_at(s, 0) - alpha[0]) <= 1e-15 * alpha[0]
         for t in range(1, s.T):
             lhs = alpha_bar_at(s, t)
-            rhs = alpha_bar_at(s, t - 1) * s.alpha[t]
+            rhs = alpha_bar_at(s, t - 1) * alpha[t]
             assert abs(lhs - rhs) <= 1e-15 * rhs
 
     def test_strictly_decreasing_within_unit_interval(self):
@@ -121,7 +124,7 @@ class TestAlphaBarInvariants:
 
     def test_float64_view_matches_accessor(self):
         s = default_schedule()
-        arr = alpha_bar_array(s)
+        arr = s.alpha_bar
         assert arr.dtype == np.float64
         for t in range(s.T):
             assert arr[t] == alpha_bar_at(s, t)
@@ -131,5 +134,5 @@ def test_handbuilt_schedule_puts_no_constraints_on_values():
     # The container itself accepts any table; this supports synthetic
     # plateau schedules used elsewhere in the tests.
     beta = np.array([0.5, 0.0])
-    s = Schedule(T=2, beta=beta, alpha=1 - beta, alpha_bar=np.array([0.5, 0.5]))
+    s = Schedule(T=2, beta=beta, alpha_bar=np.array([0.5, 0.5]))
     assert alpha_bar_at(s, 1) == alpha_bar_at(s, 0) == 0.5
