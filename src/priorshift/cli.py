@@ -32,11 +32,12 @@ from .harness import (
     load_world,
     save_world,
     sweep,
+    sweep_csv,
 )
 from .latent import atomic_write, load_dataset, save_dataset, settings_from_json
 from .prior import marginal_1d, resolving_points
 from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
-from .sampler import convert_sequences, frame_metrics
+from .sampler import ConvertContext, convert_sequences, frame_metrics
 from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, check_start_steps, \
     linear_schedule
 from .verify import run_suites
@@ -47,6 +48,9 @@ DEFAULT_GRID_POINTS = 2001
 # Most points of any `posterior` grid; a grid near it peaks at ~540 MB of RSS
 # with one start step, ~660 MB with five.
 MAX_GRID_POINTS = 2 ** 22
+# Most frames (--n-seq times --seq-len) that `gen-data` or `sweep` draws; a
+# model sweep near it (default widths, five start steps) peaks at ~430 MB of RSS.
+MAX_FRAMES = 2 ** 15
 
 
 class UsageError(Exception):
@@ -56,6 +60,8 @@ class UsageError(Exception):
 def _out_path(path: str, force: bool) -> str:
     if Path(path).exists() and not force:
         raise UsageError(f"output path {path} exists; pass --force to overwrite")
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"output path {path}: {Path(path).parent} is not a directory")
     return path
 
 
@@ -66,11 +72,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
-def _require_sizes(args: argparse.Namespace, *flags: str) -> None:
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
+def _require_sizes(args: argparse.Namespace) -> None:
+    for flag, value in (("--n-seq", args.n_seq), ("--seq-len", args.seq_len)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.n_seq * args.seq_len > MAX_FRAMES:
+        raise UsageError(f"--n-seq times --seq-len must be <= {MAX_FRAMES} frames, "
+                         f"got {args.n_seq} * {args.seq_len}")
 
 
 @contextlib.contextmanager
@@ -131,7 +139,7 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    _require_sizes(args, "--n-seq", "--seq-len")
+    _require_sizes(args)
     out = _out_path(args.out, args.force)
     world = load_world(args.world)
     seqs = gen_dataset(
@@ -183,16 +191,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model_or_exact(args: argparse.Namespace, world):
+def _context(args: argparse.Namespace, world) -> ConvertContext:
+    """The conversion context of `convert` and `sweep`: the exact predictor on
+    the flags' schedule, or a model file checked against the world."""
     if args.model == "exact":
-        return None, _schedule_from_args(args)
+        return build_context(world, _schedule_from_args(args), None, snap=not args.no_snap)
     bundle, sched = load_model(args.model)
     _reject_schedule_flags(args)
     for field, got, want in (("dim", bundle.theta.dim, world.spec.dim),
                              ("labels", bundle.theta.n_labels, world.spec.n_labels)):
         if got != want:
             raise UsageError(f"{args.model}: {field}: model has {got}, world has {want}")
-    return bundle, sched
+    return build_context(world, sched, bundle, snap=not args.no_snap)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -212,8 +222,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if top >= world.spec.n_labels:
         raise UsageError(f"{args.data}: labels: label {top} outside the world's "
                          f"[0, {world.spec.n_labels})")
-    bundle, sched = _load_model_or_exact(args, world)
-    ctx = build_context(world, sched, bundle, snap=not args.no_snap)
+    ctx = _context(args, world)
     with _flags({"t_start": "--t-start"}):
         results = convert_sequences(seqs, ctx, args.t_start, args.seed)
     # Score every frame before writing anything, so a failure leaves no file.
@@ -236,19 +245,17 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _require_sizes(args, "--n-seq", "--seq-len")
+    _require_sizes(args)
     t_starts = _parse_int_list(args.t_starts, "--t-starts")
     out = _out_path(args.out, args.force)
     world = load_world(args.world)
-    bundle, sched = _load_model_or_exact(args, world)
+    ctx = _context(args, world)
     with _flags({"t_starts": "--t-starts"}):
-        table = sweep(
-            world, bundle, t_starts, args.n_seq, args.seq_len, args.seed, sched,
-            snap=not args.no_snap, stratify_labels=args.stratify_labels,
-        )
+        rows = sweep(world, ctx, t_starts, args.n_seq, args.seq_len, args.seed,
+                     stratify_labels=args.stratify_labels)
     with atomic_write(out) as fh:
-        fh.write(table.to_csv())
-    for row in table.rows:
+        fh.write(sweep_csv(rows))
+    for row in rows:
         log.info("sweep t_start=%d identity_l2=%.4f native_prob=%.4f",
                  row.t_start, row.identity_l2, row.native_prob)
     return 0
@@ -268,6 +275,8 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         if value is not None and not np.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
     out_dir = Path(args.out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise UsageError(f"--out-dir {out_dir} is not a directory")
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise UsageError(f"output directory {out_dir} is not empty; pass --force to overwrite")
     world = load_world(args.world)

@@ -469,7 +469,7 @@ def train(
     zc2 = np.concatenate([seq.zc2 for seq in dataset], axis=0)
     h = np.concatenate([seq.h for seq in dataset], axis=0)
     labels = check_labels(np.concatenate([np.asarray(seq.labels) for seq in dataset]), n_labels)
-    std = fit_standardizer(dataset)
+    std = fit_standardizer(x0_raw)
     x0 = standardize_frames(x0_raw, std)
     dim = x0.shape[1]
     theta = init_denoiser(dim, n_labels, cfg.hidden, cfg.cond_dim, cfg.time_dim, rng)
@@ -633,7 +633,7 @@ def _read_line(fh, path: str, key: str) -> str:
 
 def load_model(path: str) -> tuple[ModelBundle, Schedule]:
     """Read a model file, which must hold the header and tensor blocks in the
-    order ``save_model`` writes them."""
+    order ``save_model`` writes them, and nothing after the ``end`` line."""
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MODEL_MAGIC:
@@ -658,5 +658,7 @@ def load_model(path: str) -> tuple[ModelBundle, Schedule]:
         line = fh.readline().rstrip("\n")
         if line != "end":
             raise ValueError(f"{path}: expected 'end' line, got {line!r}")
+        if fh.readline():
+            raise ValueError(f"{path}: content after the 'end' line")
     standardizer = parse_field(path, "tensor 'std.scale'", Standardizer, mean, scale)
     return ModelBundle(theta=theta, phi=phi, standardizer=standardizer), head["schedule"]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .denoiser import ModelBundle
 from .latent import Codebook, LatentSequence, Standardizer, atomic_write, check_field_ranges, \
-    check_field_types, fit_standardizer, settings_from_json, snap_frames
+    check_field_types, fit_standardizer, parse_field, settings_from_json, snap_frames
 from .prior import (
     ConditionalGMM,
     PosteriorGrid,
@@ -108,10 +108,8 @@ def _draw_world(spec: WorldSpec, rng: np.random.Generator) -> World:
     std_labels = rng.integers(0, K, size=_STD_SAMPLE)
     draw = sample_frames(native, std_labels, rng)
     _, snapped = snap_frames(draw, codebook)
-    std = fit_standardizer([LatentSequence(id="std", labels=std_labels, frames=snapped)])
-    return World(
-        spec=spec, native=native, l2=l2, codebook=codebook, standardizer=std,
-    )
+    return World(spec=spec, native=native, l2=l2, codebook=codebook,
+                 standardizer=fit_standardizer(snapped))
 
 
 def _separation(world: World, rng: np.random.Generator) -> float:
@@ -200,40 +198,24 @@ class SweepRow:
     n_frames: int
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: list[SweepRow]
-
-    def to_csv(self) -> str:
-        lines = ["t_start,identity_l2,identity_cos,native_prob,n_frames"]
-        for r in self.rows:
-            lines.append(
-                f"{r.t_start},{r.identity_l2:.17g},{r.identity_cos:.17g},"
-                f"{r.native_prob:.17g},{r.n_frames}"
-            )
-        return "\n".join(lines) + "\n"
-
-
 def sweep(
     world: World,
-    bundle: ModelBundle | None,
+    ctx: ConvertContext,
     t_starts: list[int],
     n_seq: int,
     seq_len: int,
     seed: int,
-    sched: Schedule,
-    snap: bool = True,
     stratify_labels: bool = False,
-) -> SweepTable:
-    """Convert one shifted dataset at each start step and aggregate metrics.
+) -> list[SweepRow]:
+    """Convert one shifted dataset with ``ctx`` at each start step and
+    aggregate metrics, one row per start step.
 
     The evaluation set and every per-sequence noise substream are fixed by
     ``seed`` alone, so rows differ only through the start step (paired
     noise across rows) and repeated runs are identical.
     """
-    check_start_steps("t_starts", t_starts, 0, sched)
+    check_start_steps("t_starts", t_starts, 0, ctx.sched)
     data = gen_dataset(world, "l2", n_seq, seq_len, substream(seed, PURPOSE_DATA))
-    ctx = build_context(world, sched, bundle, snap)
     inp = np.concatenate([s.frames for s in data], axis=0)
     labels = np.concatenate([np.asarray(s.labels) for s in data])
     rows = []
@@ -253,7 +235,15 @@ def sweep(
                 native_prob=probm, n_frames=int(inp.shape[0]),
             )
         )
-    return SweepTable(rows=rows)
+    return rows
+
+
+def sweep_csv(rows: list[SweepRow]) -> str:
+    """The sweep CSV: a header line, then one line per row."""
+    lines = ["t_start,identity_l2,identity_cos,native_prob,n_frames"]
+    lines += [f"{r.t_start},{r.identity_l2:.17g},{r.identity_cos:.17g},"
+              f"{r.native_prob:.17g},{r.n_frames}" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def posterior_curves(
@@ -317,9 +307,19 @@ def _arrays_to_json(obj) -> dict:
 
 
 def _arrays_from_json(cls):
-    """Builder of ``cls`` from a JSON object holding each field as nested lists."""
-    return lambda obj: cls(**{f.name: np.array(obj[f.name], dtype=np.float64)
-                              for f in fields(cls)})
+    """Builder of ``cls`` from a JSON object holding each field, and nothing
+    else, as nested lists."""
+    names = [f.name for f in fields(cls)]
+
+    def build(obj):
+        missing = [name for name in names if name not in obj]
+        if missing:
+            raise ValueError(f"lacks key {missing[0]!r}")
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(unknown)}")
+        return cls(**{name: np.array(obj[name], dtype=np.float64) for name in names})
+    return build
 
 
 # The world file's fields, named as World's: (field, to JSON, from JSON).
@@ -342,18 +342,6 @@ def save_world(world: World, path: str) -> None:
         fh.write("\n")
 
 
-def _world_field(path: str, doc: dict, name: str, build):
-    """Build one top-level field; a missing or malformed one is named in the error."""
-    if name not in doc:
-        raise ValueError(f"{path}: missing field {name!r}")
-    try:
-        return build(doc[name])
-    except KeyError as exc:
-        raise ValueError(f"{path}: field {name!r} lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: field {name!r}: {exc}") from None
-
-
 def load_world(path: str) -> World:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -363,8 +351,11 @@ def load_world(path: str) -> World:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != WORLD_MAGIC:
         raise ValueError(f"{path}: not a world file (format {fmt!r})")
-    world = World(**{name: _world_field(path, doc, name, from_json)
-                      for name, _, from_json in _WORLD_FIELDS})
+    for name, _, _ in _WORLD_FIELDS:
+        if name not in doc:
+            raise ValueError(f"{path}: missing field {name!r}")
+    world = World(**{name: parse_field(path, f"field {name!r}", from_json, doc[name])
+                     for name, _, from_json in _WORLD_FIELDS})
     spec = world.spec
     for name, got, want in (
         ("native", world.native.means.shape, (spec.n_labels, spec.n_components, spec.dim)),

@@ -7,9 +7,10 @@ commands, with the value checks that the file and settings readers share.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,16 +93,13 @@ class Codebook:
         return int(self.entries.shape[1])
 
 
-def fit_standardizer(dataset: Iterable[LatentSequence]) -> Standardizer:
-    """Pool all frames and fit population mean and scale per dimension.  A
-    dimension whose frames are all equal is refused; its variance alone would
-    not show it, as rounding in the mean can leave a tiny non-zero one."""
-    stacks = [np.asarray(seq.frames, dtype=np.float64) for seq in dataset]
-    if not stacks:
-        raise ValueError("cannot fit a standardizer on an empty dataset")
-    frames = np.concatenate(stacks, axis=0)
-    if frames.shape[0] < 2:
-        raise ValueError("need at least 2 frames to fit a standardizer")
+def fit_standardizer(frames) -> Standardizer:
+    """Population mean and scale per dimension of an (n, d) block of at least
+    2 frames.  A dimension whose frames are all equal is refused; its variance
+    alone would not show it, as rounding in the mean can leave a tiny non-zero one."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] < 2:
+        raise ValueError(f"need an (n, d) block of at least 2 frames, got shape {frames.shape}")
     dead = np.flatnonzero(frames.min(axis=0) == frames.max(axis=0))
     if dead.size:
         raise ValueError(f"all frames equal in dimension {int(dead[0])}")
@@ -238,18 +236,19 @@ def _decode_labels(text: str, n_labels: int) -> np.ndarray:
 
 
 def parse_field(where: str, field: str, parse, *args):
-    """``parse(*args)``; a malformed value fails as ``<where>: <field>: <why>``."""
+    """``parse(*args)``; a conversion that raises ``ValueError``, ``TypeError``
+    or ``OverflowError`` fails as ``<where>: <field>: <why>``."""
     try:
         return parse(*args)
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: {field}: {exc}") from None
 
 
 # A settings field's annotation string -> (what it must hold, the test of a value).
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number",
-              lambda v: type(v) is int or isinstance(v, float) and np.isfinite(v)),
+    "float": ("a finite number", lambda v: (type(v) is int or isinstance(v, float))
+              and abs(v) <= sys.float_info.max),
     "tuple[int, ...]": ("a tuple of integers",
                         lambda v: type(v) is tuple and all(type(w) is int for w in v)),
 }
@@ -294,7 +293,11 @@ def atomic_write(path: str):
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # named as the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

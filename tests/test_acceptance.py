@@ -24,7 +24,8 @@ from priorshift.denoiser import (
     train,
 )
 from priorshift.denoiser import _forward_cached
-from priorshift.harness import WorldSpec, posterior_curves, gen_dataset, gen_world, sweep
+from priorshift.harness import WorldSpec, build_context, posterior_curves, gen_dataset, \
+    gen_world, sweep
 from priorshift.latent import standardize_frames
 from priorshift.prior import (
     ConditionalGMM,
@@ -207,11 +208,11 @@ def test_criterion_05_posterior_drift_with_start_step():
 
 def test_criterion_06_sweep_trend(world):
     start = time.perf_counter()
-    tab = sweep(world, None, [25, 50, 75, 100], n_seq=12, seq_len=50,
-                seed=42, sched=SCHED)
-    prob = [r.native_prob for r in tab.rows]
-    cos = [r.identity_cos for r in tab.rows]
-    n = tab.rows[0].n_frames
+    rows = sweep(world, build_context(world, SCHED, None), [25, 50, 75, 100], n_seq=12,
+                 seq_len=50, seed=42)
+    prob = [r.native_prob for r in rows]
+    cos = [r.identity_cos for r in rows]
+    n = rows[0].n_frames
     elapsed = time.perf_counter() - start
     ok = (n >= 500
           and all(a < b for a, b in zip(prob, prob[1:]))
@@ -246,10 +247,10 @@ def test_criterion_08_trained_denoiser_quality(world, trained):
     oracle = standardized(world.native, bundle.standardizer)
     oracle_loss = eval_loss_diff(prior_eps_source(oracle, SCHED), x0, labels, t, eps, SCHED)
     ratio = model_loss / oracle_loss
-    tab = sweep(world, bundle, [25, 50, 75, 100], n_seq=12, seq_len=50,
-                seed=42, sched=SCHED)
-    prob = [r.native_prob for r in tab.rows]
-    cos = [r.identity_cos for r in tab.rows]
+    rows = sweep(world, build_context(world, SCHED, bundle), [25, 50, 75, 100], n_seq=12,
+                 seq_len=50, seed=42)
+    prob = [r.native_prob for r in rows]
+    cos = [r.identity_cos for r in rows]
     elapsed = time.perf_counter() - start
     # One-sided gate: training data is codebook-quantized, so the continuous
     # mixture is not the empirical optimum and the model may beat it.

@@ -199,6 +199,22 @@ class TestGenData:
         assert err.startswith("error: ") and "edited.json" in err
         assert "'spec'" in err and "tempo" in err
 
+    @pytest.mark.parametrize("field, edit, why", [
+        ("native", lambda d: d["native"].update(extra=[1.0]), "unknown keys: extra"),
+        ("l2", lambda d: d["l2"].update(extra=0), "unknown keys: extra"),
+        ("standardizer", lambda d: d["standardizer"].update(extra=0), "unknown keys: extra"),
+        ("native", lambda d: d["native"].pop("means"), "lacks key 'means'"),
+        ("native", lambda d: d.update(native=list(d["native"].values())),
+         "lacks key 'weights'"),
+        ("codebook", lambda d: d["codebook"][0].__setitem__(0, 10 ** 400),
+         "int too large to convert to float"),
+    ], ids=["native-extra", "l2-extra", "standardizer-extra", "native-no-means",
+            "native-list", "codebook-huge-int"])
+    def test_malformed_field_names_the_file_and_field(self, pipeline, tmp_path, capsys,
+                                                      field, edit, why):
+        err = self._gen_data_error(pipeline, tmp_path, capsys, edit)
+        assert err == f"error: {tmp_path / 'edited.json'}: field {field!r}: {why}"
+
     def test_spec_out_of_range_names_the_file_and_field(self, pipeline, tmp_path, capsys):
         err = self._gen_data_error(pipeline, tmp_path, capsys,
                                    lambda d: d["spec"].update(var_hi=0.1))
@@ -306,6 +322,16 @@ class TestConvert:
         assert rc == 2 and len(err) == 1
         assert err[0].startswith(f"error: {pipeline['data']}: labels: ") and "label 2" in err[0]
         assert not out.exists() and not diag.exists()
+
+    def test_dataset_label_past_int64_fails_cleanly(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "big.tsv"
+        data.write_text("#dim=2 labels=3\ns0\t99999999999999999999\t0.5,0.5\n")
+        rc = cli.main(["convert", "--world", pipeline["world"], "--model", "exact",
+                       "--data", str(data), "--out", str(tmp_path / "x.tsv"), "--seed", "0",
+                       "--t-start", "10"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {data}:2: labels: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["big.tsv"]
 
 
 @pytest.fixture(scope="module")
@@ -743,6 +769,22 @@ def test_size_flags_checked_before_any_file(tmp_path, capsys, argv, flag, value)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gen-data", "sweep"])
+@pytest.mark.parametrize("n_seq, seq_len", [(10 ** 20, 50), (cli.MAX_FRAMES + 1, 1),
+                                            (2, cli.MAX_FRAMES // 2 + 1)])
+def test_frame_count_bounded_before_any_file(tmp_path, capsys, command, n_seq, seq_len):
+    """More than ``cli.MAX_FRAMES`` frames is a usage error naming both size
+    flags, raised before the world or model file (both missing here) is read."""
+    missing = str(tmp_path / "missing")
+    inputs = ["--world", missing] + (["--model", missing] if command == "sweep" else [])
+    rc = cli.main([command, *inputs, "--seed", "0", "--out", str(tmp_path / "out"),
+                   "--n-seq", str(n_seq), "--seq-len", str(seq_len)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and err == [f"error: --n-seq times --seq-len must be <= {cli.MAX_FRAMES} "
+                               f"frames, got {n_seq} * {seq_len}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["gen-world", "gen-data", "train", "convert", "sweep",
                                      "verify"])
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
@@ -766,35 +808,58 @@ def test_seed_checked_before_any_file(tmp_path, capsys, command, seed):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, existing", [
-    ("gen-data", "--out"), ("train", "--out"), ("convert", "--out"),
-    ("convert", "--diagnostics"), ("sweep", "--out"), ("posterior", "--out-dir"),
-])
+_OUTPUT_FLAGS = [("gen-world", "--out"), ("gen-data", "--out"), ("train", "--out"),
+                 ("convert", "--out"), ("convert", "--diagnostics"), ("sweep", "--out"),
+                 ("posterior", "--out-dir")]
+
+
+@pytest.mark.parametrize("command, flag, problem", [
+    pytest.param(command, flag, problem,
+                 id=f"{command}-{flag}" + ("" if problem == "exists" else "-no-directory"))
+    for problem in ("exists", "no directory") for command, flag in _OUTPUT_FLAGS
+    if problem == "no directory" or command != "gen-world"])
 def test_existing_output_fails_before_any_input_is_read(pipeline, tmp_path, capsys, command,
-                                                        existing):
+                                                        flag, problem):
     """The output paths are checked first: with an input path naming a
-    missing file, the refusal to overwrite still comes first."""
+    missing file, the refusal to overwrite an output, or to write one into a
+    directory that does not exist, still comes first."""
     missing = str(tmp_path / "missing")
-    out, diag = tmp_path / "out", tmp_path / "diag.csv"
+    paths = {"--out": tmp_path / "out", "--diagnostics": tmp_path / "diag.csv",
+             "--out-dir": tmp_path / "out"}
+    if problem == "exists":
+        kept = paths[flag] / "stale.csv" if flag == "--out-dir" else paths[flag]
+        kept.parent.mkdir(exist_ok=True)
+        prefix, want = "output ", "pass --force to overwrite"
+    elif flag == "--out-dir":  # a regular file where the directory should be
+        kept = paths[flag]
+        prefix, want = "", f"--out-dir {kept} is not a directory"
+    else:
+        kept = paths[flag] = tmp_path / "nodir" / paths[flag].name
+        prefix, want = "output path ", f"{kept.parent} is not a directory"
+    out, diag, out_dir = (str(paths[f]) for f in ("--out", "--diagnostics", "--out-dir"))
     argv = [command] + {
-        "gen-data": ["--seed", "0", "--world", missing, "--out", str(out)],
-        "train": ["--seed", "0", "--data", missing, "--out", str(out)],
+        "gen-world": ["--seed", "0", "--out", out],
+        "gen-data": ["--seed", "0", "--world", missing, "--out", out],
+        "train": ["--seed", "0", "--data", missing, "--out", out],
         "convert": ["--seed", "0", "--world", pipeline["world"], "--model", missing,
-                    "--data", pipeline["data"], "--t-start", "5", "--out", str(out),
-                    "--diagnostics", str(diag)],
+                    "--data", pipeline["data"], "--t-start", "5", "--out", out,
+                    "--diagnostics", diag],
         "sweep": ["--seed", "0", "--world", pipeline["world"], "--model", missing,
-                  "--out", str(out)],
-        "posterior": ["--world", missing, "--x0", "1.0", "--out-dir", str(out)],
+                  "--out", out],
+        "posterior": ["--world", missing, "--x0", "1.0", "--out-dir", out_dir],
     }[command]
-    kept = {"--out": out, "--diagnostics": diag, "--out-dir": out / "stale.csv"}[existing]
-    kept.parent.mkdir(exist_ok=True)
-    kept.write_text("keep\n")
+    if kept.parent.is_dir():
+        kept.write_text("keep\n")
     rc = cli.main(argv)
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 2 and len(err) == 1
-    assert err[0].startswith("error: output ") and err[0].endswith("pass --force to overwrite")
-    assert sorted(tmp_path.rglob("*")) == sorted({kept, kept.parent} - {tmp_path})
-    assert kept.read_text() == "keep\n"
+    assert err[0].startswith(f"error: {prefix}") and err[0].endswith(want)
+    written = sorted(tmp_path.rglob("*"))
+    if kept.exists():
+        assert written == sorted({kept, kept.parent} - {tmp_path})
+        assert kept.read_text() == "keep\n"
+    else:
+        assert written == []
 
 
 @pytest.mark.parametrize("diagnostics", ["out.tsv", "sub/../out.tsv"])

@@ -676,7 +676,7 @@ class TestTrainLoop:
             assert np.array_equal(bundle.theta.tensors[k], theta0.tensors[k])
         for k in phi0.tensors:
             assert np.array_equal(bundle.phi.tensors[k], phi0.tensors[k])
-        std = fit_standardizer(seqs)
+        std = fit_standardizer(np.concatenate([s.frames for s in seqs]))
         assert np.array_equal(bundle.standardizer.mean, std.mean)
 
     def test_reruns_are_bit_identical(self):
@@ -702,8 +702,9 @@ class TestTrainLoop:
         bundle, curve = train(cfg, seqs, SCHED, substream(16, PURPOSE_TRAIN), n_labels=3)
 
         rng = substream(16, PURPOSE_TRAIN)
-        std = fit_standardizer(seqs)
-        x0 = standardize_frames(np.concatenate([s.frames for s in seqs]), std)
+        x0_raw = np.concatenate([s.frames for s in seqs])
+        std = fit_standardizer(x0_raw)
+        x0 = standardize_frames(x0_raw, std)
         zc2 = np.concatenate([s.zc2 for s in seqs])
         h = np.concatenate([s.h for s in seqs])
         labels = np.concatenate([s.labels for s in seqs])
@@ -919,6 +920,16 @@ class TestModelIO:
         path.write_text("".join(lines[:-3]))
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("tail", ["\n", "end\n", "extra"])
+    def test_content_after_end_rejected(self, tmp_path, tail):
+        path = tmp_path / "model.txt"
+        save_model(str(path), self._bundle(np.random.default_rng(32)), SCHED)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: content after the 'end' line"
 
     def test_non_finite_tensor_rejected(self, tmp_path):
         rng = np.random.default_rng(34)

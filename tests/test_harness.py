@@ -13,7 +13,6 @@ from priorshift import harness as harness_mod
 from priorshift.harness import (
     SEPARATION_MIN,
     SweepRow,
-    SweepTable,
     World,
     WorldSpec,
     build_context,
@@ -23,6 +22,7 @@ from priorshift.harness import (
     load_world,
     save_world,
     sweep,
+    sweep_csv,
 )
 from priorshift.latent import Codebook, Standardizer, snap_frames
 from priorshift.prior import ConditionalGMM, grid_moments, native_class_prob_batch, sample_frames
@@ -219,35 +219,38 @@ class TestBuildContext:
 class TestSweep:
     def test_zero_start_row_is_exact_identity(self):
         world = gen_world(_small_spec(seed=22))
-        tab = sweep(world, None, [0], n_seq=3, seq_len=10, seed=5, sched=SCHED)
-        row = tab.rows[0]
+        row = sweep(world, build_context(world, SCHED, None), [0], n_seq=3, seq_len=10,
+                    seed=5)[0]
         assert row.identity_l2 == 0.0
         assert row.identity_cos == 1.0
         assert row.n_frames == 30
 
     def test_metrics_move_monotonically_with_start_step(self):
         world = gen_world(WorldSpec(seed=0))
-        tab = sweep(world, None, [0, 50, 100], n_seq=6, seq_len=25, seed=5, sched=SCHED)
-        l2 = [r.identity_l2 for r in tab.rows]
-        cos = [r.identity_cos for r in tab.rows]
-        prob = [r.native_prob for r in tab.rows]
+        rows = sweep(world, build_context(world, SCHED, None), [0, 50, 100], n_seq=6,
+                     seq_len=25, seed=5)
+        l2 = [r.identity_l2 for r in rows]
+        cos = [r.identity_cos for r in rows]
+        prob = [r.native_prob for r in rows]
         assert l2 == sorted(l2) and l2[0] < l2[-1]
         assert cos == sorted(cos, reverse=True) and cos[0] > cos[-1]
         assert all(a < b for a, b in zip(prob, prob[1:]))
 
     def test_zero_shift_probability_is_exactly_half(self):
         world = gen_world(_small_spec(seed=23, l2_shift=0.0))
-        tab = sweep(world, None, [0, 60], n_seq=3, seq_len=10, seed=7, sched=SCHED)
-        assert [r.native_prob for r in tab.rows] == [0.5, 0.5]
+        rows = sweep(world, build_context(world, SCHED, None), [0, 60], n_seq=3, seq_len=10,
+                     seed=7)
+        assert [r.native_prob for r in rows] == [0.5, 0.5]
 
     @pytest.mark.parametrize("snap", [True, False])
     def test_row_matches_direct_conversion(self, snap):
         """A sweep row scores the frames that converting its dataset at that
         start step gives, snapped or not as the sweep asks."""
         world = gen_world(_small_spec(seed=22))
-        tab = sweep(world, None, [40], n_seq=3, seq_len=10, seed=5, sched=SCHED, snap=snap)
+        ctx = build_context(world, SCHED, None, snap)
+        row = sweep(world, ctx, [40], n_seq=3, seq_len=10, seed=5)[0]
         data = gen_dataset(world, "l2", 3, 10, substream(5, PURPOSE_DATA))
-        out = convert_sequences(data, build_context(world, SCHED, None, snap), 40, 5)
+        out = convert_sequences(data, ctx, 40, 5)
         inp = np.concatenate([s.frames for s in data])
         got = np.concatenate([s.frames for s in out])
         assert snap == all(
@@ -255,38 +258,36 @@ class TestSweep:
         )
         l2d, cos, prob = frame_metrics(inp, got, np.concatenate([s.labels for s in data]),
                                        world.native, world.l2)
-        row = tab.rows[0]
         assert (row.identity_l2, row.identity_cos, row.native_prob) == (
             float(l2d.mean()), float(cos.mean()), float(prob.mean()))
 
     def test_reruns_identical(self):
         world = gen_world(_small_spec(seed=24))
-        kwargs = dict(n_seq=4, seq_len=8, seed=9, sched=SCHED)
-        a = sweep(world, None, [25, 75], **kwargs)
-        b = sweep(world, None, [25, 75], **kwargs)
+        kwargs = dict(n_seq=4, seq_len=8, seed=9)
+        a = sweep(world, build_context(world, SCHED, None), [25, 75], **kwargs)
+        b = sweep(world, build_context(world, SCHED, None), [25, 75], **kwargs)
         assert a == b
 
     def test_stratified_mean_stays_close_to_pooled(self):
         world = gen_world(_small_spec(seed=25))
-        pooled = sweep(world, None, [50], n_seq=6, seq_len=20, seed=5, sched=SCHED)
-        strat = sweep(world, None, [50], n_seq=6, seq_len=20, seed=5, sched=SCHED,
-                      stratify_labels=True)
-        assert abs(pooled.rows[0].native_prob - strat.rows[0].native_prob) < 0.1
+        ctx = build_context(world, SCHED, None)
+        pooled = sweep(world, ctx, [50], n_seq=6, seq_len=20, seed=5)
+        strat = sweep(world, ctx, [50], n_seq=6, seq_len=20, seed=5, stratify_labels=True)
+        assert abs(pooled[0].native_prob - strat[0].native_prob) < 0.1
 
     @pytest.mark.parametrize("starts", [[], [50, 25], [25, 25], [-1], [101]])
     def test_bad_start_lists_rejected(self, starts):
         world = gen_world(_small_spec(seed=26))
         with pytest.raises(ValueError):
-            sweep(world, None, starts, n_seq=2, seq_len=5, seed=0, sched=SCHED)
+            sweep(world, build_context(world, SCHED, None), starts, n_seq=2, seq_len=5, seed=0)
 
     def test_csv_format(self):
-        tab = SweepTable(rows=[
+        lines = sweep_csv([
             SweepRow(t_start=0, identity_l2=0.0, identity_cos=1.0,
                      native_prob=0.5, n_frames=30),
             SweepRow(t_start=50, identity_l2=0.25, identity_cos=0.97,
                      native_prob=0.61, n_frames=30),
-        ])
-        lines = tab.to_csv().splitlines()
+        ]).splitlines()
         assert lines[0] == "t_start,identity_l2,identity_cos,native_prob,n_frames"
         assert len(lines) == 3
         fields = lines[2].split(",")
@@ -431,6 +432,10 @@ class TestWorldIO:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             m = data.draw(st.sampled_from(list(_JSON_NUMBER.finditer(text))))
+            # An integer past float range is a legal spec seed or attempt
+            # count, so only the array values take one.
+            if text.count("[", 0, m.start()) > text.count("]", 0, m.start()):
+                bad = st.one_of(bad, st.just("1" + "0" * 400))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text[:m.start()] + data.draw(bad) + text[m.end():])
             with pytest.raises(ValueError) as info:

@@ -8,7 +8,7 @@ import pytest
 
 from priorshift.denoiser import TrainConfig, forward, init_denoiser, init_residual, \
     loss_total, predict_zc2, train
-from priorshift.harness import WorldSpec, gen_world, posterior_curves, sweep
+from priorshift.harness import WorldSpec, build_context, gen_world, posterior_curves, sweep
 from priorshift.latent import Codebook, LatentSequence, Standardizer, destandardize_frames, \
     load_dataset, save_dataset, snap_frames, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, logpdf_batch, noised_tables, \
@@ -136,7 +136,8 @@ _START_STEP_ENTRY_POINTS = {
         SCHED)),
     "convert_sequences": ("t_start", 0, lambda steps, tmp: convert_sequences(
         [_seq([0, 1])], _CONVERT_CTX, steps[0], 0)),
-    "sweep": ("t_starts", 0, lambda steps, tmp: sweep(_WORLD, None, steps, 2, 3, 0, SCHED)),
+    "sweep": ("t_starts", 0, lambda steps, tmp: sweep(
+        _WORLD, build_context(_WORLD, SCHED, None), steps, 2, 3, 0)),
     "posterior_curves": ("t_starts", 1, lambda steps, tmp: posterior_curves(
         _WORLD, 0, 1.0, steps, np.linspace(-9, 9, 101), SCHED, out_dir=str(tmp / "curves"))),
 }

@@ -80,18 +80,14 @@ class TestLatentSequence:
 
 class TestStandardizer:
     def test_two_point_fit(self):
-        seq = LatentSequence(id="a", labels=np.zeros(2, dtype=int),
-                             frames=np.array([[0.0], [2.0]]))
-        s = fit_standardizer([seq])
+        s = fit_standardizer(np.array([[0.0], [2.0]]))
         # population convention: variance divides by the frame count
         assert s.mean[0] == 1.0
         assert s.std[0] == 1.0
 
     def test_sample_statistics(self):
         rng = np.random.default_rng(7)
-        frames = rng.normal(3.0, 2.0, size=(1000, 1))
-        seq = LatentSequence(id="a", labels=np.zeros(1000, dtype=int), frames=frames)
-        s = fit_standardizer([seq])
+        s = fit_standardizer(rng.normal(3.0, 2.0, size=(1000, 1)))
         se_mean = 2.0 / np.sqrt(1000)
         se_std = 2.0 / np.sqrt(2 * 1000)
         assert abs(s.mean[0] - 3.0) < 3 * se_mean
@@ -101,14 +97,18 @@ class TestStandardizer:
         """Refused by its frames being equal: rounding in the mean of these
         8,192 equal values leaves a variance of ~2e-31, not zero."""
         frames = np.column_stack([np.arange(8192.0), np.full(8192, 1.3371902790184003)])
-        seq = LatentSequence(id="a", labels=np.zeros(8192, dtype=int), frames=frames)
         with pytest.raises(ValueError, match="^all frames equal in dimension 1$"):
-            fit_standardizer([seq])
+            fit_standardizer(frames)
+
+    @pytest.mark.parametrize("frames", [np.arange(5.0), np.ones((1, 3))], ids=["1-D", "one row"])
+    def test_block_of_fewer_than_two_frames_rejected(self, frames):
+        with pytest.raises(ValueError, match=r"^need an \(n, d\) block of at least 2 frames"):
+            fit_standardizer(frames)
 
     def test_standardized_output_is_centered_and_unit(self):
         rng = np.random.default_rng(3)
         seq = _seq(rng, n=500, d=3)
-        s = fit_standardizer([seq])
+        s = fit_standardizer(seq.frames)
         z = standardize_frames(seq.frames, s)
         assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         assert_allclose(z.std(axis=0), 1.0, rtol=1e-12)
@@ -392,6 +392,13 @@ class TestDatasetIO:
             assert_array_equal(a.zc2, b.zc2)
             assert_array_equal(a.h, b.h)
 
+    def test_unwritable_path_is_named_not_its_temp_file(self, tmp_path):
+        path = tmp_path / "nodir" / "data.tsv"
+        with pytest.raises(FileNotFoundError) as info:
+            save_dataset([_seq(np.random.default_rng(23))], str(path), n_labels=4)
+        assert info.value.filename == str(path) and str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip_without_aux_tracks(self, tmp_path):
         rng = np.random.default_rng(22)
         seqs = [_seq(rng, seq_id="only")]
@@ -477,8 +484,9 @@ class TestDatasetIO:
     @settings(max_examples=60, deadline=None)
     def test_corrupted_token_fails_naming_the_file(self, shape, seed, data):
         """Any one header value, label or track value replaced by a non-number
-        or a non-finite value, or a header value or label by a negative number,
-        fails at load with one line that starts with the path."""
+        or a non-finite value, a header value or label by a negative number, or
+        a label by an integer past int64, fails at load with one line that
+        starts with the path."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.tsv")
             save_dataset(_random_dataset(shape, seed), path, shape["n_labels"])
@@ -493,6 +501,8 @@ class TestDatasetIO:
                    st.sampled_from(["nan", "inf", "-inf", "1e999"])]
             if integer:
                 bad.append(st.integers(-10 ** 6, -1).map(str))
+            if line_start > 0 and integer:  # a label past int64
+                bad.append(st.just(str(10 ** 20)))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text[:m.start()] + data.draw(st.one_of(bad)) + text[m.end():])
             with pytest.raises(ValueError) as info:
