@@ -3,9 +3,10 @@
 # gen-world, gen-data (shifted data to convert, native data to train on),
 # train, exact and model converts with diagnostics, the same converts
 # unsnapped (snapping hides rounding-level changes in the reverse chain),
-# exact and model sweeps, a second model trained from a --config file whose
-# residual head has hidden layers (the default head has none) with one
-# unsnapped convert and one sweep, posterior curves and the oracle suites.
+# exact and model sweeps, an exact sweep averaging per-label means, a second
+# model trained from a --config file whose residual head has hidden layers
+# (the default head has none) with one unsnapped convert and one sweep,
+# posterior curves and the oracle suites.
 # Then a fixed list of failing invocations (bad output paths, malformed
 # files, oversized or misordered flags) runs from inside OUT_DIR on relative
 # paths, each under a 10 s timeout; each one's command line, exit status and
@@ -39,6 +40,8 @@ for model in exact model; do
     run sweep --world "$out/world.json" --model "$src" --out "$out/sweep_$model.csv" \
         --seed 15 --n-seq 6 --seq-len 20
 done
+run sweep --world "$out/world.json" --model exact --out "$out/sweep_exact_strat.csv" \
+    --seed 15 --n-seq 6 --seq-len 20 --stratify-labels
 cat > "$out/config.json" <<'EOF'
 {"hidden": [16, 12], "residual_hidden": [8, 6], "cond_dim": 8, "time_dim": 4}
 EOF
@@ -89,3 +92,5 @@ fail convert --world world.json --model bad/trailing_line.txt --data data.tsv --
 fail gen-data --world world.json --out bad/d.tsv --seed 1 --n-seq 99999999999999999999
 fail sweep $exact --out bad/s.csv --seed 1 --n-seq 99999999999999999999
 fail sweep $exact --out bad/s.csv --seed 1 --t-starts 50,25
+fail gen-world --out bad/w.json --seed 1 --labels 99999999999999999999
+fail train --data native.tsv --out bad/m.txt --seed 1 --epochs 99999999999999999999

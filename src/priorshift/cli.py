@@ -95,15 +95,6 @@ def _flags(flags: dict[str, str]):
         raise UsageError(f"{flags[field]} {why}") from None
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta-min", type=float, default=None,
-                   help=f"first noise rate (default {DEFAULT_BETA_MIN})")
-    p.add_argument("--beta-max", type=float, default=None,
-                   help=f"last noise rate (default {DEFAULT_BETA_MAX})")
-    p.add_argument("--T", type=int, default=None,
-                   help=f"number of corruption steps (default {DEFAULT_T})")
-
-
 def _schedule_from_args(args: argparse.Namespace):
     with _flags({"beta_min": "--beta-min", "beta_max": "--beta-max", "T": "--T"}):
         return linear_schedule(
@@ -340,67 +331,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true", help="log warnings only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-world", help="draw a synthetic pair of priors plus codebook")
-    p.add_argument("--out", required=True, help="world JSON path")
-    p.add_argument("--seed", type=int, required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", required=True, help="output file path")
+    writes.add_argument("--force", action="store_true")
+    reads_world = argparse.ArgumentParser(add_help=False)
+    reads_world.add_argument("--world", required=True)
+    scheduled = argparse.ArgumentParser(add_help=False)
+    scheduled.add_argument("--beta-min", type=float, default=None,
+                           help=f"first noise rate (default {DEFAULT_BETA_MIN})")
+    scheduled.add_argument("--beta-max", type=float, default=None,
+                           help=f"last noise rate (default {DEFAULT_BETA_MAX})")
+    scheduled.add_argument("--T", type=int, default=None,
+                           help=f"number of corruption steps (default {DEFAULT_T})")
+    converts = argparse.ArgumentParser(add_help=False,
+                                       parents=[seeded, writes, reads_world, scheduled])
+    converts.add_argument("--model", required=True, help="model file path, or 'exact'")
+    converts.add_argument("--no-snap", action="store_true", help="skip codebook quantization")
+
+    p = sub.add_parser("gen-world", parents=[seeded, writes],
+                       help="draw a synthetic pair of priors plus codebook")
     for f in dataclasses.fields(WorldSpec):
         if f.name != "seed":
             p.add_argument(_GEN_WORLD_FLAGS[f.name], type=int if f.type == "int" else float,
                            default=f.default)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_gen_world)
 
-    p = sub.add_parser("gen-data", help="sample labeled sequences from a world")
-    p.add_argument("--world", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("gen-data", parents=[seeded, writes, reads_world],
+                       help="sample labeled sequences from a world")
     p.add_argument("--source", choices=("native", "l2"), default="l2")
     p.add_argument("--n-seq", type=int, default=100)
     p.add_argument("--seq-len", type=int, default=50)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train", help="fit the denoiser and residual head")
+    p = sub.add_parser("train", parents=[seeded, writes, scheduled],
+                       help="fit the denoiser and residual head")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="model file path")
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", default=None, help="training config JSON")
     p.add_argument("--epochs", type=int, default=None, help="override config epochs")
-    _add_schedule_flags(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("convert", help="translate sequences toward the native prior")
-    p.add_argument("--world", required=True)
-    p.add_argument("--model", required=True, help="model file path, or 'exact'")
+    p = sub.add_parser("convert", parents=[converts],
+                       help="translate sequences toward the native prior")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--t-start", type=int, required=True,
                    help="corruption steps before the reverse pass (0..T)")
-    p.add_argument("--no-snap", action="store_true", help="skip codebook quantization")
     p.add_argument("--diagnostics", default=None, help="per-sequence metrics CSV path")
-    _add_schedule_flags(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("sweep", help="trade-off table across start steps")
-    p.add_argument("--world", required=True)
-    p.add_argument("--model", required=True, help="model file path, or 'exact'")
-    p.add_argument("--out", required=True, help="summary CSV path")
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("sweep", parents=[converts], help="trade-off table across start steps")
     p.add_argument("--t-starts", default="0,25,50,75,100")
     p.add_argument("--n-seq", type=int, default=40)
     p.add_argument("--seq-len", type=int, default=50)
-    p.add_argument("--no-snap", action="store_true", help="skip codebook quantization")
     p.add_argument("--stratify-labels", action="store_true",
                    help="average per-label means instead of pooled frames")
-    _add_schedule_flags(p)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("posterior", help="tabulate 1-D clean-frame posteriors")
-    p.add_argument("--world", required=True)
+    p = sub.add_parser("posterior", parents=[reads_world, scheduled],
+                       help="tabulate 1-D clean-frame posteriors")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--label", type=int, default=0)
     p.add_argument("--dim", type=int, default=0, help="coordinate of the prior to use")
@@ -411,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=None,
                    help=f"default {DEFAULT_GRID_POINTS}, or more when the default grid "
                         "needs them to resolve the narrowest posterior")
-    _add_schedule_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_posterior)
 

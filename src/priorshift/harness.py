@@ -48,6 +48,17 @@ _STD_SAMPLE = 8192
 # Most lines of a posterior CSV formatted by one `%` call: a call over a
 # whole million-point curve would hold ~100 MB of floats and text.
 CSV_BLOCK_LINES = 2 ** 16
+# Bounds on the arrays a world holds or gen_world draws.  A fresh gen-world
+# peaked at ~310 MB of RSS at the prior bound with one value per (label,
+# component), each a JSON list in the world file (--labels 262144 --dim 1
+# --components 1), and at every bound with the widest frames (--labels 128
+# --dim 1024 --codebook-size 256).
+MAX_DIM = 2 ** 10  # the standardizer's sample is _STD_SAMPLE x dim
+# n_components x dim: _separation scores _SEP_SAMPLE frames against every
+# component at once (~230 MB at --labels 1 --components 2048 --dim 1).
+MAX_COMPONENT_VALUES = 2 ** 11
+MAX_PRIOR_VALUES = 2 ** 18  # n_labels x n_components x dim, per prior
+MAX_CODEBOOK_VALUES = 2 ** 18  # codebook_size x dim
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,13 @@ class WorldSpec:
             ("n_labels", self.n_labels >= 1, ">= 1"),
             ("n_components", self.n_components >= 1, ">= 1"),
             ("codebook_size", self.codebook_size >= 1, ">= 1"),
+            ("dim", self.dim <= MAX_DIM, f"<= {MAX_DIM}"),
+            ("n_components", self.n_components * self.dim <= MAX_COMPONENT_VALUES,
+             f"<= {MAX_COMPONENT_VALUES} / dim"),
+            ("n_labels", self.n_labels * self.n_components * self.dim <= MAX_PRIOR_VALUES,
+             f"<= {MAX_PRIOR_VALUES} / (n_components * dim)"),
+            ("codebook_size", self.codebook_size * self.dim <= MAX_CODEBOOK_VALUES,
+             f"<= {MAX_CODEBOOK_VALUES} / dim"),
             ("h_noise", self.h_noise >= 0, ">= 0"),
             ("l2_shift", self.l2_shift >= 0, ">= 0"),
             ("mean_scale", self.mean_scale >= 0, ">= 0"),
@@ -208,7 +226,8 @@ def sweep(
     stratify_labels: bool = False,
 ) -> list[SweepRow]:
     """Convert one shifted dataset with ``ctx`` at each start step and
-    aggregate metrics, one row per start step.
+    aggregate metrics, one row per start step: each metric's mean over its
+    frames, or with ``stratify_labels`` the mean of its per-label means.
 
     The evaluation set and every per-sequence noise substream are fixed by
     ``seed`` alone, so rows differ only through the start step (paired
@@ -218,17 +237,13 @@ def sweep(
     data = gen_dataset(world, "l2", n_seq, seq_len, substream(seed, PURPOSE_DATA))
     inp = np.concatenate([s.frames for s in data], axis=0)
     labels = np.concatenate([np.asarray(s.labels) for s in data])
+    groups = [np.flatnonzero(labels == k) for k in np.unique(labels)] if stratify_labels \
+        else [slice(None)]
     rows = []
     for ts in t_starts:
         out = np.concatenate([seq.frames for seq in convert_sequences(data, ctx, int(ts), seed)])
         l2d, cos, prob = frame_metrics(inp, out, labels, world.native, world.l2)
-        if stratify_labels:
-            groups = [np.flatnonzero(labels == k) for k in np.unique(labels)]
-            l2m = float(np.mean([l2d[g].mean() for g in groups]))
-            cosm = float(np.mean([cos[g].mean() for g in groups]))
-            probm = float(np.mean([prob[g].mean() for g in groups]))
-        else:
-            l2m, cosm, probm = float(l2d.mean()), float(cos.mean()), float(prob.mean())
+        l2m, cosm, probm = (float(np.mean([v[g].mean() for g in groups])) for v in (l2d, cos, prob))
         rows.append(
             SweepRow(
                 t_start=int(ts), identity_l2=l2m, identity_cos=cosm,

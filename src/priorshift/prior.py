@@ -202,8 +202,13 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
     """Draw one frame per entry of ``labels``, in order, from a single stream."""
     labels = check_labels(labels, p.n_labels)
     n = labels.shape[0]
-    cum = np.cumsum(p.weights, axis=1)[labels]
-    comp = np.minimum((rng.random(n)[:, None] > cum).sum(axis=1), p.n_components - 1)
+    cum = np.cumsum(p.weights, axis=1)
+    u = rng.random(n)
+    # Column by column: an (n, components) block grows with both.
+    comp = np.zeros(n, dtype=np.intp)
+    for c in range(p.n_components):
+        comp += u > cum[labels, c]
+    comp = np.minimum(comp, p.n_components - 1)
     eps = rng.standard_normal((n, p.dim))
     return p.means[labels, comp] + np.sqrt(p.variances[labels, comp]) * eps
 

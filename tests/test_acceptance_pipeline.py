@@ -38,6 +38,7 @@ def test_reruns_are_byte_identical(runs):
     assert "verify.txt" in a and "posterior/prior.csv" in a and "errors.txt" in a
     assert "convert_exact_nosnap.tsv" in a and "convert_model_nosnap.tsv" in a
     assert "convert_arch_nosnap.tsv" in a and "sweep_arch.csv" in a
+    assert "sweep_exact_strat.csv" in a
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
 
@@ -47,7 +48,7 @@ def test_failing_invocations_print_one_error_line_and_write_nothing(runs):
     ``error:`` line, and leaves no file beside the bad inputs it was given."""
     text = (runs[0] / "errors.txt").read_text(encoding="utf-8")
     cases = [case.splitlines() for case in text.split("$ priorshift ")[1:]]
-    assert len(cases) == 14
+    assert len(cases) == 16
     for command, status, *err in cases:
         assert status in ("exit 1", "exit 2") and len(err) == 1, command
         assert err[0].startswith("error: ") and "Traceback" not in err[0], command

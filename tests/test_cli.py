@@ -1,4 +1,5 @@
 """Command-line entry points, exit codes, and end-to-end file flows."""
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,9 +14,14 @@ import numpy as np
 import pytest
 
 from priorshift import cli
-from priorshift.harness import WorldSpec, load_world
+from priorshift.harness import WorldSpec, build_context, load_world, sweep, sweep_csv
 from priorshift.latent import load_dataset, save_dataset
 from priorshift.sampler import frame_metrics
+from priorshift.schedule import default_schedule
+
+
+# A size no bound admits; numpy cannot allocate it either.
+BIG = "99999999999999999999"
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +107,39 @@ class TestParserReuse:
         assert "INFO gen-world" in capsys.readouterr().err
 
 
+_SCHEDULE = ["--T", "--beta-max", "--beta-min"]
+_WRITES = ["--force", "--out", "--seed"]
+
+
+@pytest.mark.parametrize("command, options, required", [
+    ("gen-world", _WRITES + ["--codebook-size", "--components", "--dim", "--h-noise",
+                             "--l2-shift", "--labels", "--mean-scale", "--var-hi", "--var-lo"],
+     ["--out", "--seed"]),
+    ("gen-data", _WRITES + ["--n-seq", "--seq-len", "--source", "--world"],
+     ["--out", "--seed", "--world"]),
+    ("train", _WRITES + _SCHEDULE + ["--config", "--data", "--epochs"],
+     ["--data", "--out", "--seed"]),
+    ("convert", _WRITES + _SCHEDULE + ["--data", "--diagnostics", "--model", "--no-snap",
+                                       "--t-start", "--world"],
+     ["--data", "--model", "--out", "--seed", "--t-start", "--world"]),
+    ("sweep", _WRITES + _SCHEDULE + ["--model", "--n-seq", "--no-snap", "--seq-len",
+                                     "--stratify-labels", "--t-starts", "--world"],
+     ["--model", "--out", "--seed", "--world"]),
+    ("posterior", _SCHEDULE + ["--dim", "--force", "--grid-hi", "--grid-lo", "--grid-points",
+                               "--label", "--out-dir", "--t-starts", "--world", "--x0"],
+     ["--out-dir", "--world", "--x0"]),
+    ("verify", ["--seed"], []),
+])
+def test_each_command_keeps_its_options(command, options, required):
+    """Every subcommand takes exactly these options, these ones required, so
+    a flag lost or doubled among the shared declarations fails here."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    strings = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+    assert sorted(strings) == sorted(options)
+    assert sorted(o for a in sub._actions if a.required for o in a.option_strings) == required
+
+
 class TestGenWorld:
     def test_refuses_to_overwrite(self, pipeline, capsys):
         rc = cli.main(["gen-world", "--out", pipeline["world"], "--seed", "0"])
@@ -131,6 +170,10 @@ class TestGenWorld:
         (["--var-lo", "0"], "--var-lo must be positive, got 0.0"),
         (["--h-noise", "nan"], "--h-noise must be a finite number, got nan"),
         (["--components", "0"], "--components must be >= 1, got 0"),
+        (["--labels", BIG], f"--labels must be <= 262144 / (--components * --dim), got {BIG}"),
+        (["--dim", BIG], f"--dim must be <= 1024, got {BIG}"),
+        (["--components", BIG], f"--components must be <= 2048 / --dim, got {BIG}"),
+        (["--codebook-size", BIG], f"--codebook-size must be <= 262144 / --dim, got {BIG}"),
     ])
     def test_range_error_names_the_flag_before_output(self, pipeline, tmp_path, capsys,
                                                       flags, message):
@@ -221,6 +264,12 @@ class TestGenData:
         assert err.startswith("error: ") and "edited.json" in err
         assert "'spec'" in err and "var_hi: must be >= var_lo, got 0.1" in err
 
+    def test_spec_past_a_size_bound_names_the_file_and_field(self, pipeline, tmp_path, capsys):
+        err = self._gen_data_error(pipeline, tmp_path, capsys,
+                                   lambda d: d["spec"].update(n_labels=int(BIG)))
+        assert err.startswith("error: ") and "edited.json" in err and "'spec'" in err
+        assert f"n_labels: must be <= 262144 / (n_components * dim), got {BIG}" in err
+
     def test_dataset_loads_back(self, pipeline):
         seqs, dim, n_labels = load_dataset(pipeline["data"])
         assert len(seqs) == 4
@@ -243,6 +292,33 @@ class TestSweep:
         lines = blob.decode().splitlines()
         assert lines[0] == "t_start,identity_l2,identity_cos,native_prob,n_frames"
         assert len(lines) == 3
+
+    def test_stratify_labels_averages_per_label_means(self, pipeline, tmp_path):
+        """``--stratify-labels`` writes the library's stratified rows, which
+        on a world of three labels differ from the pooled ones."""
+        base = ["sweep", "--world", pipeline["world"], "--model", "exact",
+                "--seed", "2", "--t-starts", "0,50", "--n-seq", "3", "--seq-len", "8"]
+        pooled, strat = str(tmp_path / "pooled.csv"), str(tmp_path / "strat.csv")
+        assert cli.main(base + ["--out", pooled]) == 0
+        assert cli.main(base + ["--out", strat, "--stratify-labels"]) == 0
+        world = load_world(pipeline["world"])
+        ctx = build_context(world, default_schedule(), None)
+        want = sweep_csv(sweep(world, ctx, [0, 50], 3, 8, 2, stratify_labels=True))
+        assert Path(strat).read_text() == want
+        assert Path(strat).read_text() != Path(pooled).read_text()
+
+    @pytest.mark.parametrize("snap", [[], ["--no-snap"]])
+    def test_stratified_equals_pooled_on_one_label(self, tmp_path, snap):
+        """With one label the per-label mean is the pooled mean, byte for byte."""
+        world = str(tmp_path / "w.json")
+        assert cli.main(["gen-world", "--out", world, "--seed", "4", "--dim", "2",
+                         "--labels", "1", "--codebook-size", "8"]) == 0
+        base = ["sweep", "--world", world, "--model", "exact", "--seed", "3",
+                "--t-starts", "0,40,80", "--n-seq", "3", "--seq-len", "7"] + snap
+        pooled, strat = tmp_path / "pooled.csv", tmp_path / "strat.csv"
+        assert cli.main(base + ["--out", str(pooled)]) == 0
+        assert cli.main(base + ["--out", str(strat), "--stratify-labels"]) == 0
+        assert strat.read_bytes() == pooled.read_bytes()
 
     def test_bad_t_starts_rejected(self, pipeline, tmp_path, capsys):
         rc = cli.main(["sweep", "--world", pipeline["world"], "--model", "exact",
@@ -454,6 +530,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 2 and len(err) == 1
         assert err[0].startswith(f"error: {cfg}: residual_hidden: ")
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("doc, flags, message", [
+        (None, ["--epochs", BIG], f"--epochs must be <= 10000, got {BIG}"),
+        ({"epochs": int(BIG)}, [], f"epochs: must be <= 10000, got {BIG}"),
+    ])
+    def test_epochs_bounded_before_the_data_is_read(self, tmp_path, capsys, doc, flags,
+                                                    message):
+        """Too many epochs fails as one line naming the flag or the config file,
+        before the (here missing) data file is opened."""
+        args = ["train", "--data", str(tmp_path / "missing.tsv"),
+                "--out", str(tmp_path / "m.txt"), "--seed", "0"] + flags
+        if doc is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc))
+            args += ["--config", str(cfg)]
+            message = f"{cfg}: {message}"
+        rc = cli.main(args)
+        assert rc == 2 and capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("doc, flags, field", [

@@ -13,6 +13,7 @@ from priorshift.denoiser import (
     AdamState,
     FlatTensors,
     ModelBundle,
+    MAX_EPOCHS,
     TrainConfig,
     adam_step,
     draw_batch_noise,
@@ -773,6 +774,7 @@ class TestTrainLoop:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(epochs=-1),
+        dict(epochs=MAX_EPOCHS + 1),
         dict(batch_size=0),
         dict(lr=0.0),
         dict(lr=-1e-4),

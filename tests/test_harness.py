@@ -85,6 +85,23 @@ class TestWorldSpec:
         with pytest.raises(ValueError):
             _small_spec(**kwargs)
 
+    @pytest.mark.parametrize("field, at, over", [
+        ("dim", dict(dim=harness_mod.MAX_DIM, n_components=1, n_labels=1, codebook_size=1),
+         f"<= {harness_mod.MAX_DIM}"),
+        ("n_components", dict(dim=2, n_components=harness_mod.MAX_COMPONENT_VALUES // 2,
+                              n_labels=1), f"<= {harness_mod.MAX_COMPONENT_VALUES} / dim"),
+        ("n_labels", dict(dim=4, n_components=2, n_labels=harness_mod.MAX_PRIOR_VALUES // 8),
+         f"<= {harness_mod.MAX_PRIOR_VALUES} / (n_components * dim)"),
+        ("codebook_size", dict(dim=4, codebook_size=harness_mod.MAX_CODEBOOK_VALUES // 4),
+         f"<= {harness_mod.MAX_CODEBOOK_VALUES} / dim"),
+    ])
+    def test_array_sizes_bounded(self, field, at, over):
+        """Each array a world holds or draws has a bound: a spec at it is
+        accepted, and one past it fails naming the field."""
+        assert getattr(_small_spec(**at), field) == at[field]
+        with pytest.raises(ValueError, match=re.escape(f"{field}: must be {over}, got")):
+            _small_spec(**{**at, field: at[field] + 1})
+
 
 class TestGenWorld:
     def test_deterministic(self):

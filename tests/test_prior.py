@@ -103,6 +103,23 @@ class TestSampling:
         x = sample_frames(p, labels, np.random.default_rng(4))[:, 0]
         assert ((x < 0) == (labels == 0)).all()
 
+    def test_sample_frames_matches_the_block_draw(self):
+        """Components picked column by column are the ones an (n, components)
+        block comparison picks, so the frames are bitwise equal."""
+        rng = np.random.default_rng(6)
+        weights = rng.dirichlet(np.full(5, 0.3), size=4)
+        weights[1, 2:] = 0.0
+        weights[1] /= weights[1].sum()
+        p = ConditionalGMM(weights=weights, means=rng.normal(0, 3, (4, 5, 2)),
+                           variances=rng.uniform(0.5, 2, (4, 5, 2)))
+        labels = rng.integers(0, 4, size=500)
+        draw = np.random.default_rng(7)
+        cum = np.cumsum(p.weights, axis=1)[labels]
+        comp = np.minimum((draw.random(500)[:, None] > cum).sum(axis=1), 4)
+        want = p.means[labels, comp] + np.sqrt(p.variances[labels, comp]) * \
+            draw.standard_normal((500, 2))
+        assert_array_equal(sample_frames(p, labels, np.random.default_rng(7)), want)
+
     def test_label_range_checked(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         with pytest.raises(ValueError):
