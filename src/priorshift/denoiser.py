@@ -472,7 +472,7 @@ def train(
     x0_raw = np.concatenate([seq.frames for seq in dataset], axis=0)
     zc2 = np.concatenate([seq.zc2 for seq in dataset], axis=0)
     h = np.concatenate([seq.h for seq in dataset], axis=0)
-    labels = check_labels(np.concatenate([np.asarray(seq.labels) for seq in dataset]), n_labels)
+    labels = check_labels(np.concatenate([seq.labels for seq in dataset]), n_labels)
     std = fit_standardizer(x0_raw)
     x0 = standardize_frames(x0_raw, std)
     dim = x0.shape[1]
@@ -524,40 +524,6 @@ def eval_loss_diff(predictor, x0, labels, t, eps, sched: Schedule) -> float:
         out[sel] = predictor(labels[sel], range(tv, tv + 1))(x_t[sel], tv)
     r = out - eps
     return float((r * r).mean())
-
-
-def finite_difference_grads(loss_fn, tensors: dict[str, np.ndarray], step: float = 1e-4):
-    """Central finite differences of ``loss_fn()`` over every tensor entry.
-
-    ``loss_fn`` must be deterministic and read the tensors in place.
-    """
-    fd: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        g = np.empty_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            lp = loss_fn()[0]
-            flat[j] = orig - step
-            lm = loss_fn()[0]
-            flat[j] = orig
-            gflat[j] = (lp - lm) / (2.0 * step)
-        fd[name] = g
-    return fd
-
-
-def gradient_check(loss_fn, tensors: dict[str, np.ndarray], step: float = 1e-4):
-    """Worst relative error per tensor between analytic and central-difference
-    gradients, measured against the larger of the two tensors' peak magnitudes."""
-    _, analytic = loss_fn()
-    fd = finite_difference_grads(loss_fn, tensors, step)
-    worst: dict[str, float] = {}
-    for name in tensors:
-        scale = max(np.abs(fd[name]).max(), np.abs(analytic[name]).max(), 1e-12)
-        worst[name] = float(np.abs(fd[name] - analytic[name]).max() / scale)
-    return worst
 
 
 def _fmt_hidden(hidden: tuple[int, ...]) -> str:

@@ -19,7 +19,6 @@ from .latent import Codebook, LatentSequence, Standardizer, atomic_write, check_
     check_field_types, fit_standardizer, parse_field, settings_from_json, snap_frames
 from .prior import (
     ConditionalGMM,
-    PosteriorGrid,
     logpdf_batch,
     marginal_1d,
     native_class_prob_batch,
@@ -236,7 +235,7 @@ def sweep(
     check_start_steps("t_starts", t_starts, 0, ctx.sched)
     data = gen_dataset(world, "l2", n_seq, seq_len, substream(seed, PURPOSE_DATA))
     inp = np.concatenate([s.frames for s in data], axis=0)
-    labels = np.concatenate([np.asarray(s.labels) for s in data])
+    labels = np.concatenate([s.labels for s in data])
     groups = [np.flatnonzero(labels == k) for k in np.unique(labels)] if stratify_labels \
         else [slice(None)]
     rows = []
@@ -270,8 +269,9 @@ def posterior_curves(
     sched: Schedule,
     dim: int = 0,
     out_dir: str | None = None,
-) -> dict[int, PosteriorGrid]:
-    """One-dimensional posterior curves over the start-step sweep.
+) -> dict[int, np.ndarray]:
+    """One-dimensional posterior curves over the start-step sweep, as
+    ``{t_start: density on grid}``.
 
     The shifted frame value ``x0_l2`` is corrupted noiselessly (its exact
     mean path) to each user-scale start step, and the clean-frame posterior
@@ -282,22 +282,22 @@ def posterior_curves(
     grid = np.asarray(grid, dtype=np.float64)
     check_start_steps("t_starts", t_starts, 1, sched)
     gmm1 = marginal_1d(world.native, dim)
-    # Every posterior first, so a grid one of them rejects fails before the
-    # prior and likelihood curves are computed on it.
-    curves: dict[int, PosteriorGrid] = {}
+    curves: dict[int, np.ndarray] = {}
+    files: list[tuple[str, np.ndarray]] = []
     for ts in t_starts:
-        t = int(ts) - 1
-        x_t = float(np.sqrt(alpha_bar_at(sched, t)) * x0_l2)
-        curves[int(ts)] = posterior_grid(gmm1, label, t, x_t, grid, sched)
-    prior_dens = np.exp(logpdf_batch(gmm1, np.full(grid.shape[0], int(label)), grid[:, None]))
-    files: list[tuple[str, np.ndarray]] = [("prior.csv", prior_dens)]
-    for ts, pg in curves.items():
-        ab = alpha_bar_at(sched, pg.t)
+        ts = int(ts)
+        ab = alpha_bar_at(sched, ts - 1)
+        x_t = float(np.sqrt(ab) * x0_l2)
+        curves[ts] = posterior_grid(gmm1, label, ts - 1, x_t, grid, sched)
         lik_var = (1.0 - ab) / ab
-        lik = np.exp(-0.5 * (grid - pg.x_t / np.sqrt(ab)) ** 2 / lik_var)
+        lik = np.exp(-0.5 * (grid - x_t / np.sqrt(ab)) ** 2 / lik_var)
         lik /= np.sqrt(2.0 * np.pi * lik_var)
         files.append((f"likelihood_t{ts:03d}.csv", lik))
-        files.append((f"posterior_t{ts:03d}.csv", pg.density))
+        files.append((f"posterior_t{ts:03d}.csv", curves[ts]))
+    # The prior curve comes last, so a grid that a posterior rejects fails
+    # before the prior is computed on it.
+    prior_dens = np.exp(logpdf_batch(gmm1, np.full(grid.shape[0], int(label)), grid[:, None]))
+    files.insert(0, ("prior.csv", prior_dens))
     if out_dir is not None:
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)
@@ -333,7 +333,7 @@ def _arrays_from_json(cls):
         unknown = sorted(set(obj) - set(names))
         if unknown:
             raise ValueError(f"unknown keys: {', '.join(unknown)}")
-        return cls(**{name: np.array(obj[name], dtype=np.float64) for name in names})
+        return cls(**{name: obj[name] for name in names})
     return build
 
 
@@ -343,8 +343,7 @@ _WORLD_FIELDS = (
     ("spec", lambda w: asdict(w.spec), lambda obj: settings_from_json(WorldSpec, obj)),
     ("native", lambda w: _arrays_to_json(w.native), _arrays_from_json(ConditionalGMM)),
     ("l2", lambda w: _arrays_to_json(w.l2), _arrays_from_json(ConditionalGMM)),
-    ("codebook", lambda w: w.codebook.entries.tolist(),
-     lambda obj: Codebook(entries=np.array(obj, dtype=np.float64))),
+    ("codebook", lambda w: w.codebook.entries.tolist(), lambda obj: Codebook(entries=obj)),
     ("standardizer", lambda w: _arrays_to_json(w.standardizer), _arrays_from_json(Standardizer)),
     ("attempts", lambda w: w.attempts, _attempts_from_json),
 )
@@ -366,6 +365,9 @@ def load_world(path: str) -> World:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != WORLD_MAGIC:
         raise ValueError(f"{path}: not a world file (format {fmt!r})")
+    unknown = sorted(set(doc) - {"format", *(name for name, _, _ in _WORLD_FIELDS)})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
     for name, _, _ in _WORLD_FIELDS:
         if name not in doc:
             raise ValueError(f"{path}: missing field {name!r}")

@@ -21,7 +21,8 @@ class LatentSequence:
 
     ``zc2`` (quantization residual targets) and ``h`` (encoder features)
     are optional aligned tracks carried by training data; converted output
-    drops them.
+    drops them.  The labels are stored as the array they are checked as,
+    and each track as a float64 array.
     """
 
     id: str
@@ -32,21 +33,23 @@ class LatentSequence:
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels)
-        frames = np.asarray(self.frames)
+        frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"frames must be (n, d) with n >= 1, got shape {frames.shape}")
         if labels.shape != (frames.shape[0],):
             raise ValueError(
                 f"labels shape {labels.shape} does not match {frames.shape[0]} frames"
             )
+        object.__setattr__(self, "labels", labels)
         for name in ("frames", "zc2", "h"):
-            track = getattr(self, name)
-            if track is None:
+            if getattr(self, name) is None:
                 continue
-            if np.shape(track) != frames.shape:
+            track = np.asarray(getattr(self, name), dtype=np.float64)
+            if track.shape != frames.shape:
                 raise ValueError(f"{name} track shape does not match frames")
             if not np.isfinite(track).all():
                 raise ValueError(f"sequence {self.id!r} has non-finite {name}")
+            object.__setattr__(self, name, track)
 
     def __len__(self) -> int:
         return int(self.frames.shape[0])
@@ -58,7 +61,8 @@ class LatentSequence:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-dimension affine map to zero mean, unit scale."""
+    """Per-dimension affine map to zero mean, unit scale; both stored as the
+    float64 arrays they are checked as."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -72,18 +76,23 @@ class Standardizer:
             raise ValueError("standardizer scale must be strictly positive")
         if not (np.isfinite(mean).all() and np.isfinite(std).all()):
             raise ValueError("standardizer mean and scale must be finite")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
 
 @dataclass(frozen=True)
 class Codebook:
+    """(M, d) quantization entries, stored as the float64 array checked."""
+
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries)
+        e = np.asarray(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] < 1:
             raise ValueError(f"codebook must be (M, d) with M >= 1, got shape {e.shape}")
         if not np.isfinite(e).all():
             raise ValueError("codebook entries must be finite")
+        object.__setattr__(self, "entries", e)
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
@@ -132,11 +141,13 @@ def destandardize_frames(frames: np.ndarray, s: Standardizer) -> np.ndarray:
     return frame_block(frames, s.mean.shape[0], "standardizer") * s.std + s.mean
 
 
-# Both snap stages work in row blocks of at most this many values: the
-# screen's (rows, M) distances and the recheck's (rows, M, d) differences
-# (512 and 64 rows at M=64, d=8), so the snap's memory stays ~1 MB for any
-# frame count and its blocks stay in cache.
-SNAP_BLOCK_VALUES = 1 << 15
+# Most values in one block of a kernel that walks rows (or steps) in
+# blocks: the snap's (rows, M) screen and (rows, M, d) recheck (512 and 64
+# rows at M=64, d=8), and the prior's noised tables, exact noise prediction
+# and log joint.  Temporaries of 2^15 float64 values (256 KB) stay in cache,
+# and a kernel's memory stays bounded for any frame count.  A block holds
+# BLOCK_VALUES // (values per row) rows, at least one.
+BLOCK_VALUES = 1 << 15
 
 # The rounding margin of snap_frames' screen.  Let u = 2^-53, eta = 2^-1074 (the smallest
 # subnormal) and gamma_k = k·u/(1 - k·u).  For a row x and entry c_j, the
@@ -156,9 +167,9 @@ SNAP_BLOCK_VALUES = 1 << 15
 
 def _snap_direct(frames: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Nearest-entry indices from the squared differences themselves, in
-    row blocks of ``SNAP_BLOCK_VALUES`` values; each row's distances and
+    row blocks of ``BLOCK_VALUES`` values; each row's distances and
     argmin (ties to the first entry) are the same whatever the block."""
-    rows = max(1, SNAP_BLOCK_VALUES // entries.size)
+    rows = max(1, BLOCK_VALUES // entries.size)
     idx = np.empty(frames.shape[0], dtype=np.intp)
     for lo in range(0, frames.shape[0], rows):
         diff = frames[lo:lo + rows, None, :] - entries[None, :, :]
@@ -172,17 +183,17 @@ def snap_frames(frames: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarra
     frames), bitwise those of the direct form ``argmin_j sum_k (x_k -
     c_jk)^2`` with ties to the first entry.
 
-    Rows go through in blocks of ``SNAP_BLOCK_VALUES`` screen values.  The
+    Rows go through in blocks of ``BLOCK_VALUES`` screen values.  The
     screen ranks the entries by |c|^2 - 2x·c, one matrix product per block,
     and accepts its argmin when every other entry ranks above it by more
     than a proven rounding margin.  Every other row (a near or exact tie, a
     non-finite frame, a scale that could overflow) is recomputed in the
     direct form."""
     frames = frame_block(frames, cb.dim, "codebook")
-    entries = np.asarray(cb.entries, dtype=np.float64)
+    entries = cb.entries
     m, d = entries.shape
     k = 64.0 * (d + 3)
-    rows = max(1, SNAP_BLOCK_VALUES // m)
+    rows = max(1, BLOCK_VALUES // m)
     idx = np.empty(frames.shape[0], dtype=np.intp)
     recheck = np.zeros(frames.shape[0], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # tau is then inf or nan: rechecked

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latent import Standardizer, check_labels, frame_block
+from .latent import BLOCK_VALUES, Standardizer, check_labels, frame_block
 from .schedule import Schedule, alpha_bar_at
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# Most noised values (steps x labels x components x dim) in one block of a
-# table build.  Temporaries of 2^15 float64 values (256 KB) stay in cache;
-# for 110 labels over 100 steps, a one-block build took twice as long.
-TABLE_BLOCK_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -29,7 +25,8 @@ class ConditionalGMM:
     """Per-label diagonal Gaussian mixtures with a shared component count.
 
     weights: (L, C) rows summing to 1; zero entries mark unused slots.
-    means: (L, C, d); variances: (L, C, d) strictly positive.
+    means: (L, C, d); variances: (L, C, d) strictly positive.  Each is
+    stored as the float64 array it is checked as.
     """
 
     weights: np.ndarray
@@ -50,6 +47,9 @@ class ConditionalGMM:
             raise ValueError("component variances must be strictly positive")
         if not (np.isfinite(m).all() and np.isfinite(v).all()):
             raise ValueError("component means and variances must be finite")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "variances", v)
 
     @property
     def n_labels(self) -> int:
@@ -73,17 +73,6 @@ class ConditionalGMM:
             m = m[:, None]
             v = v[:, None]
         return cls(weights=w[None, :], means=m[None, :, :], variances=v[None, :, :])
-
-
-@dataclass(frozen=True)
-class PosteriorGrid:
-    """Normalized clean-frame posterior density tabulated on an ascending grid,
-    for the state ``x_t`` at schedule index ``t``."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    t: int
-    x_t: float
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -122,19 +111,31 @@ def expit(z: np.ndarray) -> np.ndarray:
     return np.array([_expit_one(v) for v in np.asarray(z, dtype=np.float64).tolist()])
 
 
-def _log_joint(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
-    """Per-frame, per-component log weight plus log density, (n, C), under
-    the mixture corrupted to cumulative level ``ab`` (1 is clean).  Direct
-    form: squares of the frames' offsets, so values far from the mass
-    overflow to a density of zero rather than to inf - inf."""
+def _log_marginal(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
+    """Per-frame log density of the mixture corrupted to cumulative level
+    ``ab`` (1 is clean): the :func:`logsumexp` over components of the log
+    joint, log weight plus log density.  Direct form: squares of the
+    frames' offsets, so values far from the mass overflow to a density of
+    zero rather than to inf - inf.  Rows go through in blocks of at most
+    ``BLOCK_VALUES`` (row, component, dim) values; each row's result
+    depends on that row alone."""
     x = frame_block(x, p.dim, "prior")
     labels = check_labels(labels, p.n_labels)
-    m = (np.sqrt(ab) * p.means)[labels]
-    v = (ab * p.variances + (1.0 - ab))[labels]
+    if labels.shape != x.shape[:1]:
+        raise ValueError(f"{x.shape[0]} frames for {labels.size} labeled rows")
+    m = np.sqrt(ab) * p.means
+    v = ab * p.variances + (1.0 - ab)
     with np.errstate(divide="ignore"):
-        lw = np.log(p.weights)[labels]
-    diff = x[:, None, :] - m
-    return lw - 0.5 * (diff * diff / v + np.log(v) + _LOG_2PI).sum(axis=2)
+        lw = np.log(p.weights)
+    out = np.empty(x.shape[0])
+    rows = max(1, BLOCK_VALUES // (p.n_components * p.dim))
+    for lo in range(0, x.shape[0], rows):
+        k = labels[lo:lo + rows]
+        vk = v[k]
+        diff = x[lo:lo + rows, None, :] - m[k]
+        out[lo:lo + rows] = logsumexp(
+            lw[k] - 0.5 * (diff * diff / vk + np.log(vk) + _LOG_2PI).sum(axis=2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> N
     ``labels``: built once for a reverse chain, they hold the x-independent
     work of :func:`exact_eps_batch` for its steps.  Only the labels'
     distinct mixtures get an entry.  Steps are built in blocks
-    of at most ``TABLE_BLOCK_VALUES`` noised values, so that with many
+    of at most ``BLOCK_VALUES`` noised values, so that with many
     labels the temporaries stay in cache; every entry's bits are those of
     a one-block build.  P and sμP are written straight into the table:
     glibc hands blocks of their size back between chains, so copies of
@@ -175,7 +176,7 @@ def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> N
     ab_all = alpha_bar_at(sched, np.array(steps, dtype=np.int64))[:, :, None, None]
     d = p.dim
     table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * d + 1,))
-    block = max(1, TABLE_BLOCK_VALUES // mean.size)
+    block = max(1, BLOCK_VALUES // mean.size)
     for lo in range(0, table.shape[0], block):
         ab = ab_all[lo:lo + block]
         out = table[lo:lo + block]
@@ -215,7 +216,7 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
 
 def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Uncorrupted mixture log density per frame."""
-    return logsumexp(_log_joint(p, labels, x))
+    return _log_marginal(p, labels, x)
 
 
 def noised_marginal_logpdf_batch(
@@ -223,7 +224,7 @@ def noised_marginal_logpdf_batch(
 ) -> np.ndarray:
     """Log density of the corrupted marginal at step ``t``, one value per frame."""
     ab = _alpha_bar_one(sched, t)
-    return logsumexp(_log_joint(p, labels, x, ab))
+    return _log_marginal(p, labels, x, ab)
 
 
 def exact_eps_batch(
@@ -239,7 +240,9 @@ def exact_eps_batch(
     way one kernel runs, so the two give the same bits.  Each row's result
     depends on that row alone: the contractions are ``np.einsum`` loops
     over one row, never BLAS, and the max and the normalizer loop over
-    components.
+    components.  So rows go through in blocks of at most ``BLOCK_VALUES``
+    gathered table values, and the memory a call takes beyond its result
+    stays bounded for any frame count.
     """
     ab = _alpha_bar_one(sched, t)
     x = frame_block(x, p.dim, "prior")
@@ -254,21 +257,28 @@ def exact_eps_batch(
     if t not in tables.steps:
         raise ValueError(f"step {t} outside the tables' steps "
                          f"[{tables.steps.start}, {tables.steps.stop - 1}]")
-    w = np.take(tables.table[tables.steps.index(t)], tables.rows, axis=0)
-    feats = np.concatenate((-0.5 * x * x, x, np.ones((x.shape[0], 1))), axis=1)
-    lj = np.einsum("nk,nck->nc", feats, w)
-    top = lj[:, 0]
-    for c in range(1, lj.shape[1]):
-        top = np.maximum(top, lj[:, c])
-    resp = np.exp(lj - top[:, None])
-    norm = resp[:, 0]
-    for c in range(1, lj.shape[1]):
-        norm = norm + resp[:, c]
-    resp /= norm[:, None]
+    step = tables.table[tables.steps.index(t)]
     d = x.shape[1]
-    # K stays out: an unused slot's K is -inf, and its zero weight times it nan.
-    acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d])
-    return np.sqrt(1.0 - ab) * (x * acc[:, :d] - acc[:, d:])
+    scale = np.sqrt(1.0 - ab)
+    out = np.empty(x.shape)
+    rows = max(1, BLOCK_VALUES // (step.shape[1] * step.shape[2]))
+    for lo in range(0, x.shape[0], rows):
+        xb = x[lo:lo + rows]
+        w = np.take(step, tables.rows[lo:lo + rows], axis=0)
+        feats = np.concatenate((-0.5 * xb * xb, xb, np.ones((xb.shape[0], 1))), axis=1)
+        lj = np.einsum("nk,nck->nc", feats, w)
+        top = lj[:, 0]
+        for c in range(1, lj.shape[1]):
+            top = np.maximum(top, lj[:, c])
+        resp = np.exp(lj - top[:, None])
+        norm = resp[:, 0]
+        for c in range(1, lj.shape[1]):
+            norm = norm + resp[:, c]
+        resp /= norm[:, None]
+        # K stays out: an unused slot's K is -inf, and its zero weight times it nan.
+        acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d])
+        np.multiply(scale, xb * acc[:, :d] - acc[:, d:], out=out[lo:lo + rows])
+    return out
 
 
 def gaussian_posterior_moments(
@@ -312,8 +322,9 @@ def posterior_grid(
     x_t: float,
     grid: np.ndarray,
     sched: Schedule,
-) -> PosteriorGrid:
-    """Gridded clean-frame posterior for a one-dimensional mixture prior.
+) -> np.ndarray:
+    """Normalized clean-frame posterior density of the state ``x_t`` at
+    step ``t`` under a one-dimensional mixture prior, tabulated on ``grid``.
 
     The grid must be wide enough that the truncated tails carry no mass;
     edge density above 1e-6 of the total is rejected as a too-narrow grid.
@@ -352,13 +363,14 @@ def posterior_grid(
         raise ValueError(
             f"grid too narrow: boundary cells carry mass {edge_mass:.3g} (> 1e-06)"
         )
-    return PosteriorGrid(grid=grid, density=dens, t=int(t), x_t=float(x_t))
+    return dens
 
 
-def grid_moments(pg: PosteriorGrid) -> tuple[float, float]:
-    """Mean and variance of a gridded posterior by trapezoidal quadrature."""
-    mean = np.trapezoid(pg.grid * pg.density, pg.grid)
-    var = np.trapezoid((pg.grid - mean) ** 2 * pg.density, pg.grid)
+def grid_moments(grid: np.ndarray, density: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a density tabulated on ``grid``, by trapezoidal
+    quadrature."""
+    mean = np.trapezoid(grid * density, grid)
+    var = np.trapezoid((grid - mean) ** 2 * density, grid)
     return float(mean), float(var)
 
 

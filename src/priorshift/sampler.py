@@ -143,7 +143,7 @@ def convert_sequences(
                 raise ValueError(f"sequence {seq.id!r} lacks the h track needed for the residual")
     if not seqs:
         return []
-    labels = np.concatenate([np.asarray(seq.labels) for seq in seqs])
+    labels = np.concatenate([seq.labels for seq in seqs])
     z = standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
     if t_start > 0:
         eps = np.concatenate([

@@ -88,7 +88,7 @@ def test_criterion_01_posterior_oracle_equivalence():
         sd = np.sqrt(var)
         grid = np.linspace(mean - 9 * sd, mean + 9 * sd, 1201)
         p = ConditionalGMM.from_components([1.0], [[mu_p]], [[var_p]])
-        gm, gv = grid_moments(posterior_grid(p, 0, t, x_t, grid, SCHED))
+        gm, gv = grid_moments(grid, posterior_grid(p, 0, t, x_t, grid, SCHED))
         worst_m = max(worst_m, abs(gm - mean) / max(abs(mean), sd))
         worst_v = max(worst_v, abs(gv - var) / var)
     elapsed = time.perf_counter() - start
@@ -193,7 +193,7 @@ def test_criterion_05_posterior_drift_with_start_step():
     curves = posterior_curves(world, 0, x0, t_starts, grid, SCHED)
     rel, var = [], []
     for t in t_starts:
-        m, v = grid_moments(curves[t])
+        m, v = grid_moments(grid, curves[t])
         rel.append(abs(m - mu) / (5 * sd))
         var.append(v)
     elapsed = time.perf_counter() - start

@@ -258,6 +258,11 @@ class TestGenData:
         err = self._gen_data_error(pipeline, tmp_path, capsys, edit)
         assert err == f"error: {tmp_path / 'edited.json'}: field {field!r}: {why}"
 
+    def test_unknown_top_level_key_names_the_file(self, pipeline, tmp_path, capsys):
+        err = self._gen_data_error(pipeline, tmp_path, capsys,
+                                   lambda d: d.update(bogus=1, zeta={}))
+        assert err == f"error: {tmp_path / 'edited.json'}: unknown keys: bogus, zeta"
+
     def test_spec_out_of_range_names_the_file_and_field(self, pipeline, tmp_path, capsys):
         err = self._gen_data_error(pipeline, tmp_path, capsys,
                                    lambda d: d["spec"].update(var_hi=0.1))

@@ -20,7 +20,6 @@ from priorshift.denoiser import (
     dropout_masks,
     eval_loss_diff,
     forward,
-    gradient_check,
     init_denoiser,
     init_residual,
     load_model,
@@ -35,6 +34,7 @@ from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, st
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from priorshift.schedule import alpha_bar_at, default_schedule
+from priorshift.verify import gradient_check
 
 SCHED = default_schedule()
 

@@ -25,10 +25,11 @@ from priorshift.harness import (
     sweep_csv,
 )
 from priorshift.latent import Codebook, Standardizer, snap_frames
-from priorshift.prior import ConditionalGMM, grid_moments, native_class_prob_batch, sample_frames
+from priorshift.prior import ConditionalGMM, grid_moments, marginal_1d, native_class_prob_batch, \
+    posterior_grid, sample_frames
 from priorshift.rng import PURPOSE_DATA, substream
 from priorshift.sampler import convert_sequences, frame_metrics
-from priorshift.schedule import default_schedule
+from priorshift.schedule import alpha_bar_at, default_schedule
 
 SCHED = default_schedule()
 
@@ -320,24 +321,27 @@ class TestPosteriorCurves:
     def test_curves_carry_the_schedule_index(self):
         """Start step ``ts`` tabulates the posterior at schedule index ts - 1."""
         world = self._world()
-        curves = posterior_curves(world, 0, 4.0, [1, 50, 100], np.linspace(-15, 15, 2001),
-                                  SCHED)
+        grid = np.linspace(-15, 15, 2001)
+        curves = posterior_curves(world, 0, 4.0, [1, 50, 100], grid, SCHED)
+        gmm1 = marginal_1d(world.native, 0)
         for ts in (1, 50, 100):
-            assert curves[ts].t == ts - 1
+            x_t = float(np.sqrt(alpha_bar_at(SCHED, ts - 1)) * 4.0)
+            want = posterior_grid(gmm1, 0, ts - 1, x_t, grid, SCHED)
+            assert curves[ts].tobytes() == want.tobytes()
 
     def test_posteriors_integrate_to_one(self):
         world = self._world()
         grid = np.linspace(-15, 15, 2001)
         curves = posterior_curves(world, 0, 4.0, [1, 50, 100], grid, SCHED)
-        for pg in curves.values():
-            assert abs(np.trapezoid(pg.density, pg.grid) - 1.0) < 1e-9
+        for dens in curves.values():
+            assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-9
 
     def test_low_noise_posterior_sits_on_the_observation(self):
         world = self._world()
         x0 = 4.0
         grid = np.linspace(-15, 15, 3001)
         curves = posterior_curves(world, 1, x0, [1], grid, SCHED)
-        mean, var = grid_moments(curves[1])
+        mean, var = grid_moments(grid, curves[1])
         assert abs(mean - x0) < 0.02
         assert var < 1e-3
 
@@ -347,8 +351,8 @@ class TestPosteriorCurves:
         x0 = prior_mean + 6.0
         grid = np.linspace(prior_mean - 12, prior_mean + 12, 3001)
         curves = posterior_curves(world, 2, x0, [1, 33, 66, 100], grid, SCHED)
-        dists = [abs(grid_moments(curves[t])[0] - prior_mean) for t in (1, 33, 66, 100)]
-        variances = [grid_moments(curves[t])[1] for t in (1, 33, 66, 100)]
+        dists = [abs(grid_moments(grid, curves[t])[0] - prior_mean) for t in (1, 33, 66, 100)]
+        variances = [grid_moments(grid, curves[t])[1] for t in (1, 33, 66, 100)]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert all(a < b for a, b in zip(variances, variances[1:]))
 
@@ -376,7 +380,7 @@ class TestPosteriorCurves:
         grid = np.linspace(-10, 10, 1001)
         monkeypatch.setattr(harness_mod, "CSV_BLOCK_LINES", block)
         curves = posterior_curves(world, 0, 2.0, [1, 40], grid, SCHED, out_dir=str(tmp_path))
-        dens = curves[40].density
+        dens = curves[40]
         want = "x,density\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(grid, dens))
         assert (tmp_path / "posterior_t040.csv").read_text() == want
 

@@ -1,6 +1,6 @@
 """The label rule, the frame-block rule and the start-step rule hold at
 every entry point that takes labels, an (n, d) block of frames or start
-steps."""
+steps, and every record keeps the arrays it checks."""
 import re
 
 import numpy as np
@@ -153,3 +153,23 @@ def test_start_steps_off_the_rule_rejected(tmp_path, entry, case):
     with pytest.raises(ValueError, match="^" + re.escape(f"{field}: {why(lo)}") + "$"):
         call(steps, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+_RECORDS_FROM_LISTS = {
+    "ConditionalGMM": lambda: logpdf_batch(
+        ConditionalGMM(weights=[[1.0]], means=[[[0.0]]], variances=[[[1.0]]]), [0], [[0.0]]),
+    "Standardizer": lambda: standardize_frames([[1.0]], Standardizer(mean=[0.0], std=[1.0])),
+    "Codebook": lambda: snap_frames([[0.9]], Codebook(entries=[[0.0], [1.0]]))[1],
+    "LatentSequence": lambda: convert_sequences(
+        [LatentSequence(id="s", labels=[0, 1], frames=[[0.0, 1.0], [1.0, 0.0]])],
+        ConvertContext(sched=SCHED, standardizer=Standardizer(mean=np.zeros(D), std=np.ones(D)),
+                       predictor=prior_eps_source(_gmm(), SCHED)), 5, 0)[0].frames,
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS_FROM_LISTS))
+def test_record_built_from_lists_holds_float64_arrays(record):
+    """A record checks its inputs as arrays and keeps those arrays, so one
+    built from lists works wherever one built from arrays does."""
+    out = _RECORDS_FROM_LISTS[record]()
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and np.isfinite(out).all()

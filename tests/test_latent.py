@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from priorshift import latent as latent_mod
 from priorshift.latent import (
-    SNAP_BLOCK_VALUES,
+    BLOCK_VALUES,
     Codebook,
     LatentSequence,
     Standardizer,
@@ -201,7 +201,7 @@ def _tie_frames(rng, entries, n):
 
 class TestBlockedSnap:
     """``snap_frames`` works through rows in blocks of at most
-    ``SNAP_BLOCK_VALUES`` values, (rows, M) in the screen and (rows, M, d) in
+    ``BLOCK_VALUES`` values, (rows, M) in the screen and (rows, M, d) in
     the recheck; per row it is the one-block snap."""
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
@@ -209,7 +209,7 @@ class TestBlockedSnap:
     def test_bitwise_equal_to_one_block(self, blocks, extra):
         rng = np.random.default_rng(41)
         cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
-        n = blocks * (SNAP_BLOCK_VALUES // cb.entries.size) + extra
+        n = blocks * (BLOCK_VALUES // cb.entries.size) + extra
         frames = rng.normal(0, 1.2, (n, 8))
         idx, snapped = snap_frames(frames, cb)
         want_idx, want = _snap_one_block(frames, cb)
@@ -219,11 +219,11 @@ class TestBlockedSnap:
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
                              ids=["1", "block-1", "block", "block+1", "3block+5"])
     def test_screen_blocks_bitwise_equal_to_one_block(self, blocks, extra, monkeypatch):
-        """Row counts around the screen's blocks of ``SNAP_BLOCK_VALUES // M``
+        """Row counts around the screen's blocks of ``BLOCK_VALUES // M``
         rows; no row of a tie-free block is rechecked."""
         rng = np.random.default_rng(45)
         cb = Codebook(entries=rng.normal(0, 1, (64, 8)))
-        n = blocks * (SNAP_BLOCK_VALUES // len(cb)) + extra
+        n = blocks * (BLOCK_VALUES // len(cb)) + extra
         frames = rng.normal(0, 1.2, (n, 8))
         seen = _spy_recheck(monkeypatch)
         idx, snapped = snap_frames(frames, cb)
@@ -236,10 +236,10 @@ class TestBlockedSnap:
                              ids=["1", "block-1", "block", "block+1", "3block+5"])
     def test_recheck_blocks_bitwise_equal_to_one_block(self, blocks, extra, monkeypatch):
         """Tied rows, in counts around the recheck's blocks of
-        ``SNAP_BLOCK_VALUES // (M * d)`` rows, all go through the recheck."""
+        ``BLOCK_VALUES // (M * d)`` rows, all go through the recheck."""
         rng = np.random.default_rng(46)
         entries = rng.normal(0, 1, (64, 8))
-        n = blocks * (SNAP_BLOCK_VALUES // entries.size) + extra
+        n = blocks * (BLOCK_VALUES // entries.size) + extra
         frames = _tie_frames(rng, entries, n)
         cb = Codebook(entries=entries)
         seen = _spy_recheck(monkeypatch)
@@ -252,8 +252,8 @@ class TestBlockedSnap:
 
     def test_codebook_above_the_budget_snaps_one_row_per_block(self):
         rng = np.random.default_rng(42)
-        cb = Codebook(entries=rng.normal(0, 1, ((SNAP_BLOCK_VALUES >> 1) + 1, 2)))
-        assert SNAP_BLOCK_VALUES // cb.entries.size == 0
+        cb = Codebook(entries=rng.normal(0, 1, ((BLOCK_VALUES >> 1) + 1, 2)))
+        assert BLOCK_VALUES // cb.entries.size == 0
         frames = rng.normal(0, 1, (5, 2))
         idx, snapped = snap_frames(frames, cb)
         want_idx, want = _snap_one_block(frames, cb)
@@ -265,14 +265,14 @@ class TestBlockedSnap:
         entries = rng.normal(0, 1, (64, 8))
         entries[40] = entries[10]
         cb = Codebook(entries=entries)
-        n = 3 * (SNAP_BLOCK_VALUES // cb.entries.size) + 5
+        n = 3 * (BLOCK_VALUES // cb.entries.size) + 5
         idx, _ = snap_frames(np.tile(entries[40], (n, 1)), cb)
         assert (idx == 10).all()
 
     def test_codebook_above_the_screen_budget_screens_one_row_per_block(self):
         rng = np.random.default_rng(47)
-        cb = Codebook(entries=rng.normal(0, 1, (SNAP_BLOCK_VALUES + 1, 1)))
-        assert SNAP_BLOCK_VALUES // len(cb) == 0
+        cb = Codebook(entries=rng.normal(0, 1, (BLOCK_VALUES + 1, 1)))
+        assert BLOCK_VALUES // len(cb) == 0
         frames = np.concatenate([rng.normal(0, 1, (4, 1)), cb.entries[[7]]])
         idx, snapped = snap_frames(frames, cb)
         want_idx, want = _snap_one_block(frames, cb)

@@ -1,5 +1,6 @@
 """Closed-form mixture math against sampling, quadrature, and difference oracles."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
 from priorshift import prior
+from priorshift.harness import WorldSpec, gen_world
 from priorshift.latent import Standardizer
 from priorshift.prior import (
     ConditionalGMM,
@@ -381,7 +383,7 @@ class TestNoisedTableKernel:
         labels = rng.integers(0, 40, 90)
         whole = noised_tables(p, labels, range(SCHED.T), SCHED).table
         for values in (1, 600, 7000):
-            monkeypatch.setattr(prior, "TABLE_BLOCK_VALUES", values)
+            monkeypatch.setattr(prior, "BLOCK_VALUES", values)
             again = noised_tables(p, labels, range(SCHED.T), SCHED).table
             assert again.tobytes() == whole.tobytes()
 
@@ -410,6 +412,53 @@ class TestNoisedTableKernel:
                                SCHED)
         with pytest.raises(ValueError, match="4 frames for 3 labeled rows"):
             exact_eps_batch(tables, None, 10, rng.normal(0, 1, (4, 4)), SCHED)
+
+
+class TestRowBlocks:
+    """``exact_eps_batch`` and the mixture log density under ``logpdf_batch``,
+    ``noised_marginal_logpdf_batch`` and ``native_class_prob_batch`` walk
+    their rows in blocks of at most ``BLOCK_VALUES`` values."""
+
+    @pytest.mark.parametrize("values", [1, 50, 700])
+    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, values):
+        rng = np.random.default_rng(105)
+        p, q = _random_mixture(rng, 7, 3, 4), _random_mixture(rng, 7, 3, 4)
+        labels = rng.integers(0, 7, 61)
+        x = rng.normal(0, 2, (61, 4))
+        tables = noised_tables(p, labels, range(30), SCHED)
+
+        def run():
+            return [exact_eps_batch(tables, None, 17, x, SCHED),
+                    exact_eps_batch(p, labels, 29, x, SCHED),
+                    noised_marginal_logpdf_batch(p, labels, 12, x, SCHED),
+                    native_class_prob_batch(p, q, labels, x)]
+        whole = run()
+        monkeypatch.setattr(prior, "BLOCK_VALUES", values)
+        for want, got in zip(whole, run()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_per_call_stays_bounded(self):
+        """2,000 frames of a world with 2 components of dim 512: the exact
+        call's result alone is 8 MB, and an unblocked call peaked at ~78 MB."""
+        world = gen_world(WorldSpec(dim=512, n_labels=2, n_components=2, seed=3))
+        rng = np.random.default_rng(106)
+        labels = rng.integers(0, 2, 2000)
+        x = sample_frames(world.l2, labels, rng)
+        tables = noised_tables(world.native, labels, range(100), SCHED)
+        for call in (lambda: exact_eps_batch(tables, None, 99, x, SCHED),
+                     lambda: native_class_prob_batch(world.native, world.l2, labels, x)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16e6
+
+    def test_label_count_must_match(self):
+        p = _random_mixture(np.random.default_rng(107), 3, 2, 2)
+        with pytest.raises(ValueError, match="4 frames for 1 labeled rows"):
+            logpdf_batch(p, np.zeros(1, dtype=int), np.zeros((4, 2)))
 
 
 class TestStepRule:
@@ -481,16 +530,15 @@ class TestPosteriorGrid:
         mean, var = gaussian_posterior_moments(0.5, 1.3, t, x_t, SCHED)
         sd = np.sqrt(var)
         grid = np.linspace(mean - 9 * sd, mean + 9 * sd, 1501)
-        pg = posterior_grid(p, 0, t, x_t, grid, SCHED)
-        gm, gv = grid_moments(pg)
+        gm, gv = grid_moments(grid, posterior_grid(p, 0, t, x_t, grid, SCHED))
         assert abs(gm - mean) <= 1e-6 * max(abs(mean), sd)
         assert abs(gv - var) <= 1e-6 * var
 
     def test_density_integrates_to_one(self):
         p = ConditionalGMM.from_components([0.4, 0.6], [[-2.0], [2.0]], [[1.0], [0.5]])
         grid = np.linspace(-12, 12, 3001)
-        pg = posterior_grid(p, 0, 80, 0.3, grid, SCHED)
-        assert abs(np.trapezoid(pg.density, pg.grid) - 1.0) < 1e-9
+        dens = posterior_grid(p, 0, 80, 0.3, grid, SCHED)
+        assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-9
 
     def test_mixture_posterior_against_bayes_quadrature(self):
         """Independent oracle: unnormalized prior times kernel, renormalized."""
@@ -499,12 +547,12 @@ class TestPosteriorGrid:
         ab = alpha_bar_at(SCHED, t)
         x_t = 0.4
         grid = np.linspace(-10, 10, 4001)
-        pg = posterior_grid(p, 0, t, x_t, grid, SCHED)
+        dens = posterior_grid(p, 0, t, x_t, grid, SCHED)
         prior = 0.3 * np.exp(_gauss_logpdf(grid, -2, 1)) + 0.7 * np.exp(_gauss_logpdf(grid, 2, 1))
         lik = np.exp(-0.5 * (x_t - np.sqrt(ab) * grid) ** 2 / (1 - ab))
         ref = prior * lik
         ref /= np.trapezoid(ref, grid)
-        assert np.abs(pg.density - ref).max() < 1e-12
+        assert np.abs(dens - ref).max() < 1e-12
 
     def test_narrow_grid_rejected(self):
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
@@ -538,7 +586,7 @@ class TestPosteriorGrid:
             ab = alpha_bar_at(SCHED, t)
             x_t = np.sqrt(ab) * x0
             grid = np.linspace(-10, 14, 3001)
-            gm, gv = grid_moments(posterior_grid(p, 0, t, x_t, grid, SCHED))
+            gm, gv = grid_moments(grid, posterior_grid(p, 0, t, x_t, grid, SCHED))
             means.append(abs(gm))
             variances.append(gv)
         assert all(a > b for a, b in zip(means, means[1:]))
