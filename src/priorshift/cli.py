@@ -49,7 +49,7 @@ DEFAULT_GRID_POINTS = 2001
 # with one start step, ~660 MB with five.
 MAX_GRID_POINTS = 2 ** 22
 # Most frames (--n-seq times --seq-len) that `gen-data` or `sweep` draws; a
-# model sweep near it (default widths, five start steps) peaks at ~430 MB of RSS.
+# model sweep near it (default widths, five start steps) peaks at ~275 MB of RSS.
 MAX_FRAMES = 2 ** 15
 
 

@@ -9,13 +9,15 @@ time part plus a label part, so gamma and delta are the time part's
 projection plus a row gathered from an (n_labels, width) label table, the
 projection of the label embedding.  The label tables depend on the
 parameters only, so a workspace kept across the steps of a reverse chain
-builds them once; when the frames share a step, as in a reverse chain, the
-one time row is added to the small table before the gather.  The residual
-head maps concatenated encoder features and the reconstructed clean frame
-to a second-stage correction.  Both are the same MLP core with one
-parameter record, the head without FiLM.  Each parameter set keeps its
-tensors as named views into one flat float64 buffer, so Adam updates it
-with whole-buffer operations.
+builds them once; it also keeps each step's time rows for the later
+chains that reach that step, as a sweep's do, and three row blocks per
+hidden layer that each eval forward reuses.  When the frames share a
+step, the one time row is added to the small table before the gather.
+The residual head maps concatenated encoder features and the
+reconstructed clean frame to a second-stage correction.  Both are the
+same MLP core with one parameter record, the head without FiLM.  Each
+parameter set keeps its tensors as named views into one flat float64
+buffer, so Adam updates it with whole-buffer operations.
 All gradients are derived by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
@@ -217,29 +219,48 @@ def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]
     return x, labels
 
 
-def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's array under ``key``, reallocated when its shape changes.
-    Reusing the row blocks across a chain's steps pays: with fresh arrays on
-    every step, ``perfbench`` ``sweep_model`` ``op_s_min`` went from 0.115 to
-    0.203 s (2-vCPU host)."""
+def _buffer(ws: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace's array under ``key``, reallocated when its shape changes;
+    a fresh array without a workspace.  Reusing the row blocks across a
+    chain's steps pays: with fresh arrays on every step, ``perfbench``
+    ``sweep_model`` ``op_s_min`` went from 0.115 to 0.203 s (2-vCPU host)."""
+    if ws is None:
+        return np.empty(shape)
     if key not in ws or ws[key].shape != shape:
         ws[key] = np.empty(shape)
     return ws[key]
 
 
-def _film(T: FlatTensors, prefix: str, tc: np.ndarray, labels: np.ndarray, out: np.ndarray,
-          ws: dict):
-    """``cond @ w.T + b`` for the block, where ``cond`` is the time part
-    ``tc`` plus the label embedding (callers check ``labels``): a row of the
-    label table ``label_emb @ w.T``, built on the workspace's first use and
-    kept, plus the time part's projection.  One time row (one step for the
-    block) is added to the small table before the gather, one per row after
-    it; each entry is the same sum either way."""
-    w = T[prefix + "w"]
-    table = ws.get("label_" + prefix)
+def _time_rows(params: MLPParams, t, kept: dict):
+    """``(temb, tc, rows)``: the time embedding of the steps ``t``, its
+    projection ``tc`` and, by key prefix, each FiLM coefficient's time part
+    ``tc @ w.T + b``.  One integer step's rows are kept in ``kept`` on its
+    first use; a later use returns them with ``temb`` and ``tc`` None."""
+    T = params.tensors
+    steps = kept.setdefault("time_rows", {})
+    step = int(t) if isinstance(t, (int, np.integer)) else None
+    if step in steps:
+        return None, None, steps[step]
+    temb = time_embedding(np.atleast_1d(t), params.time_dim)
+    tc = temb @ T["time_w"].T + T["time_b"]
+    prefixes = [f"layer{i}_film_{part}" for i in range(len(params.hidden)) for part in "gd"]
+    rows = {p: tc @ T[p + "w"].T + T[p + "b"] for p in prefixes}
+    if step is not None:
+        steps[step] = rows
+    return temb, tc, rows
+
+
+def _film(T: FlatTensors, prefix: str, time_rows: np.ndarray, labels: np.ndarray,
+          out: np.ndarray, kept: dict):
+    """``cond @ w.T + b`` for the block, where ``cond`` is the time part plus
+    the label embedding (callers check ``labels``): a row of the label table
+    ``label_emb @ w.T``, built on its first use and kept, plus ``time_rows``,
+    the time part's projection.  One time row (one step for the block) is
+    added to the small table before the gather, one per row after it; each
+    entry is the same sum either way."""
+    table = kept.get("label_" + prefix)
     if table is None:
-        table = ws["label_" + prefix] = T["label_emb"] @ w.T
-    time_rows = tc @ w.T + T[prefix + "b"]
+        table = kept["label_" + prefix] = T["label_emb"] @ T[prefix + "w"].T
     if time_rows.shape[0] == 1:
         return np.take(table + time_rows, labels, axis=0, out=out, mode="clip")
     np.take(table, labels, axis=0, out=out, mode="clip")
@@ -259,18 +280,22 @@ def _forward_cached(
 
     A parameter set with a label embedding is FiLM-conditioned on the
     timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
-    is a plain SiLU MLP.  The cache holds what :func:`_backward` needs, the
-    time part and the layer blocks among it; an eval forward only drops it.
-    With a workspace ``ws`` the layer blocks in the cache last until its
-    next use, and the FiLM label tables are the ones built on its first use.
+    is a plain SiLU MLP.  Without a workspace ``ws`` (training) the cache
+    holds what :func:`_backward` needs, the time part and five fresh blocks
+    per hidden layer among it.  With one (eval) the cache is None and a
+    layer reuses three of its row blocks, in the same operations: ``a =
+    h @ W.T + b``, which the shift gather overwrites with ``delta``, then
+    ``m = delta + gamma * a`` and ``z = m * sigmoid(m)`` in place; the scale
+    block, which becomes ``gamma * a``; and the sigmoid block.  The FiLM
+    label tables and each integer step's time rows are the ones built on
+    their first use in ``ws``.
     """
     T = params.tensors
     n = x.shape[0]
-    ws = {} if ws is None else ws
-    temb = tc = None
+    kept = {} if ws is None else ws
+    temb = tc = rows = None
     if "label_emb" in T:
-        temb = time_embedding(np.atleast_1d(t), params.time_dim)
-        tc = temb @ T["time_w"].T + T["time_b"]
+        temb, tc, rows = _time_rows(params, t, kept)
     h = x
     layers = []
     for i, width in enumerate(params.hidden):
@@ -278,17 +303,22 @@ def _forward_cached(
         a += T[f"layer{i}_b"]
         s = _buffer(ws, f"s{i}", (n, width))
         gamma, m = None, a
-        if tc is not None:
-            gamma = _film(T, f"layer{i}_film_g", tc, labels,
-                          _buffer(ws, f"gamma{i}", (n, width)), ws)
-            m = _film(T, f"layer{i}_film_d", tc, labels, _buffer(ws, f"m{i}", (n, width)), ws)
-            m += np.multiply(gamma, a, out=s)
-        z, s = _silu(m, s, _buffer(ws, f"z{i}", (n, width)))
-        layers.append((h, a, gamma, m, s))
+        if rows is not None:
+            g, d = f"layer{i}_film_g", f"layer{i}_film_d"
+            gamma = _film(T, g, rows[g], labels, _buffer(ws, f"gamma{i}", (n, width)), kept)
+            if ws is None:
+                m = _film(T, d, rows[d], labels, np.empty((n, width)), kept)
+                m += np.multiply(gamma, a, out=s)
+            else:
+                gamma *= a
+                m = _film(T, d, rows[d], labels, a, kept)
+                m += gamma
+        z, s = _silu(m, s, None if ws is None else m)
+        if ws is None:
+            layers.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
     out = h @ T["out_w"].T + T["out_b"]
-    cache = (temb, tc, labels, layers, h, masks)
-    return out, cache
+    return out, None if ws is not None else (temb, tc, labels, layers, h, masks)
 
 
 def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
@@ -333,16 +363,20 @@ def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
     step(s) ``t``; deterministic, no dropout (training draws its masks in
     :func:`draw_batch_noise`).
 
-    ``workspace``, a dict kept across calls such as the steps of one chain,
-    holds the layer blocks for reuse, and the FiLM label tables
-    (``label_emb @ w.T`` per coefficient) built on its first call.  A
-    workspace is bound to the parameter set and values of that first call
-    for as long as it is kept: use a fresh one for other or changed
-    parameters.  Bound that way, the result is the same with or without it
-    and is never a view of it.
+    ``workspace``, a dict kept across calls such as the steps of a sweep's
+    chains, holds three row blocks per hidden layer for reuse, the FiLM
+    label tables (``label_emb @ w.T`` per coefficient) built on its first
+    call, and each integer step's FiLM time rows (``tc @ w.T + b`` per
+    coefficient) built on that step's first call: 2 * sum(hidden) floats
+    per step, 4 KB at the default widths, 400 KB over T = 100 and ~41 MB
+    over ``MAX_T`` steps, the order of an exact chain's noised tables.  A
+    workspace is bound to the parameter set and values of the calls that
+    filled it for as long as it is kept: use a fresh one for other or
+    changed parameters.  Bound that way, the result is the same with or
+    without it and is never a view of it.
     """
     x, labels = _check_inputs(params, x_t, labels)
-    return _forward_cached(params, x, t, labels, ws=workspace)[0]
+    return _forward_cached(params, x, t, labels, ws={} if workspace is None else workspace)[0]
 
 
 def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
@@ -352,7 +386,7 @@ def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     zc1 = frame_block(zc1, phi.dim, "residual head")
     if h.shape != zc1.shape:
         raise ValueError(f"feature shape {h.shape} does not match frame shape {zc1.shape}")
-    return _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
+    return _forward_cached(phi, np.concatenate([h, zc1], axis=1), ws={})[0]
 
 
 def draw_batch_noise(

@@ -58,13 +58,14 @@ def denoise_from(x: np.ndarray, t_start: int, predictor: Predictor, labels: np.n
     the chain's steps.
 
     ``t_start`` = k means the input sits at schedule index k - 1 and the k
-    reverse steps k - 1, ..., 0 run; 0 binds nothing and returns the input
-    unchanged.
+    reverse steps k - 1, ..., 0 run; 0 binds nothing and returns a copy of
+    the input.  No step writes to its input, so the result never shares
+    memory with ``x``.
     """
-    x = np.array(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     check_start_steps("t_start", [t_start], 0, sched)
     if t_start == 0:
-        return x
+        return x.copy()
     step = predictor(labels, range(t_start))
     for t in range(t_start - 1, -1, -1):
         x = ddim_step(x, t, step(x, t), sched)
@@ -146,12 +147,12 @@ def convert_sequences(
     labels = np.concatenate([seq.labels for seq in seqs])
     z = standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
     if t_start > 0:
-        eps = np.concatenate([
+        # x_t replaces the clean block and the noise dies with the call.
+        z = forward_corrupt(z, t_start - 1, np.concatenate([
             substream(seed, PURPOSE_CONVERT, i).standard_normal(np.shape(seq.frames))
             for i, seq in enumerate(seqs)
-        ])
-        x_t = forward_corrupt(z, t_start - 1, eps, ctx.sched)
-        z = denoise_from(x_t, t_start, ctx.predictor, labels, ctx.sched)
+        ]), ctx.sched)
+        z = denoise_from(z, t_start, ctx.predictor, labels, ctx.sched)
     zc1 = destandardize_frames(z, ctx.standardizer)
     zc2 = 0.0
     if ctx.residual is not None:

@@ -90,12 +90,17 @@ def _frames_noise_ab(x, noise, t, sched: Schedule):
     return x, noise, ab
 
 
-def _corrupt(x0, eps, ab):
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+def _corrupt(x0, eps, ab, out=None):
+    out = np.multiply(x0, np.sqrt(ab), out=out)
+    out += np.sqrt(1.0 - ab) * eps
+    return out
 
 
 def _reconstruct(x_t, eps_hat, ab):
-    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+    out = np.sqrt(1.0 - ab) * eps_hat
+    np.subtract(x_t, out, out=out)
+    out /= np.sqrt(ab)
+    return out
 
 
 def forward_corrupt(x0: np.ndarray, t, eps: np.ndarray, sched: Schedule) -> np.ndarray:
@@ -111,7 +116,9 @@ def reconstruct_x0(x_t: np.ndarray, t, eps_hat: np.ndarray, sched: Schedule) -> 
 def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
     """One deterministic reverse step from ``t`` to ``t - 1``, or to clean
     from 0: :func:`reconstruct_x0`, then :func:`forward_corrupt` to ``t - 1``
-    with the same estimate, on blocks checked once."""
+    with the same estimate, on blocks checked once.  The corruption works
+    in place on the reconstruction, so a step holds at most two blocks
+    beside its inputs."""
     x_t, eps_hat, ab = _frames_noise_ab(x_t, eps_hat, t, sched)
     x0_hat = _reconstruct(x_t, eps_hat, ab)
-    return _corrupt(x0_hat, eps_hat, alpha_bar_at(sched, t - 1)) if t else x0_hat
+    return _corrupt(x0_hat, eps_hat, alpha_bar_at(sched, t - 1), x0_hat) if t else x0_hat

@@ -29,6 +29,7 @@ from priorshift.denoiser import (
     time_embedding,
     train,
 )
+from priorshift import denoiser as denoiser_mod
 from priorshift.denoiser import _backward, _film, _forward_cached, _silu, _silu_grad
 from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
@@ -187,7 +188,8 @@ class TestSplitFilmAndWorkspace:
 
     def test_workspace_is_bitwise_equal_and_reused(self):
         """Row counts 150 -> 37 -> 150 -> 150 through one workspace: the
-        buffers are reallocated when the count changes, then reused."""
+        three row blocks per hidden layer are reallocated when the count
+        changes, then reused, and a step seen before reuses its time rows."""
         rng = np.random.default_rng(41)
         params = self._net(rng)
         ws: dict = {}
@@ -199,6 +201,15 @@ class TestSplitFilmAndWorkspace:
             assert np.array_equal(got, forward(params, x, 90 - step, labels))
             ids.append({k: id(v) for k, v in ws.items()})
         assert ws and ids[1] != ids[0] and ids[3] == ids[2]
+        blocks = [v for v in ws.values() if isinstance(v, np.ndarray) and v.shape[0] == 150]
+        assert len(blocks) == 3 * len(params.hidden)
+        rows = ws["time_rows"][90]
+        row_ids = {k: id(v) for k, v in rows.items()}
+        x = rng.standard_normal((150, 3))
+        labels = rng.integers(0, 5, 150)
+        got = forward(params, x, 90, labels, workspace=ws)
+        assert np.array_equal(got, forward(params, x, 90, labels))
+        assert ws["time_rows"][90] is rows and {k: id(v) for k, v in rows.items()} == row_ids
 
     def test_result_is_not_a_view_of_the_workspace(self):
         rng = np.random.default_rng(42)
@@ -208,30 +219,32 @@ class TestSplitFilmAndWorkspace:
         labels = rng.integers(0, 5, 20)
         first = forward(params, x, 12, labels, workspace=ws)
         want = first.copy()
-        assert not any(np.shares_memory(first, buf) for buf in ws.values())
+        arrays = [v for v in ws.values() if isinstance(v, np.ndarray)]
+        arrays += [row for rows in ws["time_rows"].values() for row in rows.values()]
+        assert len(arrays) == 3 * 2 + 4 + 4
+        assert not any(np.shares_memory(first, buf) for buf in arrays)
         first[...] = 1e300
         assert np.array_equal(forward(params, x, 12, labels, workspace=ws), want)
 
     def test_folded_time_row_matches_gather_then_add(self):
         """One step for the block adds the time row to the label table before
-        the gather; one step per row adds it after.  Time rows whose
-        projection is exact (eighths) give both paths the same row, so the
-        sums agree bitwise."""
+        the gather; one step per row adds it after.  Each entry is the same
+        sum of a table entry and a time-row entry, so both paths agree
+        bitwise."""
         rng = np.random.default_rng(44)
         params = self._net(rng)
-        T = params.tensors
-        T["layer0_film_gw"][...] = rng.integers(-16, 17, T["layer0_film_gw"].shape) / 8
-        tc = rng.integers(-16, 17, (1, params.cond_dim)) / 8
+        time_row = rng.standard_normal((1, 16))
         labels = rng.integers(0, 5, 40)
-        folded = _film(T, "layer0_film_g", tc, labels, np.empty((40, 16)), {})
-        gathered = _film(T, "layer0_film_g", np.repeat(tc, 40, axis=0), labels,
+        folded = _film(params.tensors, "layer0_film_g", time_row, labels, np.empty((40, 16)), {})
+        gathered = _film(params.tensors, "layer0_film_g", np.repeat(time_row, 40, axis=0), labels,
                          np.empty((40, 16)), {})
         assert np.array_equal(folded, gathered)
 
     def test_workspace_binds_the_label_tables_of_its_first_call(self):
         """The four FiLM label tables (two layers, scale and shift) are built
-        on a workspace's first call and kept: a later change to the label
-        embedding reaches only a fresh workspace."""
+        on a workspace's first call and kept, and so are the step's four time
+        rows: a later change to the label embedding or to the time
+        projection reaches only a fresh workspace."""
         rng = np.random.default_rng(45)
         params = self._net(rng)
         x = rng.standard_normal((30, 3))
@@ -240,10 +253,57 @@ class TestSplitFilmAndWorkspace:
         first = forward(params, x, 33, labels, workspace=ws)
         tables = {k: v for k, v in ws.items() if k.startswith("label_")}
         assert len(tables) == 4
+        rows = dict(ws["time_rows"][33])
+        assert len(rows) == 4
         params.tensors["label_emb"] += 1.0
+        params.tensors["time_w"] += 1.0
         assert np.array_equal(forward(params, x, 33, labels, workspace=ws), first)
         assert all(ws[k] is v for k, v in tables.items())
+        assert all(ws["time_rows"][33][k] is v for k, v in rows.items())
         assert not np.array_equal(forward(params, x, 33, labels), first)
+
+    def test_time_rows_are_kept_once_per_distinct_step(self, monkeypatch):
+        """Integer steps, Python or numpy, each build their time rows once,
+        with one time embedding; per-row and non-integer steps keep none."""
+        rng = np.random.default_rng(46)
+        params = self._net(rng)
+        x = rng.standard_normal((25, 3))
+        labels = rng.integers(0, 5, 25)
+        embedded = []
+        real = denoiser_mod.time_embedding
+        monkeypatch.setattr(denoiser_mod, "time_embedding",
+                            lambda t, dim: embedded.append(np.copy(t)) or real(t, dim))
+        ws: dict = {}
+        for t in (5, 7, np.int64(5), 9, 7, np.int32(9)):
+            forward(params, x, t, labels, workspace=ws)
+        assert sorted(ws["time_rows"]) == [5, 7, 9] and len(embedded) == 3
+        forward(params, x, np.full(25, 11), labels, workspace=ws)
+        forward(params, x, 11.0, labels, workspace=ws)
+        assert sorted(ws["time_rows"]) == [5, 7, 9] and len(embedded) == 5
+
+    @pytest.mark.parametrize("t", [57, np.int64(3), 57.5, "per-row"])
+    def test_eval_blocks_match_the_training_path_bitwise(self, t):
+        """The eval forward's three reused blocks per layer, kept time rows
+        included, give the bits of the training path's five fresh ones, for
+        a step seen before or not, and for per-row or non-integer steps."""
+        rng = np.random.default_rng(47)
+        params = self._net(rng)
+        x = rng.standard_normal((33, 3))
+        labels = rng.integers(0, 5, 33)
+        if isinstance(t, str):
+            t = rng.integers(0, SCHED.T, 33)
+        want = _forward_cached(params, x, t, labels)[0]
+        ws: dict = {}
+        for _ in range(2):
+            assert forward(params, x, t, labels, workspace=ws).tobytes() == want.tobytes()
+        assert forward(params, x, t, labels).tobytes() == want.tobytes()
+
+    def test_residual_head_eval_matches_the_training_path_bitwise(self):
+        rng = np.random.default_rng(48)
+        phi = _perturb(init_residual(3, (7, 5), rng), rng)
+        h, zc1 = rng.standard_normal((2, 19, 3))
+        want = _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
+        assert predict_zc2(phi, h, zc1).tobytes() == want.tobytes()
 
     def test_silu_is_quiet_at_extremes_and_matches_expit(self):
         rng = np.random.default_rng(43)

@@ -24,6 +24,7 @@ from priorshift.harness import (
     sweep,
     sweep_csv,
 )
+from priorshift.denoiser import ModelBundle, init_denoiser, init_residual
 from priorshift.latent import Codebook, Standardizer, snap_frames
 from priorshift.prior import ConditionalGMM, grid_moments, marginal_1d, native_class_prob_batch, \
     posterior_grid, sample_frames
@@ -278,6 +279,28 @@ class TestSweep:
                                        world.native, world.l2)
         assert (row.identity_l2, row.identity_cos, row.native_prob) == (
             float(l2d.mean()), float(cos.mean()), float(prob.mean()))
+
+    @pytest.mark.parametrize("route", ["exact", "model"])
+    def test_rows_do_not_depend_on_the_other_start_steps(self, route):
+        """A sweep at 10 and 40 writes the CSV lines of sweeps at 10 and at 40
+        run alone: on the model route the 40 chain reuses the time rows the
+        10 chain kept, and must still give a fresh workspace's bits."""
+        world = gen_world(_small_spec(seed=27))
+        bundle = None
+        if route == "model":
+            rng = np.random.default_rng(27)
+            theta = init_denoiser(3, 4, (16, 12), 6, 8, rng)
+            phi = init_residual(3, (5,), rng)
+            for arr in (*theta.tensors.values(), *phi.tensors.values()):
+                arr += 0.2 * rng.standard_normal(arr.shape)
+            bundle = ModelBundle(theta=theta, phi=phi, standardizer=world.standardizer)
+        kwargs = dict(n_seq=3, seq_len=10, seed=5)
+
+        def lines(t_starts):
+            rows = sweep(world, build_context(world, SCHED, bundle), t_starts, **kwargs)
+            return sweep_csv(rows).splitlines()[1:]
+
+        assert lines([10, 40]) == lines([10]) + lines([40])
 
     def test_reruns_identical(self):
         world = gen_world(_small_spec(seed=24))
