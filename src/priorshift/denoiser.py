@@ -7,18 +7,18 @@ FiLM transform gamma * a + delta, whose scale and shift are linear in the
 conditioning vector and initialized to the identity.  That vector is a
 time part plus a label part, so gamma and delta are the time part's
 projection plus a row gathered from an (n_labels, width) label table, the
-projection of the label embedding.  The label tables depend on the
-parameters only, so a workspace kept across the steps of a reverse chain
-builds them once; it also keeps each step's time rows for the later
-chains that reach that step, as a sweep's do, and three row blocks per
-hidden layer that each eval forward reuses.  When the frames share a
-step, the one time row is added to the small table before the gather.
-The residual head maps concatenated encoder features and the
-reconstructed clean frame to a second-stage correction.  Both are the
-same MLP core with one parameter record, the head without FiLM.  Each
-parameter set keeps its tensors as named views into one flat float64
-buffer, so Adam updates it with whole-buffer operations.
-All gradients are derived by hand; the only array machinery used is numpy.
+projection of the label embedding.  The residual head maps concatenated
+encoder features and the reconstructed clean frame to a second-stage
+correction.  Both are one MLP core with one parameter record, the head
+without FiLM, and training and eval run it alike through a workspace of
+row blocks: five per FiLM layer for a training batch, kept for the
+backward pass, and three for eval.  A workspace kept across a reverse
+chain builds the label tables once, and each step's time rows once for
+the chains that reach that step, as a sweep's do.  When the frames share
+a step, the one time row is added to the small table before the gather.
+Each parameter set keeps its tensors as named views into one flat
+float64 buffer, so Adam updates it with whole-buffer operations.  All
+gradients are derived by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
 
@@ -219,13 +219,11 @@ def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]
     return x, labels
 
 
-def _buffer(ws: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's array under ``key``, reallocated when its shape changes;
-    a fresh array without a workspace.  Reusing the row blocks across a
-    chain's steps pays: with fresh arrays on every step, ``perfbench``
-    ``sweep_model`` ``op_s_min`` went from 0.115 to 0.203 s (2-vCPU host)."""
-    if ws is None:
-        return np.empty(shape)
+def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace's array under ``key``, reallocated when its shape changes.
+    Reusing the row blocks across a chain's steps pays: with fresh arrays on
+    every step, ``perfbench`` ``sweep_model`` ``op_s_min`` went from 0.115 to
+    0.203 s (2-vCPU host)."""
     if key not in ws or ws[key].shape != shape:
         ws[key] = np.empty(shape)
     return ws[key]
@@ -271,31 +269,31 @@ def _film(T: FlatTensors, prefix: str, time_rows: np.ndarray, labels: np.ndarray
 def _forward_cached(
     params: MLPParams,
     x: np.ndarray,
+    ws: dict,
     t=None,
     labels: np.ndarray | None = None,
     masks: list[np.ndarray] | None = None,
-    ws: dict | None = None,
+    keep: bool = False,
 ):
-    """The MLP core shared by the denoiser and the residual head.
+    """The MLP core of the denoiser and the residual head, in training and eval.
 
     A parameter set with a label embedding is FiLM-conditioned on the
     timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
-    is a plain SiLU MLP.  Without a workspace ``ws`` (training) the cache
-    holds what :func:`_backward` needs, the time part and five fresh blocks
-    per hidden layer among it.  With one (eval) the cache is None and a
-    layer reuses three of its row blocks, in the same operations: ``a =
-    h @ W.T + b``, which the shift gather overwrites with ``delta``, then
-    ``m = delta + gamma * a`` and ``z = m * sigmoid(m)`` in place; the scale
-    block, which becomes ``gamma * a``; and the sigmoid block.  The FiLM
-    label tables and each integer step's time rows are the ones built on
-    their first use in ``ws``.
+    is a plain SiLU MLP.  Every row block, FiLM label table and integer
+    step's time rows come from the workspace ``ws``.  A layer computes ``a =
+    h @ W.T + b``, ``m = delta + gamma * a`` and ``z = m * sigmoid(m)``.
+    With ``keep`` (training) a FiLM layer writes five blocks, ``a``,
+    ``gamma``, ``m``, ``z`` and ``s`` (``gamma * a``, then the sigmoid), and
+    the cache :func:`_backward` reads holds views of them that the next call
+    on ``ws`` overwrites.  Without it the cache is None and a FiLM layer
+    reuses three: ``a``, which then holds ``delta``, ``m`` and ``z``; the
+    scale block, which becomes ``gamma * a``; and ``s``.
     """
     T = params.tensors
     n = x.shape[0]
-    kept = {} if ws is None else ws
     temb = tc = rows = None
     if "label_emb" in T:
-        temb, tc, rows = _time_rows(params, t, kept)
+        temb, tc, rows = _time_rows(params, t, ws)
     h = x
     layers = []
     for i, width in enumerate(params.hidden):
@@ -305,20 +303,16 @@ def _forward_cached(
         gamma, m = None, a
         if rows is not None:
             g, d = f"layer{i}_film_g", f"layer{i}_film_d"
-            gamma = _film(T, g, rows[g], labels, _buffer(ws, f"gamma{i}", (n, width)), kept)
-            if ws is None:
-                m = _film(T, d, rows[d], labels, np.empty((n, width)), kept)
-                m += np.multiply(gamma, a, out=s)
-            else:
-                gamma *= a
-                m = _film(T, d, rows[d], labels, a, kept)
-                m += gamma
-        z, s = _silu(m, s, None if ws is None else m)
-        if ws is None:
+            gamma = _film(T, g, rows[g], labels, _buffer(ws, f"gamma{i}", (n, width)), ws)
+            scaled = np.multiply(gamma, a, out=s if keep else gamma)
+            m = _film(T, d, rows[d], labels, _buffer(ws, f"m{i}", (n, width)) if keep else a, ws)
+            m += scaled
+        z, s = _silu(m, s, _buffer(ws, f"z{i}", (n, width)) if keep else m)
+        if keep:
             layers.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
     out = h @ T["out_w"].T + T["out_b"]
-    return out, None if ws is not None else (temb, tc, labels, layers, h, masks)
+    return out, (temb, tc, labels, layers, h, masks) if keep else None
 
 
 def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
@@ -360,8 +354,8 @@ def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
 def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
             workspace: dict | None = None) -> np.ndarray:
     """Predict the injected noise for an (n, d) block of frames ``x_t`` at
-    step(s) ``t``; deterministic, no dropout (training draws its masks in
-    :func:`draw_batch_noise`).
+    step ``t``, a scalar or one per row; deterministic, no dropout (training
+    draws its masks in :func:`draw_batch_noise`).
 
     ``workspace``, a dict kept across calls such as the steps of a sweep's
     chains, holds three row blocks per hidden layer for reuse, the FiLM
@@ -372,11 +366,13 @@ def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
     over ``MAX_T`` steps, the order of an exact chain's noised tables.  A
     workspace is bound to the parameter set and values of the calls that
     filled it for as long as it is kept: use a fresh one for other or
-    changed parameters.  Bound that way, the result is the same with or
-    without it and is never a view of it.
+    changed parameters.  Bound that way, the result is the same as with the
+    fresh workspace a call without one uses, and is never a view of it.
     """
     x, labels = _check_inputs(params, x_t, labels)
-    return _forward_cached(params, x, t, labels, ws={} if workspace is None else workspace)[0]
+    if np.ndim(t) and np.shape(t) != labels.shape:
+        raise ValueError(f"t shape {np.shape(t)} does not match batch {x.shape[0]}")
+    return _forward_cached(params, x, {} if workspace is None else workspace, t, labels)[0]
 
 
 def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
@@ -386,7 +382,7 @@ def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     zc1 = frame_block(zc1, phi.dim, "residual head")
     if h.shape != zc1.shape:
         raise ValueError(f"feature shape {h.shape} does not match frame shape {zc1.shape}")
-    return _forward_cached(phi, np.concatenate([h, zc1], axis=1), ws={})[0]
+    return _forward_cached(phi, np.concatenate([h, zc1], axis=1), {})[0]
 
 
 def draw_batch_noise(
@@ -424,7 +420,10 @@ def loss_total(
     :func:`draw_batch_noise`.  ``destd`` maps the reconstructed clean frame
     back to raw scale before the residual head, so the head sees the same
     inputs it gets at conversion time.  With ``lam=0`` the total is exactly
-    the denoising term.
+    the denoising term.  Each of the two forwards runs through a fresh
+    workspace: the parameters change between calls, by Adam or by a
+    gradient check's perturbations, and a kept one would serve stale FiLM
+    label tables.
     """
     x0, labels = _check_inputs(theta, x0, labels)
     zc2 = np.asarray(zc2, dtype=np.float64)
@@ -435,7 +434,7 @@ def loss_total(
     if t.shape != labels.shape or np.shape(eps) != x0.shape:
         raise ValueError("t and eps must give one step and one noise row per frame")
     x_t = forward_corrupt(x0, t, eps, sched)
-    eps_hat, cache = _forward_cached(theta, x_t, t, labels, masks)
+    eps_hat, cache = _forward_cached(theta, x_t, {}, t, labels, masks, keep=True)
     r = eps_hat - eps
     dloss = float((r * r).mean())
     tgrads = _backward(theta, cache, (2.0 / r.size) * r)
@@ -444,7 +443,7 @@ def loss_total(
     xhat0 = reconstruct_x0(x_t, t, eps_hat, sched)
     if destd is not None:
         xhat0 = destandardize_frames(xhat0, destd)
-    zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1))
+    zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1), {}, keep=True)
     rr = zhat - zc2
     rloss = float((rr * rr).mean())
     rgrads = _backward(phi, rcache, (2.0 * lam / rr.size) * rr)

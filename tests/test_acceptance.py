@@ -283,7 +283,7 @@ def test_criterion_09_loss_composition_and_isolation():
     masks = dropout_masks(theta, n, 0.25, rng)
     ab = np.array([alpha_bar_at(SCHED, int(tv)) for tv in t])[:, None]
     x_t = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
-    eps_hat = _forward_cached(theta, x_t, t, labels, masks)[0]
+    eps_hat = _forward_cached(theta, x_t, {}, t, labels, masks)[0]
     dloss = float(((eps_hat - eps) ** 2).mean())
     xhat0 = (x_t - np.sqrt(1 - ab) * eps_hat) / np.sqrt(ab)
     rloss = float(((predict_zc2(phi, h, xhat0) - zc2) ** 2).mean())

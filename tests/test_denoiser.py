@@ -189,7 +189,9 @@ class TestSplitFilmAndWorkspace:
     def test_workspace_is_bitwise_equal_and_reused(self):
         """Row counts 150 -> 37 -> 150 -> 150 through one workspace: the
         three row blocks per hidden layer are reallocated when the count
-        changes, then reused, and a step seen before reuses its time rows."""
+        changes, then reused, and a step seen before reuses its time rows.
+        A training forward, which keeps its blocks for the backward pass,
+        writes five per hidden layer and gives the same bits."""
         rng = np.random.default_rng(41)
         params = self._net(rng)
         ws: dict = {}
@@ -210,6 +212,11 @@ class TestSplitFilmAndWorkspace:
         got = forward(params, x, 90, labels, workspace=ws)
         assert np.array_equal(got, forward(params, x, 90, labels))
         assert ws["time_rows"][90] is rows and {k: id(v) for k, v in rows.items()} == row_ids
+        train_ws: dict = {}
+        out, cache = _forward_cached(params, x, train_ws, 90, labels, keep=True)
+        blocks = [v for v in train_ws.values() if isinstance(v, np.ndarray) and v.shape[0] == 150]
+        assert len(blocks) == 5 * len(params.hidden) and cache is not None
+        assert out.tobytes() == got.tobytes()
 
     def test_result_is_not_a_view_of_the_workspace(self):
         rng = np.random.default_rng(42)
@@ -284,15 +291,15 @@ class TestSplitFilmAndWorkspace:
     @pytest.mark.parametrize("t", [57, np.int64(3), 57.5, "per-row"])
     def test_eval_blocks_match_the_training_path_bitwise(self, t):
         """The eval forward's three reused blocks per layer, kept time rows
-        included, give the bits of the training path's five fresh ones, for
-        a step seen before or not, and for per-row or non-integer steps."""
+        included, give the bits of the five a training forward keeps, for a
+        step seen before or not, and for per-row or non-integer steps."""
         rng = np.random.default_rng(47)
         params = self._net(rng)
         x = rng.standard_normal((33, 3))
         labels = rng.integers(0, 5, 33)
         if isinstance(t, str):
             t = rng.integers(0, SCHED.T, 33)
-        want = _forward_cached(params, x, t, labels)[0]
+        want = _forward_cached(params, x, {}, t, labels, keep=True)[0]
         ws: dict = {}
         for _ in range(2):
             assert forward(params, x, t, labels, workspace=ws).tobytes() == want.tobytes()
@@ -302,7 +309,7 @@ class TestSplitFilmAndWorkspace:
         rng = np.random.default_rng(48)
         phi = _perturb(init_residual(3, (7, 5), rng), rng)
         h, zc1 = rng.standard_normal((2, 19, 3))
-        want = _forward_cached(phi, np.concatenate([h, zc1], axis=1))[0]
+        want = _forward_cached(phi, np.concatenate([h, zc1], axis=1), {}, keep=True)[0]
         assert predict_zc2(phi, h, zc1).tobytes() == want.tobytes()
 
     def test_silu_is_quiet_at_extremes_and_matches_expit(self):
@@ -491,7 +498,8 @@ def _reference_denoiser_grads(params, x, t, labels, masks, g_out):
 
 def test_backward_matches_the_written_out_pass_bitwise():
     """Building the conditioning vector in ``_backward`` instead of the
-    forward pass leaves every denoiser gradient bitwise unchanged."""
+    forward pass leaves every denoiser gradient bitwise unchanged, and the
+    training forward gives the eval forward's bits under the same masks."""
     rng = np.random.default_rng(46)
     params = _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(16, 12), cond_dim=6,
                                  time_dim=8), rng)
@@ -501,7 +509,9 @@ def test_backward_matches_the_written_out_pass_bitwise():
     t = rng.integers(0, SCHED.T, n)
     masks = dropout_masks(params, n, 0.1, rng)
     g_out = rng.standard_normal((n, 3))
-    got = _backward(params, _forward_cached(params, x, t, labels, masks)[1], g_out)
+    out, cache = _forward_cached(params, x, {}, t, labels, masks, keep=True)
+    assert out.tobytes() == _forward_cached(params, x, {}, t, labels, masks)[0].tobytes()
+    got = _backward(params, cache, g_out)
     want = _reference_denoiser_grads(params, x, t, labels, masks, g_out)
     assert got.keys() == want.keys()
     for name in got:

@@ -104,6 +104,14 @@ def test_wrong_frame_width_names_the_owner(entry):
         call()
 
 
+@pytest.mark.parametrize("t", [np.arange(3), np.full((5, 1), 7), np.array([7])],
+                         ids=["short", "column", "one-step-array"])
+def test_forward_takes_a_scalar_step_or_one_per_row(t):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"t shape {t.shape} does not match batch 5") + "$"):
+        forward(_theta(), np.ones((5, D)), t, np.zeros(5, dtype=int))
+
+
 def test_predict_zc2_rejects_unequal_row_counts():
     with pytest.raises(ValueError, match="feature shape"):
         predict_zc2(_phi(), np.ones((4, D)), np.ones((3, D)))
