@@ -16,9 +16,13 @@ backward pass, and three for eval.  A workspace kept across a reverse
 chain builds the label tables once, and each step's time rows once for
 the chains that reach that step, as a sweep's do.  When the frames share
 a step, the one time row is added to the small table before the gather.
-Each parameter set keeps its tensors as named views into one flat
-float64 buffer, so Adam updates it with whole-buffer operations.  All
-gradients are derived by hand; the only array machinery used is numpy.
+A training run keeps one workspace across its batches: row blocks,
+gradients and dropout masks are reused while the batch shape holds, and
+only the label tables are rebuilt for each batch, from the parameters
+Adam just changed.  Each parameter set keeps its tensors as named views
+into one flat float64 buffer, so Adam updates it with whole-buffer
+operations into scratch buffers of its state.  All gradients are derived
+by hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
 
@@ -33,9 +37,9 @@ from .latent import LatentSequence, Standardizer, atomic_write, check_field_rang
 from .schedule import Schedule, forward_corrupt, linear_schedule, reconstruct_x0
 
 MODEL_MAGIC = "PRIORSHIFT-MODEL v1"
-# Most training epochs: with the default config an epoch takes ~0.19 s on
-# gen-data's default 5,000 frames and ~0.7 s on 32,750 (2-vCPU host), so a
-# run at the bound lasts ~30 min to ~2 h.
+# Most training epochs: with the default config an epoch takes ~0.09 s on
+# gen-data's default 5,000 frames and ~0.6 s on 32,750 (2-vCPU host), so a
+# run at the bound lasts ~15 min to ~1.7 h.
 MAX_EPOCHS = 10_000
 
 
@@ -193,21 +197,35 @@ def _silu(x: np.ndarray, s: np.ndarray | None = None, z: np.ndarray | None = Non
         return np.multiply(x, s, out=z), s
 
 
-def _silu_grad(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return s * (1.0 + m * (1.0 - s))
+def _silu_grad(m: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``s * (1 + m * (1 - s))``, the SiLU derivative at ``m`` given its
+    sigmoid ``s``, into ``out``."""
+    np.subtract(1.0, s, out=out)
+    out *= m
+    out += 1.0
+    out *= s
+    return out
 
 
 def dropout_masks(
-    params: MLPParams, n: int, dropout: float, rng: np.random.Generator
+    params: MLPParams, n: int, dropout: float, rng: np.random.Generator,
+    workspace: dict | None = None,
 ) -> list[np.ndarray] | None:
-    """Inverted-dropout multipliers, one per hidden layer, scaling baked in."""
+    """Inverted-dropout multipliers, one per hidden layer, scaling baked in:
+    ``(rng.random((n, width)) >= dropout) / (1 - dropout)``.  Each is drawn
+    into the block ``mask<i>`` of ``workspace`` (a fresh dict without one),
+    so the next draw on that workspace overwrites it."""
     if dropout == 0.0:
         return None
+    ws = {} if workspace is None else workspace
     keep = 1.0 - dropout
-    return [
-        (rng.random((n, width)) >= dropout) / keep
-        for width in params.hidden
-    ]
+    masks = []
+    for i, width in enumerate(params.hidden):
+        mask = rng.random(out=_buffer(ws, f"mask{i}", (n, width)))
+        np.greater_equal(mask, dropout, out=mask)
+        mask /= keep
+        masks.append(mask)
+    return masks
 
 
 def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +302,10 @@ def _forward_cached(
     h @ W.T + b``, ``m = delta + gamma * a`` and ``z = m * sigmoid(m)``.
     With ``keep`` (training) a FiLM layer writes five blocks, ``a``,
     ``gamma``, ``m``, ``z`` and ``s`` (``gamma * a``, then the sigmoid), and
-    the cache :func:`_backward` reads holds views of them that the next call
-    on ``ws`` overwrites.  Without it the cache is None and a FiLM layer
-    reuses three: ``a``, which then holds ``delta``, ``m`` and ``z``; the
-    scale block, which becomes ``gamma * a``; and ``s``.
+    the cache :func:`_backward` reads holds ``ws`` and views of them that
+    the next call on ``ws`` overwrites.  Without it the cache is None and a
+    FiLM layer reuses three: ``a``, which then holds ``delta``, ``m`` and
+    ``z``; the scale block, which becomes ``gamma * a``; and ``s``.
     """
     T = params.tensors
     n = x.shape[0]
@@ -312,30 +330,43 @@ def _forward_cached(
             layers.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
     out = h @ T["out_w"].T + T["out_b"]
-    return out, (temb, tc, labels, layers, h, masks) if keep else None
+    return out, (temb, tc, labels, layers, h, masks, ws) if keep else None
 
 
 def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
     """Gradients of a scalar loss given its gradient w.r.t. the network output,
-    in the same flat layout as the parameters."""
+    in the same flat layout as the parameters.
+
+    The gradients fill the workspace's ``grads`` buffer in place, made on
+    its first use, so the next backward pass on that workspace overwrites
+    them.  The pass consumes the cache: a layer's SiLU gradient goes into
+    its output block, and its FiLM scale and input gradients into ``a`` and
+    ``gamma``, each read for the last time by then.  No gradient with
+    respect to the network input is formed.
+    """
     T = params.tensors
-    temb, tc, labels, layers, h_last, masks = cache
-    grads = T.zeros_like()
+    temb, tc, labels, layers, h_last, masks, ws = cache
+    grads = ws.get("grads")
+    if grads is None:
+        grads = ws["grads"] = T.zeros_like()
     grads["out_w"][...] = g_out.T @ h_last
     grads["out_b"][...] = g_out.sum(axis=0)
-    g_h = g_out @ T["out_w"]
+    if layers:
+        g_h = g_out @ T["out_w"]
     cond = g_cond = None
     if tc is not None:
         cond = tc + T["label_emb"][labels]
         g_cond = np.zeros_like(cond)
+    z = h_last
     for i in reversed(range(len(params.hidden))):
         h_in, a, gamma, m, s = layers[i]
-        g_z = g_h if masks is None else g_h * masks[i]
-        g_m = g_z * _silu_grad(m, s)
+        if masks is not None:
+            g_h *= masks[i]
+        g_m = np.multiply(g_h, _silu_grad(m, s, out=z), out=g_h)
         g_a = g_m
         if cond is not None:
-            g_gamma = g_m * a
-            g_a = g_m * gamma
+            g_gamma = np.multiply(g_m, a, out=a)
+            g_a = np.multiply(g_m, gamma, out=gamma)
             grads[f"layer{i}_film_gw"][...] = g_gamma.T @ cond
             grads[f"layer{i}_film_gb"][...] = g_gamma.sum(axis=0)
             grads[f"layer{i}_film_dw"][...] = g_m.T @ cond
@@ -343,10 +374,13 @@ def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
             g_cond += g_gamma @ T[f"layer{i}_film_gw"] + g_m @ T[f"layer{i}_film_dw"]
         grads[f"layer{i}_w"][...] = g_a.T @ h_in
         grads[f"layer{i}_b"][...] = g_a.sum(axis=0)
-        g_h = g_a @ T[f"layer{i}_w"]
+        if i:
+            g_h = g_a @ T[f"layer{i}_w"]
+        z = h_in
     if cond is not None:
         grads["time_w"][...] = g_cond.T @ np.broadcast_to(temb, (cond.shape[0], params.time_dim))
         grads["time_b"][...] = g_cond.sum(axis=0)
+        grads["label_emb"][...] = 0.0
         np.add.at(grads["label_emb"], labels, g_cond)
     return grads
 
@@ -375,6 +409,15 @@ def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
     return _forward_cached(params, x, {} if workspace is None else workspace, t, labels)[0]
 
 
+def bind_forward(params: MLPParams, labels, workspace: dict):
+    """:func:`forward` bound to ``labels`` and ``workspace``, with the labels
+    checked here, once.  The returned ``step(x_t, t)`` runs the core with no
+    per-call checks, so it takes what a reverse chain passes: an (n, d)
+    float64 block, n the number of labels, and one step ``t``."""
+    labels = check_labels(labels, params.n_labels)
+    return lambda x_t, t: _forward_cached(params, x_t, workspace, t, labels)[0]
+
+
 def predict_zc2(phi: MLPParams, h: np.ndarray, zc1: np.ndarray) -> np.ndarray:
     """Second-stage residual from (n, d) blocks of encoder features and
     first-stage frames."""
@@ -391,11 +434,14 @@ def draw_batch_noise(
     sched: Schedule,
     rng: np.random.Generator,
     dropout: float,
+    workspace: dict | None = None,
 ):
-    """Per-batch stochastic inputs, always in the order t, eps, masks."""
+    """Per-batch stochastic inputs, always in the order t, eps, masks; the
+    masks are drawn into ``workspace``'s blocks, as :func:`dropout_masks`
+    says."""
     t = rng.integers(0, sched.T, size=n)
     eps = rng.standard_normal((n, theta.dim))
-    masks = dropout_masks(theta, n, dropout, rng)
+    masks = dropout_masks(theta, n, dropout, rng, workspace)
     return t, eps, masks
 
 
@@ -412,6 +458,7 @@ def loss_total(
     lam: float,
     sched: Schedule,
     destd: Standardizer | None = None,
+    workspace: dict | None = None,
 ) -> tuple[float, FlatTensors, FlatTensors]:
     """Joint loss on one batch: denoising term plus ``lam`` times the residual
     regression, with the gradients of both parameter sets.
@@ -420,10 +467,16 @@ def loss_total(
     :func:`draw_batch_noise`.  ``destd`` maps the reconstructed clean frame
     back to raw scale before the residual head, so the head sees the same
     inputs it gets at conversion time.  With ``lam=0`` the total is exactly
-    the denoising term.  Each of the two forwards runs through a fresh
-    workspace: the parameters change between calls, by Adam or by a
-    gradient check's perturbations, and a kept one would serve stale FiLM
-    label tables.
+    the denoising term.
+
+    ``workspace``, a dict kept across the batches of a training run, holds
+    each parameter set's row blocks and gradient buffer (under ``"theta"``
+    and ``"phi"``), reused while the batch shape holds.  The returned
+    gradients are those buffers, so the next call on the workspace
+    overwrites them.  Each call drops the FiLM label tables first and builds
+    them afresh: the parameters change between calls, by Adam or by a
+    gradient check's perturbations, and kept tables would be stale.  A call
+    without a workspace runs on a fresh dict.
     """
     x0, labels = _check_inputs(theta, x0, labels)
     zc2 = np.asarray(zc2, dtype=np.float64)
@@ -433,8 +486,12 @@ def loss_total(
     t = np.asarray(t)
     if t.shape != labels.shape or np.shape(eps) != x0.shape:
         raise ValueError("t and eps must give one step and one noise row per frame")
+    ws = {} if workspace is None else workspace
+    theta_ws, phi_ws = ws.setdefault("theta", {}), ws.setdefault("phi", {})
+    for key in [k for k in theta_ws if k.startswith("label_")]:
+        del theta_ws[key]
     x_t = forward_corrupt(x0, t, eps, sched)
-    eps_hat, cache = _forward_cached(theta, x_t, {}, t, labels, masks, keep=True)
+    eps_hat, cache = _forward_cached(theta, x_t, theta_ws, t, labels, masks, keep=True)
     r = eps_hat - eps
     dloss = float((r * r).mean())
     tgrads = _backward(theta, cache, (2.0 / r.size) * r)
@@ -443,7 +500,7 @@ def loss_total(
     xhat0 = reconstruct_x0(x_t, t, eps_hat, sched)
     if destd is not None:
         xhat0 = destandardize_frames(xhat0, destd)
-    zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1), {}, keep=True)
+    zhat, rcache = _forward_cached(phi, np.concatenate([h, xhat0], axis=1), phi_ws, keep=True)
     rr = zhat - zc2
     rloss = float((rr * rr).mean())
     rgrads = _backward(phi, rcache, (2.0 * lam / rr.size) * rr)
@@ -452,11 +509,16 @@ def loss_total(
 
 @dataclass
 class AdamState:
-    """Moment estimates for one flat parameter buffer."""
+    """Moment estimates for one flat parameter buffer, and two scratch
+    buffers of its size for the update's temporaries."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2,) + self.m.shape)
 
     @classmethod
     def for_buffer(cls, flat: np.ndarray) -> "AdamState":
@@ -472,16 +534,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update of a flat parameter buffer, in place."""
+    """One bias-corrected Adam update of a flat parameter buffer, in place:
+    ``flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)``, each temporary
+    written into the state's scratch buffers in that order."""
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
     m, v = state.m, state.v
+    tmp, den = state.scratch
     m *= beta1
-    m += (1.0 - beta1) * grads
+    m += np.multiply(grads, 1.0 - beta1, out=tmp)
     v *= beta2
-    v += (1.0 - beta2) * (grads * grads)
-    flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    v += np.multiply(np.multiply(grads, grads, out=tmp), 1.0 - beta2, out=tmp)
+    np.multiply(np.divide(m, c1, out=tmp), lr, out=tmp)
+    np.sqrt(np.divide(v, c2, out=den), out=den)
+    den += eps
+    tmp /= den
+    flat -= tmp
 
 
 def train(
@@ -496,7 +565,10 @@ def train(
 
     One generator drives initialization, epoch shuffles, per-batch timestep
     and noise draws, and dropout masks, in a fixed order, so a fixed seed
-    reproduces parameters bit for bit.  Raises if the loss goes non-finite.
+    reproduces parameters bit for bit.  One workspace serves the whole run:
+    every batch draws its dropout masks, row blocks and gradients into the
+    same buffers while the batch shape holds.  Raises if the loss goes
+    non-finite.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -514,16 +586,17 @@ def train(
     st_theta = AdamState.for_buffer(theta.tensors.flat)
     st_phi = AdamState.for_buffer(phi.tensors.flat)
     n = x0.shape[0]
+    ws: dict = {}
     curve: list[float] = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            t, eps, masks = draw_batch_noise(theta, idx.size, sched, rng, cfg.dropout)
+            t, eps, masks = draw_batch_noise(theta, idx.size, sched, rng, cfg.dropout, ws)
             loss, tg, rg = loss_total(
                 theta, phi, x0[idx], zc2[idx], h[idx], labels[idx], t, eps, masks,
-                cfg.lam, sched, destd=std,
+                cfg.lam, sched, destd=std, workspace=ws,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(

@@ -233,13 +233,15 @@ def _encode_track(track: np.ndarray) -> str:
 
 
 def _decode_track(text: str, dim: int) -> np.ndarray:
-    rows = []
-    for part in text.split("|"):
-        row = [float(v) for v in part.split(",")]
-        if len(row) != dim:
-            raise ValueError(f"frame has {len(row)} dims, header says {dim}")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+    """``|``-separated frames of ``dim`` comma-separated values, parsed by one
+    numpy str-to-float64 cast, which accepts and rejects what ``float()``
+    does, with its message."""
+    frames = text.split("|")
+    for frame in frames:
+        if frame.count(",") + 1 != dim:
+            raise ValueError(f"frame has {frame.count(',') + 1} dims, header says {dim}")
+    values = text.replace("|", ",").split(",")
+    return np.array(values, dtype=np.float64).reshape(len(frames), dim)
 
 
 def _decode_labels(text: str, n_labels: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoiser import MLPParams, forward, predict_zc2
+from .denoiser import MLPParams, bind_forward, predict_zc2
 from .latent import Codebook, LatentSequence, Standardizer, \
     destandardize_frames, snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
@@ -85,16 +85,17 @@ def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
 
 
 def model_eps_source(theta: MLPParams) -> Predictor:
-    """Trained predictor, always evaluated without dropout.  Every bound
-    step shares one workspace, bound to ``theta`` for the source's life: the
-    FiLM label tables are built on the first step and every step of every
-    chain reuses them and the row blocks, whatever steps it was bound to.
-    ``theta`` must not change while the source is in use."""
+    """Trained predictor, always evaluated without dropout.  Binding checks
+    the labels once, and each bound step runs the network without the
+    per-call checks of :func:`forward`.  Every bound step shares one
+    workspace, bound to ``theta`` for the source's life: the FiLM label
+    tables are built on the first step and every step of every chain reuses
+    them and the row blocks, whatever steps it was bound to.  ``theta`` must
+    not change while the source is in use."""
     workspace: dict = {}
 
     def bind(labels: np.ndarray, steps: range) -> EpsStep:
-        labels = np.asarray(labels)
-        return lambda x, t: forward(theta, x, t, labels, workspace=workspace)
+        return bind_forward(theta, labels, workspace)
 
     return bind
 
@@ -145,14 +146,20 @@ def convert_sequences(
     if not seqs:
         return []
     labels = np.concatenate([seq.labels for seq in seqs])
-    z = standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
-    if t_start > 0:
-        # x_t replaces the clean block and the noise dies with the call.
-        z = forward_corrupt(z, t_start - 1, np.concatenate([
+
+    def standardized() -> np.ndarray:
+        return standardize_frames(np.concatenate([seq.frames for seq in seqs]), ctx.standardizer)
+
+    if t_start == 0:
+        z = standardized()
+    else:
+        # No name here holds the clean block, the noise or x_t, so each dies
+        # once used: the first two with the corruption, x_t at the chain's
+        # first reverse step.
+        z = denoise_from(forward_corrupt(standardized(), t_start - 1, np.concatenate([
             substream(seed, PURPOSE_CONVERT, i).standard_normal(np.shape(seq.frames))
             for i, seq in enumerate(seqs)
-        ]), ctx.sched)
-        z = denoise_from(z, t_start, ctx.predictor, labels, ctx.sched)
+        ]), ctx.sched), t_start, ctx.predictor, labels, ctx.sched)
     zc1 = destandardize_frames(z, ctx.standardizer)
     zc2 = 0.0
     if ctx.residual is not None:

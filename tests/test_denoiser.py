@@ -30,7 +30,7 @@ from priorshift.denoiser import (
     train,
 )
 from priorshift import denoiser as denoiser_mod
-from priorshift.denoiser import _backward, _film, _forward_cached, _silu, _silu_grad
+from priorshift.denoiser import _backward, _film, _forward_cached, _silu
 from priorshift.latent import LatentSequence, Standardizer, fit_standardizer, standardize_frames
 from priorshift.prior import ConditionalGMM, exact_eps_batch, sample_frames
 from priorshift.rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
@@ -478,7 +478,7 @@ def _reference_denoiser_grads(params, x, t, labels, masks, g_out):
     g_cond = np.zeros_like(cond)
     for i in reversed(range(len(params.hidden))):
         h_in, a, gamma, m, s = layers[i]
-        g_m = g_h * masks[i] * _silu_grad(m, s)
+        g_m = g_h * masks[i] * (s * (1.0 + m * (1.0 - s)))
         g_gamma = g_m * a
         g_a = g_m * gamma
         grads[f"layer{i}_film_gw"] = g_gamma.T @ cond
@@ -674,6 +674,74 @@ class TestAdam:
         assert st.step == 2
         assert st.m.shape == st.v.shape == (6,)
         assert (w["a"] < 0).all() and (w["b"] < 0).all()
+
+    def test_matches_the_one_line_update_bitwise(self):
+        """The update through the state's scratch buffers gives the bits of
+        the written-out expression, step after step, on a buffer of a
+        default denoiser's size."""
+        rng = np.random.default_rng(48)
+        flat = init_denoiser(8, 4, (128, 128), 32, 32, rng).tensors.flat.copy()
+        want = flat.copy()
+        st = AdamState.for_buffer(flat)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        lr, b1, b2, eps = 5e-5, 0.9, 0.999, 1e-8
+        for step in range(1, 5):
+            grads = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-8, 3, flat.size)
+            adam_step(flat, grads, st, lr, b1, b2, eps)
+            m = b1 * m + (1.0 - b1) * grads
+            v = b2 * v + (1.0 - b2) * (grads * grads)
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            want -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            assert flat.tobytes() == want.tobytes()
+            assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
+
+
+class TestTrainingWorkspace:
+    """A workspace kept across training batches changes no bit of what a
+    fresh one gives, whatever changed between the calls."""
+
+    def test_masks_drawn_into_kept_blocks_match_fresh_draws(self):
+        theta = _small_net(np.random.default_rng(49), hidden=(16, 12))
+        ws: dict = {}
+        kept, fresh = np.random.default_rng(50), np.random.default_rng(50)
+        blocks = None
+        for n in (64, 64, 56, 64):
+            got = dropout_masks(theta, n, 0.1, kept, ws)
+            want = [(fresh.random((n, width)) >= 0.1) / 0.9 for width in theta.hidden]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert all(g.shape == w.shape and g.dtype == w.dtype for g, w in zip(got, want))
+            assert kept.bit_generator.state == fresh.bit_generator.state
+            ids = [id(g) for g in got]
+            if n == 64 and blocks is not None and blocks[0] == 64:
+                assert ids == blocks[1]
+            blocks = (n, ids)
+
+    def test_kept_workspace_gives_the_bits_of_a_fresh_one(self):
+        """Through one workspace: a batch, an Adam-like change to both
+        parameter sets, a smaller batch, then the first shape again.  Each
+        call's loss and gradients equal a fresh workspace's bit for bit, so
+        no FiLM label table of an earlier call is served; the gradients
+        returned are the workspace's buffers, which the next call refills."""
+        rng = np.random.default_rng(51)
+        theta = _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(16, 12), cond_dim=6,
+                                    time_dim=8), rng)
+        phi = _perturb(init_residual(3, (7,), rng), rng)
+        destd = Standardizer(mean=np.array([0.1, -0.2, 0.3]), std=np.array([1.3, 0.8, 1.1]))
+        ws: dict = {}
+        for n in (64, 56, 64):
+            x0, zc2, h = (rng.standard_normal((n, 3)) for _ in range(3))
+            labels = rng.integers(0, 5, n)
+            t, eps, masks = draw_batch_noise(theta, n, SCHED, rng, 0.1, ws)
+            got = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.5, SCHED,
+                             destd, workspace=ws)
+            want = loss_total(theta, phi, x0, zc2, h, labels, t, eps,
+                              [mask.copy() for mask in masks], 0.5, SCHED, destd)
+            assert got[0] == want[0]
+            assert got[1].flat.tobytes() == want[1].flat.tobytes()
+            assert got[2].flat.tobytes() == want[2].flat.tobytes()
+            assert got[1] is ws["theta"]["grads"] and got[2] is ws["phi"]["grads"]
+            for params in (theta, phi):
+                params.tensors.flat[...] += 0.05 * rng.standard_normal(params.tensors.flat.size)
 
 
 class TestFlatBuffers:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from priorshift import denoiser as denoiser_mod
 from priorshift import sampler as sampler_mod
 from priorshift.denoiser import eval_loss_diff, forward, init_denoiser, init_residual, \
     predict_zc2
@@ -276,6 +277,21 @@ class TestBoundSteps:
         )
         assert got == want
 
+    def test_model_bind_checks_the_labels_once(self, monkeypatch):
+        """Binding checks the labels, and fails on one out of range as
+        ``forward`` does; the bound steps check nothing more."""
+        rng = np.random.default_rng(63)
+        theta = init_denoiser(3, 4, (8,), 4, 4, rng)
+        with pytest.raises(ValueError, match=r"labels outside \[0, 4\)"):
+            model_eps_source(theta)(np.array([0, 4]), range(SCHED.T))
+        checks = []
+        real_check = denoiser_mod.check_labels
+        monkeypatch.setattr(denoiser_mod, "check_labels",
+                            lambda labels, k: checks.append(k) or real_check(labels, k))
+        denoise_from(rng.standard_normal((6, 3)), 40, model_eps_source(theta),
+                     rng.integers(0, 4, 6), SCHED)
+        assert checks == [4]
+
     def test_model_step_bitwise_equal_to_forward(self):
         rng = np.random.default_rng(62)
         theta = init_denoiser(3, 4, (16, 12), 6, 8, rng)
@@ -371,13 +387,13 @@ class TestDenoiseFrom:
             assert_allclose(batch[i], row[0], atol=1e-12)
 
     def test_network_predictor_reuses_one_workspace_over_the_chain(self, monkeypatch):
-        """Every step of a chain hands ``forward`` the predictor's one
+        """Every step of a chain hands the network core the predictor's one
         workspace, whose arrays keep their identity from step to step."""
         seen = []
-        real_forward = sampler_mod.forward
+        real_core = denoiser_mod._forward_cached
 
-        def spy(theta, x_t, t, labels, *, workspace=None):
-            out = real_forward(theta, x_t, t, labels, workspace=workspace)
+        def spy(theta, x_t, workspace, t, labels):
+            out = real_core(theta, x_t, workspace, t, labels)
             seen.append((workspace, {k: id(v) for k, v in workspace.items()}))
             return out
 
@@ -387,7 +403,7 @@ class TestDenoiseFrom:
         x = rng.standard_normal((7, 2))
         labels = rng.integers(0, 3, 7)
         want = denoise_from(x, 25, predictor, labels, SCHED)
-        monkeypatch.setattr(sampler_mod, "forward", spy)
+        monkeypatch.setattr(denoiser_mod, "_forward_cached", spy)
         got = denoise_from(x, 25, predictor, labels, SCHED)
         assert np.array_equal(got, want)
         assert len(seen) == 25 and seen[0][1]
@@ -653,12 +669,11 @@ class TestConvertSequences:
 
     def test_chain_holds_no_spare_frame_block(self):
         """An exact conversion of 40 x 50 frames of dimension 512 (8.2 MB a
-        block) at start step 10 peaks at ~41 MB of traced allocations: the
-        corrupted block replaces the clean one, the noise is dropped once
-        used, the chain does not copy its input, and a reverse step works in
-        place on its own blocks.  Before, the clean block, the noise, a copy
-        of the input and a third step temporary lived through the chain, for
-        ~66 MB."""
+        block) at start step 10 peaks at ~33 MB of traced allocations: the
+        clean block and the noise die with the corruption, the corrupted
+        block at the chain's first reverse step, the chain does not copy its
+        input, and a reverse step works in place on its own blocks.  With
+        the corrupted block held through the chain the peak was ~41 MB."""
         world = gen_world(WorldSpec(seed=3, n_labels=2, n_components=2, dim=512))
         seqs = gen_dataset(world, "l2", 40, 50, substream(0, PURPOSE_DATA))
         ctx = build_context(world, SCHED, None)
@@ -668,7 +683,7 @@ class TestConvertSequences:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 49e6
+        assert peak <= 37e6
 
     def test_noise_differs_per_sequence(self):
         ctx, seqs = self._many(2)
