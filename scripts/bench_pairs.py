@@ -7,8 +7,10 @@ both sides run one harness on their own ``src/``.  Pair ``i`` runs
 ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0`` once
 in each tree; the side that goes first alternates from pair to pair.
 Prints each pair's gated metrics (the ``end_to_end`` list of
-``BENCHMARK.json``), each side's median [quartiles], and for each metric
-in how many pairs the change was better.  Exits 1 if any op failed.
+``BENCHMARK.json``), each side's median [quartiles], for each metric in
+how many pairs the change was better and by how much its median moved,
+and the median [quartiles] of the per-pair changes in percent.  Exits 1
+if any op failed.
 
     python3 scripts/bench_pairs.py HEAD~1 --workload sweep_model --pairs 10 --seconds 15 --seed 9401
 """
@@ -74,6 +76,25 @@ def summarize(pairs: list[dict[str, dict]], gated: list[dict]) -> list[str]:
     return lines
 
 
+def pair_changes(pairs: list[dict[str, dict]], gated: list[dict]) -> list[str]:
+    """Each ``gated`` metric's change from parent to change within each pair,
+    in percent of the pair's parent value: the median [quartiles] over the
+    pairs with a nonzero parent value."""
+    lines = []
+    for m in gated:
+        name = m["name"]
+        rel = [100.0 * (c - p) / p for p, c in
+               ((pair["parent"]["metrics"][name]["value"], pair["change"]["metrics"][name]["value"])
+                for pair in pairs) if p]
+        if not rel:
+            lines.append(f"{name}: no pair with a nonzero parent value")
+            continue
+        q1, med, q3 = quartiles(rel)
+        lines.append(f"{name}: median pair change {med:+.1f}% [{q1:+.1f}%, {q3:+.1f}%] "
+                     f"over {len(rel)} of {len(pairs)} pairs")
+    return lines
+
+
 def failed_runs(pairs: list[dict[str, dict]]) -> int:
     """Runs with a failed op or with no correct op."""
     return sum(pair[side]["failed"] > 0 or not pair[side]["correct"]
@@ -121,7 +142,7 @@ def main(argv=None) -> int:
             print(pair_line(i, pair, gated), flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
-    for line in summarize(pairs, gated):
+    for line in summarize(pairs, gated) + pair_changes(pairs, gated):
         print(line)
     bad = failed_runs(pairs)
     if bad:

@@ -40,7 +40,6 @@ from .rng import PURPOSE_DATA, PURPOSE_TRAIN, substream
 from .sampler import ConvertContext, convert_sequences, frame_metrics
 from .schedule import DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, check_start_steps, \
     linear_schedule
-from .verify import run_suites
 
 log = logging.getLogger("priorshift")
 # Points of `posterior`'s default grid, unless it needs more.
@@ -309,6 +308,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites  # only this stage runs it; the others skip loading it
     results = run_suites(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")

@@ -12,10 +12,13 @@ encoder features and the reconstructed clean frame to a second-stage
 correction.  Both are one MLP core with one parameter record, the head
 without FiLM, and training and eval run it alike through a workspace of
 row blocks: five per FiLM layer for a training batch, kept for the
-backward pass, and three for eval.  A workspace kept across a reverse
-chain builds the label tables once, and each step's time rows once for
-the chains that reach that step, as a sweep's do.  When the frames share
-a step, the one time row is added to the small table before the gather.
+backward pass, and three for eval.  A workspace builds a plan of its
+parameter set on its first call: each layer's weights, biases, FiLM keys
+and label tables, so no call looks a tensor up by name.  Kept across a
+reverse chain, it builds the plan once, and each step's time rows once
+for the chains that reach that step, as a sweep's do.  When the frames
+share a step, the one time row is added to the small table before the
+gather.
 A training run keeps one workspace across its batches: row blocks,
 gradients and dropout masks are reused while the batch shape holds, and
 only the label tables are rebuilt for each batch, from the parameters
@@ -238,20 +241,69 @@ def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]
 
 
 def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's array under ``key``, reallocated when its shape changes.
-    Reusing the row blocks across a chain's steps pays: with fresh arrays on
-    every step, ``perfbench`` ``sweep_model`` ``op_s_min`` went from 0.115 to
-    0.203 s (2-vCPU host)."""
+    """The workspace's array under ``key``, reallocated when its shape changes."""
     if key not in ws or ws[key].shape != shape:
         ws[key] = np.empty(shape)
     return ws[key]
 
 
-def _time_rows(params: MLPParams, t, kept: dict):
+@dataclass(frozen=True)
+class _Layer:
+    """One hidden layer of a workspace's plan: its weight, transposed, and
+    bias; for a FiLM layer, the keys of its scale and shift coefficients
+    (their tensors' prefix and their time rows' key), their label tables
+    ``label_emb @ w.T``, and an (n_labels, width) block for a table plus
+    one time row."""
+
+    w: np.ndarray
+    b: np.ndarray
+    film: tuple[str, str] | None = None
+    tables: tuple[np.ndarray, np.ndarray] | None = None
+    folded: np.ndarray | None = None
+
+
+def _plan(params: MLPParams, ws: dict) -> tuple[list[_Layer], np.ndarray, np.ndarray]:
+    """The workspace's plan of ``params``: its hidden layers and its output
+    layer's weight, transposed, and bias.  Built on the workspace's first
+    call and kept, so a call looks up no tensor by name; the label tables
+    are built with it."""
+    plan = ws.get("plan")
+    if plan is None:
+        T = params.tensors
+        layers = []
+        for i, width in enumerate(params.hidden):
+            w, b = T[f"layer{i}_w"].T, T[f"layer{i}_b"]
+            if params.cond_dim:
+                film = (f"layer{i}_film_g", f"layer{i}_film_d")
+                tables = tuple(T["label_emb"] @ T[key + "w"].T for key in film)
+                layers.append(_Layer(w, b, film, tables, np.empty((params.n_labels, width))))
+            else:
+                layers.append(_Layer(w, b))
+        plan = ws["plan"] = (layers, T["out_w"].T, T["out_b"])
+    return plan
+
+
+def _row_blocks(params: MLPParams, ws: dict, n: int, keep: bool) -> list[tuple]:
+    """The workspace's row blocks for ``n`` rows, ``(a, s, gamma, m, z)`` per
+    hidden layer: ``gamma`` for a FiLM layer only, ``z`` with ``keep`` only,
+    and ``m`` for both.  Made again when the row count or ``keep`` changes.
+    Reusing them across a chain's steps pays: with fresh arrays on every
+    step, ``perfbench`` ``sweep_model`` ``op_s_min`` went from 0.115 to
+    0.203 s (2-vCPU host)."""
+    if "rows" not in ws or ws["rows"][0] != (n, keep):
+        ws.pop("rows", None)  # the old set goes first, so the two never coexist
+        film = bool(params.cond_dim)
+        ws["rows"] = ((n, keep), [tuple(np.empty((n, width)) if made else None
+                                        for made in (True, True, film, keep and film, keep))
+                                  for width in params.hidden])
+    return ws["rows"][1]
+
+
+def _time_rows(params: MLPParams, layers: list[_Layer], t, kept: dict):
     """``(temb, tc, rows)``: the time embedding of the steps ``t``, its
-    projection ``tc`` and, by key prefix, each FiLM coefficient's time part
-    ``tc @ w.T + b``.  One integer step's rows are kept in ``kept`` on its
-    first use; a later use returns them with ``temb`` and ``tc`` None."""
+    projection ``tc`` and, by coefficient key, each FiLM coefficient's time
+    part ``tc @ w.T + b``.  One integer step's rows are kept in ``kept`` on
+    its first use; a later use returns them with ``temb`` and ``tc`` None."""
     T = params.tensors
     steps = kept.setdefault("time_rows", {})
     step = int(t) if isinstance(t, (int, np.integer)) else None
@@ -259,27 +311,23 @@ def _time_rows(params: MLPParams, t, kept: dict):
         return None, None, steps[step]
     temb = time_embedding(np.atleast_1d(t), params.time_dim)
     tc = temb @ T["time_w"].T + T["time_b"]
-    prefixes = [f"layer{i}_film_{part}" for i in range(len(params.hidden)) for part in "gd"]
-    rows = {p: tc @ T[p + "w"].T + T[p + "b"] for p in prefixes}
+    rows = {key: tc @ T[key + "w"].T + T[key + "b"] for layer in layers for key in layer.film}
     if step is not None:
         steps[step] = rows
     return temb, tc, rows
 
 
-def _film(T: FlatTensors, prefix: str, time_rows: np.ndarray, labels: np.ndarray,
-          out: np.ndarray, kept: dict):
+def _film(table: np.ndarray, time_rows: np.ndarray, labels: np.ndarray, out: np.ndarray,
+          folded: np.ndarray) -> np.ndarray:
     """``cond @ w.T + b`` for the block, where ``cond`` is the time part plus
     the label embedding (callers check ``labels``): a row of the label table
-    ``label_emb @ w.T``, built on its first use and kept, plus ``time_rows``,
-    the time part's projection.  One time row (one step for the block) is
-    added to the small table before the gather, one per row after it; each
-    entry is the same sum either way."""
-    table = kept.get("label_" + prefix)
-    if table is None:
-        table = kept["label_" + prefix] = T["label_emb"] @ T[prefix + "w"].T
+    ``label_emb @ w.T`` plus ``time_rows``, the time part's projection.  One
+    time row (one step for the block) is added to the small table, into
+    ``folded``, before the gather; one per row after it.  Each entry is the
+    same sum either way."""
     if time_rows.shape[0] == 1:
-        return np.take(table + time_rows, labels, axis=0, out=out, mode="clip")
-    np.take(table, labels, axis=0, out=out, mode="clip")
+        return np.add(table, time_rows, out=folded).take(labels, axis=0, out=out, mode="clip")
+    table.take(labels, axis=0, out=out, mode="clip")
     out += time_rows
     return out
 
@@ -297,40 +345,42 @@ def _forward_cached(
 
     A parameter set with a label embedding is FiLM-conditioned on the
     timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
-    is a plain SiLU MLP.  Every row block, FiLM label table and integer
-    step's time rows come from the workspace ``ws``.  A layer computes ``a =
-    h @ W.T + b``, ``m = delta + gamma * a`` and ``z = m * sigmoid(m)``.
-    With ``keep`` (training) a FiLM layer writes five blocks, ``a``,
-    ``gamma``, ``m``, ``z`` and ``s`` (``gamma * a``, then the sigmoid), and
-    the cache :func:`_backward` reads holds ``ws`` and views of them that
-    the next call on ``ws`` overwrites.  Without it the cache is None and a
-    FiLM layer reuses three: ``a``, which then holds ``delta``, ``m`` and
-    ``z``; the scale block, which becomes ``gamma * a``; and ``s``.
+    is a plain SiLU MLP.  The workspace ``ws`` holds the plan of ``params``
+    (weights, biases, FiLM keys and label tables), the row blocks and each
+    integer step's time rows.  A layer computes ``a = h @ W.T + b``, ``m =
+    delta + gamma * a`` and ``z = m * sigmoid(m)``.  With ``keep``
+    (training) a FiLM layer writes five blocks, ``a``, ``gamma``, ``m``,
+    ``z`` and ``s`` (``gamma * a``, then the sigmoid), and the cache
+    :func:`_backward` reads holds ``ws`` and views of them that the next
+    call on ``ws`` overwrites.  Without it the cache is None and a FiLM
+    layer reuses three: ``a``, which then holds ``delta``, ``m`` and ``z``;
+    the scale block, which becomes ``gamma * a``; and ``s``.
     """
-    T = params.tensors
-    n = x.shape[0]
+    layers, out_w, out_b = _plan(params, ws)
     temb = tc = rows = None
-    if "label_emb" in T:
-        temb, tc, rows = _time_rows(params, t, ws)
+    if params.cond_dim:
+        temb, tc, rows = _time_rows(params, layers, t, ws)
     h = x
-    layers = []
-    for i, width in enumerate(params.hidden):
-        a = np.matmul(h, T[f"layer{i}_w"].T, out=_buffer(ws, f"a{i}", (n, width)))
-        a += T[f"layer{i}_b"]
-        s = _buffer(ws, f"s{i}", (n, width))
-        gamma, m = None, a
-        if rows is not None:
-            g, d = f"layer{i}_film_g", f"layer{i}_film_d"
-            gamma = _film(T, g, rows[g], labels, _buffer(ws, f"gamma{i}", (n, width)), ws)
+    kept = []
+    for i, (layer, (a, s, gamma, m, z)) in enumerate(
+            zip(layers, _row_blocks(params, ws, x.shape[0], keep))):
+        a = np.matmul(h, layer.w, out=a)
+        a += layer.b
+        if rows is None:
+            m = a
+        else:
+            g, d = layer.film
+            gamma = _film(layer.tables[0], rows[g], labels, gamma, layer.folded)
             scaled = np.multiply(gamma, a, out=s if keep else gamma)
-            m = _film(T, d, rows[d], labels, _buffer(ws, f"m{i}", (n, width)) if keep else a, ws)
+            m = _film(layer.tables[1], rows[d], labels, m if keep else a, layer.folded)
             m += scaled
-        z, s = _silu(m, s, _buffer(ws, f"z{i}", (n, width)) if keep else m)
+        z, s = _silu(m, s, z if keep else m)
         if keep:
-            layers.append((h, a, gamma, m, s))
+            kept.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
-    out = h @ T["out_w"].T + T["out_b"]
-    return out, (temb, tc, labels, layers, h, masks, ws) if keep else None
+    out = h @ out_w
+    out += out_b
+    return out, (temb, tc, labels, kept, h, masks, ws) if keep else None
 
 
 def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
@@ -392,15 +442,16 @@ def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
     draws its masks in :func:`draw_batch_noise`).
 
     ``workspace``, a dict kept across calls such as the steps of a sweep's
-    chains, holds three row blocks per hidden layer for reuse, the FiLM
-    label tables (``label_emb @ w.T`` per coefficient) built on its first
-    call, and each integer step's FiLM time rows (``tc @ w.T + b`` per
-    coefficient) built on that step's first call: 2 * sum(hidden) floats
-    per step, 4 KB at the default widths, 400 KB over T = 100 and ~41 MB
-    over ``MAX_T`` steps, the order of an exact chain's noised tables.  A
-    workspace is bound to the parameter set and values of the calls that
-    filled it for as long as it is kept: use a fresh one for other or
-    changed parameters.  Bound that way, the result is the same as with the
+    chains, holds the plan of ``params`` built on its first call (weights,
+    biases, FiLM keys and label tables ``label_emb @ w.T`` per
+    coefficient), three row blocks per hidden layer for reuse, and each
+    integer step's FiLM time rows (``tc @ w.T + b`` per coefficient) built
+    on that step's first call: 2 * sum(hidden) floats per step, 4 KB at
+    the default widths, 400 KB over T = 100 and ~41 MB over ``MAX_T``
+    steps, the order of an exact chain's noised tables.  A workspace is
+    bound to the parameter set and values of the calls that filled it for
+    as long as it is kept: use a fresh one for other or changed
+    parameters.  Bound that way, the result is the same as with the
     fresh workspace a call without one uses, and is never a view of it.
     """
     x, labels = _check_inputs(params, x_t, labels)
@@ -473,10 +524,10 @@ def loss_total(
     each parameter set's row blocks and gradient buffer (under ``"theta"``
     and ``"phi"``), reused while the batch shape holds.  The returned
     gradients are those buffers, so the next call on the workspace
-    overwrites them.  Each call drops the FiLM label tables first and builds
-    them afresh: the parameters change between calls, by Adam or by a
-    gradient check's perturbations, and kept tables would be stale.  A call
-    without a workspace runs on a fresh dict.
+    overwrites them.  Each call drops both plans first and builds them
+    afresh: the parameters change between calls, by Adam or by a gradient
+    check's perturbations, and a kept plan's label tables would be stale.
+    A call without a workspace runs on a fresh dict.
     """
     x0, labels = _check_inputs(theta, x0, labels)
     zc2 = np.asarray(zc2, dtype=np.float64)
@@ -488,8 +539,8 @@ def loss_total(
         raise ValueError("t and eps must give one step and one noise row per frame")
     ws = {} if workspace is None else workspace
     theta_ws, phi_ws = ws.setdefault("theta", {}), ws.setdefault("phi", {})
-    for key in [k for k in theta_ws if k.startswith("label_")]:
-        del theta_ws[key]
+    theta_ws.pop("plan", None)
+    phi_ws.pop("plan", None)
     x_t = forward_corrupt(x0, t, eps, sched)
     eps_hat, cache = _forward_cached(theta, x_t, theta_ws, t, labels, masks, keep=True)
     r = eps_hat - eps

@@ -351,9 +351,10 @@ _WORLD_FIELDS = (
 
 def save_world(world: World, path: str) -> None:
     doc = {"format": WORLD_MAGIC, **{name: to_json(world) for name, to_json, _ in _WORLD_FIELDS}}
+    # json.dumps takes the C encoder, json.dump always the pure-Python one;
+    # the bytes are the same.
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_world(path: str) -> World:

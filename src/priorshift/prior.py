@@ -10,7 +10,7 @@ two-class rule turns a pair of priors into a nativeness probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,6 +138,24 @@ def _log_marginal(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
     return out
 
 
+class _ExactWork:
+    """The blocks :func:`exact_eps_batch` works in on ``n`` rows of C
+    components in d dimensions, one row block at a time (at most
+    ``BLOCK_VALUES`` gathered table values, at least one row): the features
+    (-x²/2, x, 1), whose ones column is set here, once; the gathered table
+    rows; the log joint; and the responsibility-weighted sums of P and
+    sμP.  The kernel's other temporaries are fresh: numpy writes a small
+    contiguous block faster than a strided view of a kept one."""
+
+    def __init__(self, n: int, C: int, d: int):
+        self.rows = rows = min(max(n, 1), max(1, BLOCK_VALUES // (C * (2 * d + 1))))
+        self.feats = np.empty((rows, 2 * d + 1))
+        self.feats[:, 2 * d] = 1.0
+        self.gathered = np.empty((rows, C, 2 * d + 1))
+        self.lj = np.empty((rows, C))
+        self.acc = np.empty((rows, 2 * d))
+
+
 @dataclass(frozen=True)
 class NoisedTables:
     """The terms of a mixture corrupted to each step of ``steps`` that do not
@@ -147,12 +165,15 @@ class NoisedTables:
     ``table[steps.index(t)]`` holds, per label and component, P and sμP
     (d values each) and K = log w - (Σ sμ²P + Σ log v + d log 2π)/2: the
     log joint of a frame x is then -x²/2·P + x·sμP + K.  ``rows`` holds
-    each row's entry in the table.
+    each row's entry in the table, and ``work`` the blocks every
+    :func:`exact_eps_batch` call on the tables works in, made with them:
+    each call overwrites them, so the tables serve one call at a time.
     """
 
     steps: range
     table: np.ndarray
     rows: np.ndarray
+    work: _ExactWork = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -187,14 +208,15 @@ def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> N
         np.multiply(smu, prec, out=smp)
         out[..., 2 * d] = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
                                       + np.einsum("slcd->slc", np.log(v, out=v)) + d * _LOG_2PI)
-    return NoisedTables(steps=steps, table=table, rows=rows)
+    work = _ExactWork(rows.shape[0], p.n_components, d)
+    return NoisedTables(steps=steps, table=table, rows=rows, work=work)
 
 
 def _alpha_bar_one(sched: Schedule, t) -> float:
     """Cumulative product at one step.  An array of steps would broadcast
     against the components when its length matched their count, so it is
     refused."""
-    if np.ndim(t):
+    if type(t) is not int and np.ndim(t):
         raise TypeError(f"one step per call, got steps of shape {np.shape(t)}")
     return alpha_bar_at(sched, t)
 
@@ -241,8 +263,9 @@ def exact_eps_batch(
     depends on that row alone: the contractions are ``np.einsum`` loops
     over one row, never BLAS, and the max and the normalizer loop over
     components.  So rows go through in blocks of at most ``BLOCK_VALUES``
-    gathered table values, and the memory a call takes beyond its result
-    stays bounded for any frame count.
+    gathered table values, in the work blocks made with the tables, and
+    the memory a call takes beyond its result stays bounded for any frame
+    count.
     """
     ab = _alpha_bar_one(sched, t)
     x = frame_block(x, p.dim, "prior")
@@ -261,12 +284,16 @@ def exact_eps_batch(
     d = x.shape[1]
     scale = np.sqrt(1.0 - ab)
     out = np.empty(x.shape)
-    rows = max(1, BLOCK_VALUES // (step.shape[1] * step.shape[2]))
+    wk = tables.work
+    rows = wk.rows
     for lo in range(0, x.shape[0], rows):
         xb = x[lo:lo + rows]
-        w = np.take(step, tables.rows[lo:lo + rows], axis=0)
-        feats = np.concatenate((-0.5 * xb * xb, xb, np.ones((xb.shape[0], 1))), axis=1)
-        lj = np.einsum("nk,nck->nc", feats, w)
+        n = xb.shape[0]
+        w = step.take(tables.rows[lo:lo + rows], axis=0, out=wk.gathered[:n], mode="clip")
+        feats = wk.feats[:n]
+        np.multiply(-0.5 * xb, xb, out=feats[:, :d])
+        feats[:, d:2 * d] = xb
+        lj = np.einsum("nk,nck->nc", feats, w, out=wk.lj[:n])
         top = lj[:, 0]
         for c in range(1, lj.shape[1]):
             top = np.maximum(top, lj[:, c])
@@ -276,7 +303,7 @@ def exact_eps_batch(
             norm = norm + resp[:, c]
         resp /= norm[:, None]
         # K stays out: an unused slot's K is -inf, and its zero weight times it nan.
-        acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d])
+        acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d], out=wk.acc[:n])
         np.multiply(scale, xb * acc[:, :d] - acc[:, d:], out=out[lo:lo + rows])
     return out
 

@@ -9,11 +9,15 @@ second-stage residual.  Everything here takes (n, d) frame blocks.  All
 sequences of one conversion run share the start step, so conversion packs
 their frames into one block and runs the reverse chain once over it; each
 sequence keeps its own noise substream, so packing changes only how the
-work is batched.  The reverse chain binds its predictor once, to the
-block's labels and the steps it will run, which gives the ``step(x, t)``
-every reverse step calls.
-Conversion returns frames only: callers score them with
-:func:`frame_metrics`.
+work is batched.  The reverse chain resolves everything but its
+arithmetic once, when it starts: it binds its predictor to the block's
+labels and the steps it will run, which gives the ``step(x, t)`` every
+reverse step calls, and reads the schedule's scales for those steps.
+Then each step updates the chain's own frame blocks in place.  A bound
+exact step works in blocks made with its noised tables, and a bound model
+step in its source's workspace, so after the first step a chain allocates
+little beyond each step's noise prediction.  Conversion returns frames
+only: callers score them with :func:`frame_metrics`.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from .latent import Codebook, LatentSequence, Standardizer, \
     destandardize_frames, snap_frames, standardize_frames
 from .prior import ConditionalGMM, exact_eps_batch, native_class_prob_batch, noised_tables
 from .rng import PURPOSE_CONVERT, substream
-from .schedule import Schedule, check_start_steps, ddim_step, forward_corrupt
+from .schedule import Schedule, check_start_steps, ddim_update, forward_corrupt, \
+    step_roots
 
 # A noise prediction for an (n, d) block at one step, bound to n labels.
 EpsStep = Callable[[np.ndarray, int], np.ndarray]
@@ -59,23 +64,31 @@ def denoise_from(x: np.ndarray, t_start: int, predictor: Predictor, labels: np.n
 
     ``t_start`` = k means the input sits at schedule index k - 1 and the k
     reverse steps k - 1, ..., 0 run; 0 binds nothing and returns a copy of
-    the input.  No step writes to its input, so the result never shares
-    memory with ``x``.
+    the input.  The chain also reads the scales of its steps once, and owns
+    two frame blocks: each step's update goes into one, and the other, the
+    state the step started from, takes the update's temporary.  So the
+    update allocates nothing, and each step gives the bits of
+    :func:`ddim_step`.  No step writes to the input, so the result never
+    shares memory with ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     check_start_steps("t_start", [t_start], 0, sched)
     if t_start == 0:
         return x.copy()
     step = predictor(labels, range(t_start))
+    roots = step_roots(sched, t_start)
+    out, spare = np.empty(x.shape), np.empty(x.shape)
     for t in range(t_start - 1, -1, -1):
-        x = ddim_step(x, t, step(x, t), sched)
+        x = ddim_update(x, step(x, t), roots[t], roots[t - 1] if t else None, out, spare)
+        out, spare = spare, out
     return x
 
 
 def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     """Exact predictor from an analytic mixture over the same frame space.
     Binding builds the noised tables of the labels' distinct mixtures for
-    the bound steps; every step calls :func:`exact_eps_batch` on them."""
+    the bound steps, with the blocks the kernel works in; every step calls
+    :func:`exact_eps_batch` on them."""
 
     def bind(labels: np.ndarray, steps: range) -> EpsStep:
         tables = noised_tables(p, labels, steps, sched)
@@ -88,10 +101,11 @@ def model_eps_source(theta: MLPParams) -> Predictor:
     """Trained predictor, always evaluated without dropout.  Binding checks
     the labels once, and each bound step runs the network without the
     per-call checks of :func:`forward`.  Every bound step shares one
-    workspace, bound to ``theta`` for the source's life: the FiLM label
-    tables are built on the first step and every step of every chain reuses
-    them and the row blocks, whatever steps it was bound to.  ``theta`` must
-    not change while the source is in use."""
+    workspace, bound to ``theta`` for the source's life: the plan of
+    ``theta`` (weights, biases, FiLM keys and label tables) is built on the
+    first step, and every step of every chain reuses it and the row blocks,
+    whatever steps it was bound to.  ``theta`` must not change while the
+    source is in use."""
     workspace: dict = {}
 
     def bind(labels: np.ndarray, steps: range) -> EpsStep:

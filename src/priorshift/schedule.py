@@ -65,6 +65,11 @@ def alpha_bar_at(sched: Schedule, t: int | np.ndarray) -> float | np.ndarray:
     """Cumulative product at step ``t``: a float for one step, an (n, 1)
     float64 column for a 1-D integer array of steps.  A step that is not an
     integer (a float, a bool) is refused rather than truncated."""
+    if type(t) is int:
+        # The common case, a plain step, checked without numpy.
+        if not 0 <= t < sched.T:
+            raise ValueError(f"timestep {t} outside [0, {sched.T - 1}]")
+        return float(sched.alpha_bar[t])
     if not isinstance(t, np.ndarray) or t.ndim == 0:
         if np.asarray(t).dtype.kind not in "iu":
             raise ValueError(f"timestep {t!r} is not an integer")
@@ -90,27 +95,58 @@ def _frames_noise_ab(x, noise, t, sched: Schedule):
     return x, noise, ab
 
 
-def _corrupt(x0, eps, ab, out=None):
-    out = np.multiply(x0, np.sqrt(ab), out=out)
-    out += np.sqrt(1.0 - ab) * eps
+def _roots(ab):
+    """The signal and noise scales sqrt(ab) and sqrt(1 - ab) at cumulative level ``ab``."""
+    return np.sqrt(ab), np.sqrt(1.0 - ab)
+
+
+def step_roots(sched: Schedule, stop: int) -> list[tuple[float, float]]:
+    """``(sqrt(ab_t), sqrt(1 - ab_t))`` for each step t in [0, ``stop``), read
+    from ``alpha_bar`` in one go: a reverse chain's scales, bound once.  Each
+    pair has the bits of :func:`alpha_bar_at` at that step through the
+    same square roots."""
+    if not 0 <= stop <= sched.T:
+        raise ValueError(f"steps [0, {stop}) outside [0, {sched.T})")
+    ab = sched.alpha_bar[:stop]
+    return list(zip(*(np.sqrt(v).tolist() for v in (ab, 1.0 - ab))))
+
+
+def _corrupt(x0, eps, root_ab, root_1m, out=None, spare=None):
+    out = np.multiply(x0, root_ab, out=out)
+    out += np.multiply(root_1m, eps, out=spare)
     return out
 
 
-def _reconstruct(x_t, eps_hat, ab):
-    out = np.sqrt(1.0 - ab) * eps_hat
+def _reconstruct(x_t, eps_hat, root_ab, root_1m, out=None):
+    out = np.multiply(root_1m, eps_hat, out=out)
     np.subtract(x_t, out, out=out)
-    out /= np.sqrt(ab)
+    out /= root_ab
     return out
 
 
 def forward_corrupt(x0: np.ndarray, t, eps: np.ndarray, sched: Schedule) -> np.ndarray:
     """Corrupt clean frames to step ``t`` with the given unit noise."""
-    return _corrupt(*_frames_noise_ab(x0, eps, t, sched))
+    x0, eps, ab = _frames_noise_ab(x0, eps, t, sched)
+    return _corrupt(x0, eps, *_roots(ab))
 
 
 def reconstruct_x0(x_t: np.ndarray, t, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
     """Invert the corruption at step ``t`` given a noise estimate."""
-    return _reconstruct(*_frames_noise_ab(x_t, eps_hat, t, sched))
+    x_t, eps_hat, ab = _frames_noise_ab(x_t, eps_hat, t, sched)
+    return _reconstruct(x_t, eps_hat, *_roots(ab))
+
+
+def ddim_update(x_t: np.ndarray, eps_hat: np.ndarray, roots: tuple[float, float],
+                prev_roots: tuple[float, float] | None, out: np.ndarray | None = None,
+                spare: np.ndarray | None = None) -> np.ndarray:
+    """The arithmetic of :func:`ddim_step` on (n, d) float64 blocks it does
+    not check, given the scales of the step's :func:`step_roots` and of the
+    step before (None at step 0).  The reconstruction goes into ``out`` and
+    the corruption works in place on it, its temporary in ``spare``; either
+    is a fresh block when None.  ``out`` must not share memory with
+    ``x_t``, nor ``spare`` with ``out`` or ``eps_hat``."""
+    out = _reconstruct(x_t, eps_hat, *roots, out)
+    return out if prev_roots is None else _corrupt(out, eps_hat, *prev_roots, out, spare)
 
 
 def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> np.ndarray:
@@ -120,5 +156,5 @@ def ddim_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: Schedule) -> 
     in place on the reconstruction, so a step holds at most two blocks
     beside its inputs."""
     x_t, eps_hat, ab = _frames_noise_ab(x_t, eps_hat, t, sched)
-    x0_hat = _reconstruct(x_t, eps_hat, ab)
-    return _corrupt(x0_hat, eps_hat, alpha_bar_at(sched, t - 1), x0_hat) if t else x0_hat
+    return ddim_update(x_t, eps_hat, _roots(ab),
+                       _roots(alpha_bar_at(sched, t - 1)) if t else None)

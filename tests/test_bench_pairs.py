@@ -50,6 +50,25 @@ def test_summary_counts_the_pairs_the_change_wins():
     assert len(lines) == 6
 
 
+def test_pair_changes_in_percent():
+    """Per-pair changes of op_s_min: -10%, -9.09%, +8.33%, -15.38%, -14.29%;
+    peak RSS moves +0.76% in every pair."""
+    pairs = _pairs([0.10, 0.11, 0.12, 0.13, 0.14], [0.09, 0.10, 0.13, 0.11, 0.12],
+                   rss=(66.0, 66.5))
+    assert bench_pairs.pair_changes(pairs, GATED) == [
+        "op_s_min: median pair change -10.0% [-14.3%, -9.1%] over 5 of 5 pairs",
+        "peak_rss_mb: median pair change +0.8% [+0.8%, +0.8%] over 5 of 5 pairs",
+    ]
+
+
+def test_pair_changes_skip_a_zero_parent_value():
+    pairs = _pairs([0.0, 0.2], [0.1, 0.1])
+    assert bench_pairs.pair_changes(pairs, GATED[:1]) == [
+        "op_s_min: median pair change -50.0% [-50.0%, -50.0%] over 1 of 2 pairs"]
+    assert bench_pairs.pair_changes(pairs[:1], GATED[:1]) == [
+        "op_s_min: no pair with a nonzero parent value"]
+
+
 def test_higher_is_better_metrics_count_the_other_way():
     pairs = _pairs([2.0, 3.0], [2.5, 2.5])
     lines = bench_pairs.summarize(pairs, [{"name": "op_s_min", "unit": "x", "better": "higher"}])

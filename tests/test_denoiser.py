@@ -1,6 +1,7 @@
 """Network forward/backward math, training loop behavior, and model files."""
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,16 @@ def _per_row_reference(params, x, t, labels):
     return h @ T["out_w"].T + T["out_b"]
 
 
+def _row_blocks(ws):
+    """The row blocks a workspace holds, every hidden layer's."""
+    return [b for layer in ws["rows"][1] for b in layer if b is not None]
+
+
+def _label_tables(ws):
+    """The FiLM label tables of a workspace's plan, two per hidden layer."""
+    return [table for layer in ws["plan"][0] for table in layer.tables]
+
+
 class TestSplitFilmAndWorkspace:
     def _net(self, rng):
         return _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(16, 12), cond_dim=6,
@@ -203,8 +214,8 @@ class TestSplitFilmAndWorkspace:
             assert np.array_equal(got, forward(params, x, 90 - step, labels))
             ids.append({k: id(v) for k, v in ws.items()})
         assert ws and ids[1] != ids[0] and ids[3] == ids[2]
-        blocks = [v for v in ws.values() if isinstance(v, np.ndarray) and v.shape[0] == 150]
-        assert len(blocks) == 3 * len(params.hidden)
+        blocks = _row_blocks(ws)
+        assert len(blocks) == 3 * len(params.hidden) and all(b.shape[0] == 150 for b in blocks)
         rows = ws["time_rows"][90]
         row_ids = {k: id(v) for k, v in rows.items()}
         x = rng.standard_normal((150, 3))
@@ -214,9 +225,32 @@ class TestSplitFilmAndWorkspace:
         assert ws["time_rows"][90] is rows and {k: id(v) for k, v in rows.items()} == row_ids
         train_ws: dict = {}
         out, cache = _forward_cached(params, x, train_ws, 90, labels, keep=True)
-        blocks = [v for v in train_ws.values() if isinstance(v, np.ndarray) and v.shape[0] == 150]
-        assert len(blocks) == 5 * len(params.hidden) and cache is not None
+        blocks = _row_blocks(train_ws)
+        assert len(blocks) == 5 * len(params.hidden) and all(b.shape[0] == 150 for b in blocks)
+        assert cache is not None
         assert out.tobytes() == got.tobytes()
+
+    def test_new_row_count_frees_the_old_blocks_first(self):
+        """Blocks for a new row count replace the old set, which goes before
+        the new one is made: an eval forward of 3,999 rows after one of
+        4,000 grows traced memory by far less than a set (3 blocks x 2
+        layers x 2 MB); with both sets alive at once it grew by a set."""
+        rng = np.random.default_rng(49)
+        params = _perturb(_small_net(rng, dim=3, n_labels=5, hidden=(64, 64), cond_dim=6,
+                                     time_dim=8), rng)
+        ws: dict = {}
+        first = rng.standard_normal((4000, 3)), 7, rng.integers(0, 5, 4000)
+        second = rng.standard_normal((3999, 3)), 7, rng.integers(0, 5, 3999)
+        tracemalloc.start()
+        try:
+            forward(params, *first, workspace=ws)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward(params, *second, workspace=ws)
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 0.25 * (3 * 2 * 3999 * 64 * 8)
 
     def test_result_is_not_a_view_of_the_workspace(self):
         rng = np.random.default_rng(42)
@@ -226,9 +260,9 @@ class TestSplitFilmAndWorkspace:
         labels = rng.integers(0, 5, 20)
         first = forward(params, x, 12, labels, workspace=ws)
         want = first.copy()
-        arrays = [v for v in ws.values() if isinstance(v, np.ndarray)]
+        arrays = _row_blocks(ws) + _label_tables(ws) + [layer.folded for layer in ws["plan"][0]]
         arrays += [row for rows in ws["time_rows"].values() for row in rows.values()]
-        assert len(arrays) == 3 * 2 + 4 + 4
+        assert len(arrays) == 3 * 2 + 4 + 2 + 4
         assert not any(np.shares_memory(first, buf) for buf in arrays)
         first[...] = 1e300
         assert np.array_equal(forward(params, x, 12, labels, workspace=ws), want)
@@ -242,9 +276,10 @@ class TestSplitFilmAndWorkspace:
         params = self._net(rng)
         time_row = rng.standard_normal((1, 16))
         labels = rng.integers(0, 5, 40)
-        folded = _film(params.tensors, "layer0_film_g", time_row, labels, np.empty((40, 16)), {})
-        gathered = _film(params.tensors, "layer0_film_g", np.repeat(time_row, 40, axis=0), labels,
-                         np.empty((40, 16)), {})
+        table = params.tensors["label_emb"] @ params.tensors["layer0_film_gw"].T
+        folded = _film(table, time_row, labels, np.empty((40, 16)), np.empty((5, 16)))
+        gathered = _film(table, np.repeat(time_row, 40, axis=0), labels, np.empty((40, 16)),
+                         np.empty((5, 16)))
         assert np.array_equal(folded, gathered)
 
     def test_workspace_binds_the_label_tables_of_its_first_call(self):
@@ -258,14 +293,14 @@ class TestSplitFilmAndWorkspace:
         labels = rng.integers(0, 5, 30)
         ws: dict = {}
         first = forward(params, x, 33, labels, workspace=ws)
-        tables = {k: v for k, v in ws.items() if k.startswith("label_")}
+        tables = _label_tables(ws)
         assert len(tables) == 4
         rows = dict(ws["time_rows"][33])
         assert len(rows) == 4
         params.tensors["label_emb"] += 1.0
         params.tensors["time_w"] += 1.0
         assert np.array_equal(forward(params, x, 33, labels, workspace=ws), first)
-        assert all(ws[k] is v for k, v in tables.items())
+        assert all(now is then for now, then in zip(_label_tables(ws), tables))
         assert all(ws["time_rows"][33][k] is v for k, v in rows.items())
         assert not np.array_equal(forward(params, x, 33, labels), first)
 

@@ -1,4 +1,6 @@
 """Synthetic world generation, datasets, sweeps, and posterior curve export."""
+import io
+import json
 import os
 import re
 import tempfile
@@ -442,6 +444,21 @@ class TestWorldIO:
         path.write_text('{"format": "SOMETHING-ELSE v1"}\n')
         with pytest.raises(ValueError, match="not a world file"):
             load_world(str(path))
+
+    @pytest.mark.parametrize("seed", [3, 11, 21])
+    def test_file_holds_the_bytes_json_dump_writes(self, tmp_path, seed):
+        """The world file is encoded by ``json.dumps`` (the C encoder); it
+        holds the bytes the pure-Python ``json.dump`` writes for the same
+        document."""
+        world = gen_world(WorldSpec(seed=seed))
+        path = tmp_path / "world.json"
+        save_world(world, str(path))
+        doc = {"format": harness_mod.WORLD_MAGIC,
+               **{name: to_json(world) for name, to_json, _ in harness_mod._WORLD_FIELDS}}
+        want = io.StringIO()
+        json.dump(doc, want, sort_keys=True)
+        want.write("\n")
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_reruns_write_identical_bytes(self, tmp_path):
         world = gen_world(_small_spec(seed=29))

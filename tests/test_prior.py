@@ -425,9 +425,10 @@ class TestRowBlocks:
         p, q = _random_mixture(rng, 7, 3, 4), _random_mixture(rng, 7, 3, 4)
         labels = rng.integers(0, 7, 61)
         x = rng.normal(0, 2, (61, 4))
-        tables = noised_tables(p, labels, range(30), SCHED)
 
         def run():
+            # Tables size their work blocks when built, so each run builds its own.
+            tables = noised_tables(p, labels, range(30), SCHED)
             return [exact_eps_batch(tables, None, 17, x, SCHED),
                     exact_eps_batch(p, labels, 29, x, SCHED),
                     noised_marginal_logpdf_batch(p, labels, 12, x, SCHED),

@@ -7,11 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from priorshift import denoiser as denoiser_mod
+from priorshift import prior as prior_mod
 from priorshift import sampler as sampler_mod
 from priorshift.denoiser import eval_loss_diff, forward, init_denoiser, init_residual, \
     predict_zc2
 from priorshift.harness import WorldSpec, build_context, gen_dataset, gen_world
 from priorshift.latent import (
+    BLOCK_VALUES,
     Codebook,
     LatentSequence,
     Standardizer,
@@ -36,8 +38,8 @@ from priorshift.sampler import (
     model_eps_source,
     prior_eps_source,
 )
-from priorshift.schedule import Schedule, alpha_bar_at, ddim_step, default_schedule, \
-    reconstruct_x0
+from priorshift.schedule import Schedule, alpha_bar_at, ddim_step, ddim_update, \
+    default_schedule, reconstruct_x0, step_roots
 
 SCHED = default_schedule()
 
@@ -166,6 +168,20 @@ class TestDdimStep:
     def test_mismatched_estimate_rejected(self):
         with pytest.raises(ValueError, match="noise shape"):
             ddim_step(np.zeros((3, 2)), 5, np.zeros((3, 1)), SCHED)
+
+    def test_update_on_bound_scales_gives_the_bits_of_ddim_step(self):
+        """The chain's update, on scales read once and into blocks it owns,
+        writes the step into ``out`` and leaves its inputs alone."""
+        rng = np.random.default_rng(65)
+        roots = step_roots(SCHED, SCHED.T)
+        out, spare = np.empty((135, 8)), np.empty((135, 8))
+        for t in (0, 1, 17, SCHED.T - 1):
+            x_t, eps_hat = rng.standard_normal((2, 135, 8))
+            keep = x_t.copy(), eps_hat.copy()
+            got = ddim_update(x_t, eps_hat, roots[t], roots[t - 1] if t else None, out, spare)
+            assert got is out
+            assert got.tobytes() == ddim_step(x_t, t, eps_hat, SCHED).tobytes()
+            assert np.array_equal(x_t, keep[0]) and np.array_equal(eps_hat, keep[1])
 
     def test_constant_noise_level_is_a_fixed_point(self):
         """If the cumulative signal fraction does not change between steps,
@@ -305,6 +321,60 @@ class TestBoundSteps:
             got = step(x, t)
             assert got.tobytes() == forward(theta, x, t, labels).tobytes()
             assert got.tobytes() == forward(theta, x, t, labels, workspace=ws).tobytes()
+
+
+def _stepwise(x: np.ndarray, t_start: int, eps_at, sched: Schedule) -> np.ndarray:
+    """The reverse chain from public calls alone: ``ddim_step`` on each
+    step's prediction ``eps_at(x, t)``."""
+    for t in range(t_start - 1, -1, -1):
+        x = ddim_step(x, t, eps_at(x, t), sched)
+    return x
+
+
+class TestFusedChain:
+    """A chain binds its scales, its predictor's work blocks or plan, and
+    its own frame blocks once, then updates in place: it gives the bits of
+    the chain stepped through the public calls."""
+
+    @pytest.mark.parametrize("t_start", [1, 25, 100])
+    def test_exact_chain_matches_stepwise_public_calls(self, t_start, monkeypatch):
+        """2,433 rows of C = 3 components in d = 4: two full row blocks of
+        1,213 rows and a part block.  The chain makes the kernel's work
+        blocks once, with its tables."""
+        rng = np.random.default_rng(66)
+        C, d = 3, 4
+        w = rng.dirichlet(np.ones(C), size=5)
+        w[2, 1] = 0.0
+        w[2] /= w[2].sum()
+        p = ConditionalGMM(weights=w, means=rng.normal(0, 2, (5, C, d)),
+                           variances=rng.uniform(0.3, 2.0, (5, C, d)))
+        rows = BLOCK_VALUES // (C * (2 * d + 1))
+        n = 2 * rows + 7
+        labels = rng.integers(0, 5, n)
+        x = rng.normal(0, 2, (n, d))
+        made = []
+        real = prior_mod._ExactWork
+        monkeypatch.setattr(prior_mod, "_ExactWork", lambda *args: made.append(args) or real(*args))
+        got = denoise_from(x, t_start, prior_eps_source(p, SCHED), labels, SCHED)
+        assert made == [(n, C, d)]
+        want = _stepwise(x, t_start, lambda xt, t: exact_eps_batch(p, labels, t, xt, SCHED), SCHED)
+        assert got.tobytes() == want.tobytes()
+
+    def test_model_chains_sharing_a_workspace_match_stepwise_forward(self):
+        """Chains of 1, 25, 50 and 100 steps through one source, as a sweep
+        runs them, each give the bits of ``forward`` and ``ddim_step`` on
+        a fresh workspace at every step."""
+        rng = np.random.default_rng(67)
+        theta = init_denoiser(3, 4, (16, 12), 6, 8, rng)
+        for arr in theta.tensors.values():
+            arr += 0.2 * rng.standard_normal(arr.shape)
+        predictor = model_eps_source(theta)
+        x = rng.standard_normal((50, 3))
+        labels = rng.integers(0, 4, 50)
+        for t_start in (1, 25, 50, 100):
+            got = denoise_from(x, t_start, predictor, labels, SCHED)
+            want = _stepwise(x, t_start, lambda xt, t: forward(theta, xt, t, labels), SCHED)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDenoiseFrom:

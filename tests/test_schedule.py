@@ -10,6 +10,7 @@ from priorshift.schedule import (
     alpha_bar_at,
     default_schedule,
     linear_schedule,
+    step_roots,
 )
 
 
@@ -128,6 +129,24 @@ class TestAlphaBarInvariants:
         assert arr.dtype == np.float64
         for t in range(s.T):
             assert arr[t] == alpha_bar_at(s, t)
+
+
+class TestStepRoots:
+    def test_each_pair_holds_the_square_roots_of_the_lookup(self):
+        """Read in one go, each step's scales have the bits of the square
+        roots of its scalar lookup."""
+        s = default_schedule()
+        roots = step_roots(s, s.T)
+        assert len(roots) == s.T
+        for t, (root, root_1m) in enumerate(roots):
+            ab = alpha_bar_at(s, t)
+            assert type(root) is float and root == np.sqrt(ab) and root_1m == np.sqrt(1.0 - ab)
+        assert step_roots(s, 25) == roots[:25] and step_roots(s, 0) == []
+
+    @pytest.mark.parametrize("stop", [-1, 101])
+    def test_steps_beyond_the_schedule_rejected(self, stop):
+        with pytest.raises(ValueError, match=rf"steps \[0, {stop}\) outside \[0, 100\)"):
+            step_roots(default_schedule(), stop)
 
 
 def test_handbuilt_schedule_puts_no_constraints_on_values():
