@@ -10,22 +10,21 @@ projection plus a row gathered from an (n_labels, width) label table, the
 projection of the label embedding.  The residual head maps concatenated
 encoder features and the reconstructed clean frame to a second-stage
 correction.  Both are one MLP core with one parameter record, the head
-without FiLM, and training and eval run it alike through a workspace of
-row blocks: five per FiLM layer for a training batch, kept for the
-backward pass, and three for eval.  A workspace builds a plan of its
-parameter set on its first call: each layer's weights, biases, FiLM keys
-and label tables, so no call looks a tensor up by name.  Kept across a
-reverse chain, it builds the plan once, and each step's time rows once
-for the chains that reach that step, as a sweep's do.  When the frames
-share a step, the one time row is added to the small table before the
-gather.
-A training run keeps one workspace across its batches: row blocks,
-gradients and dropout masks are reused while the batch shape holds, and
-only the label tables are rebuilt for each batch, from the parameters
-Adam just changed.  Each parameter set keeps its tensors as named views
-into one flat float64 buffer, so Adam updates it with whole-buffer
-operations into scratch buffers of its state.  All gradients are derived
-by hand; the only array machinery used is numpy.
+without FiLM.  The record keeps its tensors as named views into one flat
+float64 buffer, so Adam updates it with whole-buffer operations, and
+beside them each layer's transposed weight, bias and FiLM keys, built
+once; every writer writes the buffer in place, so these stay current.
+Training and eval run the core alike through a workspace, which holds only
+what it derives from the parameters or reuses: the FiLM label tables,
+built on its first call, with their fold blocks; row blocks, five per
+FiLM layer for a training batch, kept for the backward pass, and three
+for eval; each integer step's time rows; and the gradients.  Kept across
+reverse chains, as a sweep's are, it builds the tables once and each
+step's time rows once.  When the frames share a step, the one time row is
+added to the small table before the gather.  A training run keeps one
+workspace across its batches, and each batch drops only the denoiser's
+label tables, which Adam just made stale.  All gradients are derived by
+hand; the only array machinery used is numpy.
 """
 from __future__ import annotations
 
@@ -110,6 +109,11 @@ class MLPParams:
     ``time_dim`` embedding and ``n_labels`` labels; ``cond_dim = 0`` makes the
     residual head, a plain SiLU MLP over ``2 * dim`` inputs.  The tensors'
     key order is the order of the init draws and of the model file.
+    ``layers`` holds each hidden layer's ``(w.T, b, film)`` and ``out`` the
+    output layer's ``(w.T, b)``: views built once into ``tensors.flat``, with
+    ``film`` the keys of the layer's FiLM scale and shift (None without
+    FiLM).  Every writer (``_init``, Adam, ``load_model``, a gradient
+    check) writes the tensors in place, so the views stay current.
     """
 
     dim: int
@@ -118,6 +122,8 @@ class MLPParams:
     cond_dim: int = 0
     time_dim: int = 0
     tensors: FlatTensors = field(init=False, repr=False)
+    layers: list[tuple] = field(init=False, repr=False)
+    out: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.hidden = tuple(self.hidden)
@@ -136,7 +142,11 @@ class MLPParams:
             n_in = n_out
         shapes["out_w"] = (self.dim, n_in)
         shapes["out_b"] = (self.dim,)
-        self.tensors = FlatTensors(shapes)
+        T = self.tensors = FlatTensors(shapes)
+        self.layers = [(T[f"layer{i}_w"].T, T[f"layer{i}_b"],
+                        (f"layer{i}_film_g", f"layer{i}_film_d") if c else None)
+                       for i in range(len(self.hidden))]
+        self.out = (T["out_w"].T, T["out_b"])
 
 
 @dataclass
@@ -210,25 +220,12 @@ def _silu_grad(m: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dropout_masks(
-    params: MLPParams, n: int, dropout: float, rng: np.random.Generator,
-    workspace: dict | None = None,
-) -> list[np.ndarray] | None:
-    """Inverted-dropout multipliers, one per hidden layer, scaling baked in:
-    ``(rng.random((n, width)) >= dropout) / (1 - dropout)``.  Each is drawn
-    into the block ``mask<i>`` of ``workspace`` (a fresh dict without one),
-    so the next draw on that workspace overwrites it."""
+def dropout_masks(params: MLPParams, n: int, dropout: float,
+                  rng: np.random.Generator) -> list[np.ndarray] | None:
+    """Inverted-dropout multipliers, one per hidden layer, scaling baked in."""
     if dropout == 0.0:
         return None
-    ws = {} if workspace is None else workspace
-    keep = 1.0 - dropout
-    masks = []
-    for i, width in enumerate(params.hidden):
-        mask = rng.random(out=_buffer(ws, f"mask{i}", (n, width)))
-        np.greater_equal(mask, dropout, out=mask)
-        mask /= keep
-        masks.append(mask)
-    return masks
+    return [(rng.random((n, width)) >= dropout) / (1.0 - dropout) for width in params.hidden]
 
 
 def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -240,47 +237,19 @@ def _check_inputs(params: MLPParams, x, labels) -> tuple[np.ndarray, np.ndarray]
     return x, labels
 
 
-def _buffer(ws: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace's array under ``key``, reallocated when its shape changes."""
-    if key not in ws or ws[key].shape != shape:
-        ws[key] = np.empty(shape)
-    return ws[key]
-
-
-@dataclass(frozen=True)
-class _Layer:
-    """One hidden layer of a workspace's plan: its weight, transposed, and
-    bias; for a FiLM layer, the keys of its scale and shift coefficients
-    (their tensors' prefix and their time rows' key), their label tables
-    ``label_emb @ w.T``, and an (n_labels, width) block for a table plus
-    one time row."""
-
-    w: np.ndarray
-    b: np.ndarray
-    film: tuple[str, str] | None = None
-    tables: tuple[np.ndarray, np.ndarray] | None = None
-    folded: np.ndarray | None = None
-
-
-def _plan(params: MLPParams, ws: dict) -> tuple[list[_Layer], np.ndarray, np.ndarray]:
-    """The workspace's plan of ``params``: its hidden layers and its output
-    layer's weight, transposed, and bias.  Built on the workspace's first
-    call and kept, so a call looks up no tensor by name; the label tables
-    are built with it."""
-    plan = ws.get("plan")
-    if plan is None:
+def _label_tables(params: MLPParams, ws: dict) -> list[tuple]:
+    """The workspace's FiLM label tables, ``(gamma, delta, folded)`` per
+    hidden layer: ``label_emb @ w.T`` for the scale and the shift, and an
+    (n_labels, width) block for a table plus one time row.  Built on the
+    workspace's first call and kept."""
+    tables = ws.get("tables")
+    if tables is None:
         T = params.tensors
-        layers = []
-        for i, width in enumerate(params.hidden):
-            w, b = T[f"layer{i}_w"].T, T[f"layer{i}_b"]
-            if params.cond_dim:
-                film = (f"layer{i}_film_g", f"layer{i}_film_d")
-                tables = tuple(T["label_emb"] @ T[key + "w"].T for key in film)
-                layers.append(_Layer(w, b, film, tables, np.empty((params.n_labels, width))))
-            else:
-                layers.append(_Layer(w, b))
-        plan = ws["plan"] = (layers, T["out_w"].T, T["out_b"])
-    return plan
+        tables = ws["tables"] = [
+            tuple(T["label_emb"] @ T[key + "w"].T for key in film)
+            + (np.empty((params.n_labels, width)),)
+            for (_, _, film), width in zip(params.layers, params.hidden)]
+    return tables
 
 
 def _row_blocks(params: MLPParams, ws: dict, n: int, keep: bool) -> list[tuple]:
@@ -299,7 +268,7 @@ def _row_blocks(params: MLPParams, ws: dict, n: int, keep: bool) -> list[tuple]:
     return ws["rows"][1]
 
 
-def _time_rows(params: MLPParams, layers: list[_Layer], t, kept: dict):
+def _time_rows(params: MLPParams, t, kept: dict):
     """``(temb, tc, rows)``: the time embedding of the steps ``t``, its
     projection ``tc`` and, by coefficient key, each FiLM coefficient's time
     part ``tc @ w.T + b``.  One integer step's rows are kept in ``kept`` on
@@ -311,14 +280,15 @@ def _time_rows(params: MLPParams, layers: list[_Layer], t, kept: dict):
         return None, None, steps[step]
     temb = time_embedding(np.atleast_1d(t), params.time_dim)
     tc = temb @ T["time_w"].T + T["time_b"]
-    rows = {key: tc @ T[key + "w"].T + T[key + "b"] for layer in layers for key in layer.film}
+    rows = {key: tc @ T[key + "w"].T + T[key + "b"]
+            for _, _, film in params.layers for key in film}
     if step is not None:
         steps[step] = rows
     return temb, tc, rows
 
 
-def _film(table: np.ndarray, time_rows: np.ndarray, labels: np.ndarray, out: np.ndarray,
-          folded: np.ndarray) -> np.ndarray:
+def _film(table: np.ndarray, folded: np.ndarray, time_rows: np.ndarray, labels: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
     """``cond @ w.T + b`` for the block, where ``cond`` is the time part plus
     the label embedding (callers check ``labels``): a row of the label table
     ``label_emb @ w.T`` plus ``time_rows``, the time part's projection.  One
@@ -345,39 +315,41 @@ def _forward_cached(
 
     A parameter set with a label embedding is FiLM-conditioned on the
     timesteps ``t`` (a scalar or one per row) and ``labels``; one without it
-    is a plain SiLU MLP.  The workspace ``ws`` holds the plan of ``params``
-    (weights, biases, FiLM keys and label tables), the row blocks and each
-    integer step's time rows.  A layer computes ``a = h @ W.T + b``, ``m =
-    delta + gamma * a`` and ``z = m * sigmoid(m)``.  With ``keep``
-    (training) a FiLM layer writes five blocks, ``a``, ``gamma``, ``m``,
-    ``z`` and ``s`` (``gamma * a``, then the sigmoid), and the cache
-    :func:`_backward` reads holds ``ws`` and views of them that the next
-    call on ``ws`` overwrites.  Without it the cache is None and a FiLM
-    layer reuses three: ``a``, which then holds ``delta``, ``m`` and ``z``;
-    the scale block, which becomes ``gamma * a``; and ``s``.
+    is a plain SiLU MLP.  Each layer's weight, bias and FiLM keys are the
+    views ``params.layers`` holds; the workspace ``ws`` holds the label
+    tables, the row blocks and each integer step's time rows.  A layer
+    computes ``a = h @ W.T + b``, ``m = delta + gamma * a`` and ``z = m *
+    sigmoid(m)``.  With ``keep`` (training) a FiLM layer writes five
+    blocks, ``a``, ``gamma``, ``m``, ``z`` and ``s`` (``gamma * a``, then
+    the sigmoid), and the cache :func:`_backward` reads holds ``ws`` and
+    views of them that the next call on ``ws`` overwrites.  Without it the
+    cache is None and a FiLM layer reuses three: ``a``, which then holds
+    ``delta``, ``m`` and ``z``; the scale block, which becomes ``gamma *
+    a``; and ``s``.
     """
-    layers, out_w, out_b = _plan(params, ws)
     temb = tc = rows = None
     if params.cond_dim:
-        temb, tc, rows = _time_rows(params, layers, t, ws)
+        temb, tc, rows = _time_rows(params, t, ws)
+        tables = _label_tables(params, ws)
     h = x
     kept = []
-    for i, (layer, (a, s, gamma, m, z)) in enumerate(
-            zip(layers, _row_blocks(params, ws, x.shape[0], keep))):
-        a = np.matmul(h, layer.w, out=a)
-        a += layer.b
+    for i, ((w, b, film), (a, s, gamma, m, z)) in enumerate(
+            zip(params.layers, _row_blocks(params, ws, x.shape[0], keep))):
+        a = np.matmul(h, w, out=a)
+        a += b
         if rows is None:
             m = a
         else:
-            g, d = layer.film
-            gamma = _film(layer.tables[0], rows[g], labels, gamma, layer.folded)
+            table_g, table_d, folded = tables[i]
+            gamma = _film(table_g, folded, rows[film[0]], labels, gamma)
             scaled = np.multiply(gamma, a, out=s if keep else gamma)
-            m = _film(layer.tables[1], rows[d], labels, m if keep else a, layer.folded)
+            m = _film(table_d, folded, rows[film[1]], labels, m if keep else a)
             m += scaled
         z, s = _silu(m, s, z if keep else m)
         if keep:
             kept.append((h, a, gamma, m, s))
         h = z if masks is None else np.multiply(z, masks[i], out=z)
+    out_w, out_b = params.out
     out = h @ out_w
     out += out_b
     return out, (temb, tc, labels, kept, h, masks, ws) if keep else None
@@ -435,36 +407,35 @@ def _backward(params: MLPParams, cache, g_out: np.ndarray) -> FlatTensors:
     return grads
 
 
-def forward(params: MLPParams, x_t: np.ndarray, t, labels, *,
-            workspace: dict | None = None) -> np.ndarray:
+def forward(params: MLPParams, x_t: np.ndarray, t, labels) -> np.ndarray:
     """Predict the injected noise for an (n, d) block of frames ``x_t`` at
     step ``t``, a scalar or one per row; deterministic, no dropout (training
-    draws its masks in :func:`draw_batch_noise`).
-
-    ``workspace``, a dict kept across calls such as the steps of a sweep's
-    chains, holds the plan of ``params`` built on its first call (weights,
-    biases, FiLM keys and label tables ``label_emb @ w.T`` per
-    coefficient), three row blocks per hidden layer for reuse, and each
-    integer step's FiLM time rows (``tc @ w.T + b`` per coefficient) built
-    on that step's first call: 2 * sum(hidden) floats per step, 4 KB at
-    the default widths, 400 KB over T = 100 and ~41 MB over ``MAX_T``
-    steps, the order of an exact chain's noised tables.  A workspace is
-    bound to the parameter set and values of the calls that filled it for
-    as long as it is kept: use a fresh one for other or changed
-    parameters.  Bound that way, the result is the same as with the
-    fresh workspace a call without one uses, and is never a view of it.
+    draws its masks in :func:`draw_batch_noise`).  Each call runs on a fresh
+    workspace; :func:`bind_forward` keeps one across calls.
     """
     x, labels = _check_inputs(params, x_t, labels)
     if np.ndim(t) and np.shape(t) != labels.shape:
         raise ValueError(f"t shape {np.shape(t)} does not match batch {x.shape[0]}")
-    return _forward_cached(params, x, {} if workspace is None else workspace, t, labels)[0]
+    return _forward_cached(params, x, {}, t, labels)[0]
 
 
 def bind_forward(params: MLPParams, labels, workspace: dict):
     """:func:`forward` bound to ``labels`` and ``workspace``, with the labels
     checked here, once.  The returned ``step(x_t, t)`` runs the core with no
     per-call checks, so it takes what a reverse chain passes: an (n, d)
-    float64 block, n the number of labels, and one step ``t``."""
+    float64 block, n the number of labels, and one step ``t``.
+
+    ``workspace``, a dict kept across calls such as the steps of a sweep's
+    chains, holds the FiLM label tables ``label_emb @ w.T`` per
+    coefficient, built on its first call, three row blocks per hidden layer
+    for reuse, and each integer step's FiLM time rows (``tc @ w.T + b`` per
+    coefficient) built on that step's first call: 2 * sum(hidden) floats
+    per step, 4 KB at the default widths, 400 KB over T = 100 and ~41 MB
+    over ``MAX_T`` steps, the order of an exact chain's noised tables.  A
+    workspace is bound to the parameter values of the calls that filled it
+    for as long as it is kept: use a fresh one for other or changed
+    parameters.  Bound that way, a step gives the bits of :func:`forward`,
+    and its result is never a view of the workspace."""
     labels = check_labels(labels, params.n_labels)
     return lambda x_t, t: _forward_cached(params, x_t, workspace, t, labels)[0]
 
@@ -485,14 +456,11 @@ def draw_batch_noise(
     sched: Schedule,
     rng: np.random.Generator,
     dropout: float,
-    workspace: dict | None = None,
 ):
-    """Per-batch stochastic inputs, always in the order t, eps, masks; the
-    masks are drawn into ``workspace``'s blocks, as :func:`dropout_masks`
-    says."""
+    """Per-batch stochastic inputs, always in the order t, eps, masks."""
     t = rng.integers(0, sched.T, size=n)
     eps = rng.standard_normal((n, theta.dim))
-    masks = dropout_masks(theta, n, dropout, rng, workspace)
+    masks = dropout_masks(theta, n, dropout, rng)
     return t, eps, masks
 
 
@@ -524,10 +492,10 @@ def loss_total(
     each parameter set's row blocks and gradient buffer (under ``"theta"``
     and ``"phi"``), reused while the batch shape holds.  The returned
     gradients are those buffers, so the next call on the workspace
-    overwrites them.  Each call drops both plans first and builds them
-    afresh: the parameters change between calls, by Adam or by a gradient
-    check's perturbations, and a kept plan's label tables would be stale.
-    A call without a workspace runs on a fresh dict.
+    overwrites them.  Each call first drops the denoiser's label tables,
+    the one thing the workspace derives from values that Adam or a
+    gradient check's perturbations change between calls; the residual head
+    has none.  A call without a workspace runs on a fresh dict.
     """
     x0, labels = _check_inputs(theta, x0, labels)
     zc2 = np.asarray(zc2, dtype=np.float64)
@@ -539,8 +507,7 @@ def loss_total(
         raise ValueError("t and eps must give one step and one noise row per frame")
     ws = {} if workspace is None else workspace
     theta_ws, phi_ws = ws.setdefault("theta", {}), ws.setdefault("phi", {})
-    theta_ws.pop("plan", None)
-    phi_ws.pop("plan", None)
+    theta_ws.pop("tables", None)
     x_t = forward_corrupt(x0, t, eps, sched)
     eps_hat, cache = _forward_cached(theta, x_t, theta_ws, t, labels, masks, keep=True)
     r = eps_hat - eps
@@ -617,9 +584,8 @@ def train(
     One generator drives initialization, epoch shuffles, per-batch timestep
     and noise draws, and dropout masks, in a fixed order, so a fixed seed
     reproduces parameters bit for bit.  One workspace serves the whole run:
-    every batch draws its dropout masks, row blocks and gradients into the
-    same buffers while the batch shape holds.  Raises if the loss goes
-    non-finite.
+    every batch writes its row blocks and gradients into the same buffers
+    while the batch shape holds.  Raises if the loss goes non-finite.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -644,7 +610,7 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            t, eps, masks = draw_batch_noise(theta, idx.size, sched, rng, cfg.dropout, ws)
+            t, eps, masks = draw_batch_noise(theta, idx.size, sched, rng, cfg.dropout)
             loss, tg, rg = loss_total(
                 theta, phi, x0[idx], zc2[idx], h[idx], labels[idx], t, eps, masks,
                 cfg.lam, sched, destd=std, workspace=ws,

@@ -101,11 +101,11 @@ def model_eps_source(theta: MLPParams) -> Predictor:
     """Trained predictor, always evaluated without dropout.  Binding checks
     the labels once, and each bound step runs the network without the
     per-call checks of :func:`forward`.  Every bound step shares one
-    workspace, bound to ``theta`` for the source's life: the plan of
-    ``theta`` (weights, biases, FiLM keys and label tables) is built on the
-    first step, and every step of every chain reuses it and the row blocks,
-    whatever steps it was bound to.  ``theta`` must not change while the
-    source is in use."""
+    workspace, bound to ``theta`` for the source's life: the FiLM label
+    tables of ``theta`` are built on the first step, and every step of every
+    chain reuses them, the row blocks and each step's time rows, whatever
+    steps it was bound to.  ``theta`` must not change while the source is
+    in use."""
     workspace: dict = {}
 
     def bind(labels: np.ndarray, steps: range) -> EpsStep:

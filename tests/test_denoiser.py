@@ -13,10 +13,12 @@ from scipy.special import expit
 from priorshift.denoiser import (
     AdamState,
     FlatTensors,
+    MLPParams,
     ModelBundle,
     MAX_EPOCHS,
     TrainConfig,
     adam_step,
+    bind_forward,
     draw_batch_noise,
     dropout_masks,
     eval_loss_diff,
@@ -177,8 +179,13 @@ def _row_blocks(ws):
 
 
 def _label_tables(ws):
-    """The FiLM label tables of a workspace's plan, two per hidden layer."""
-    return [table for layer in ws["plan"][0] for table in layer.tables]
+    """The FiLM label tables a workspace holds, two per hidden layer."""
+    return [table for layer in ws["tables"] for table in layer[:2]]
+
+
+def _kept(params, x, t, labels, ws):
+    """A forward through the kept workspace ``ws``, as a bound step runs it."""
+    return bind_forward(params, labels, ws)(x, t)
 
 
 class TestSplitFilmAndWorkspace:
@@ -210,7 +217,7 @@ class TestSplitFilmAndWorkspace:
         for step, n in enumerate((150, 37, 150, 150)):
             x = rng.standard_normal((n, 3))
             labels = rng.integers(0, 5, n)
-            got = forward(params, x, 90 - step, labels, workspace=ws)
+            got = _kept(params, x, 90 - step, labels, ws)
             assert np.array_equal(got, forward(params, x, 90 - step, labels))
             ids.append({k: id(v) for k, v in ws.items()})
         assert ws and ids[1] != ids[0] and ids[3] == ids[2]
@@ -220,7 +227,7 @@ class TestSplitFilmAndWorkspace:
         row_ids = {k: id(v) for k, v in rows.items()}
         x = rng.standard_normal((150, 3))
         labels = rng.integers(0, 5, 150)
-        got = forward(params, x, 90, labels, workspace=ws)
+        got = _kept(params, x, 90, labels, ws)
         assert np.array_equal(got, forward(params, x, 90, labels))
         assert ws["time_rows"][90] is rows and {k: id(v) for k, v in rows.items()} == row_ids
         train_ws: dict = {}
@@ -243,10 +250,10 @@ class TestSplitFilmAndWorkspace:
         second = rng.standard_normal((3999, 3)), 7, rng.integers(0, 5, 3999)
         tracemalloc.start()
         try:
-            forward(params, *first, workspace=ws)
+            _kept(params, *first, ws)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            forward(params, *second, workspace=ws)
+            _kept(params, *second, ws)
             growth = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -258,14 +265,14 @@ class TestSplitFilmAndWorkspace:
         ws: dict = {}
         x = rng.standard_normal((20, 3))
         labels = rng.integers(0, 5, 20)
-        first = forward(params, x, 12, labels, workspace=ws)
+        first = _kept(params, x, 12, labels, ws)
         want = first.copy()
-        arrays = _row_blocks(ws) + _label_tables(ws) + [layer.folded for layer in ws["plan"][0]]
+        arrays = _row_blocks(ws) + _label_tables(ws) + [layer[2] for layer in ws["tables"]]
         arrays += [row for rows in ws["time_rows"].values() for row in rows.values()]
         assert len(arrays) == 3 * 2 + 4 + 2 + 4
         assert not any(np.shares_memory(first, buf) for buf in arrays)
         first[...] = 1e300
-        assert np.array_equal(forward(params, x, 12, labels, workspace=ws), want)
+        assert np.array_equal(_kept(params, x, 12, labels, ws), want)
 
     def test_folded_time_row_matches_gather_then_add(self):
         """One step for the block adds the time row to the label table before
@@ -277,9 +284,9 @@ class TestSplitFilmAndWorkspace:
         time_row = rng.standard_normal((1, 16))
         labels = rng.integers(0, 5, 40)
         table = params.tensors["label_emb"] @ params.tensors["layer0_film_gw"].T
-        folded = _film(table, time_row, labels, np.empty((40, 16)), np.empty((5, 16)))
-        gathered = _film(table, np.repeat(time_row, 40, axis=0), labels, np.empty((40, 16)),
-                         np.empty((5, 16)))
+        folded = _film(table, np.empty((5, 16)), time_row, labels, np.empty((40, 16)))
+        gathered = _film(table, np.empty((5, 16)), np.repeat(time_row, 40, axis=0), labels,
+                         np.empty((40, 16)))
         assert np.array_equal(folded, gathered)
 
     def test_workspace_binds_the_label_tables_of_its_first_call(self):
@@ -292,14 +299,14 @@ class TestSplitFilmAndWorkspace:
         x = rng.standard_normal((30, 3))
         labels = rng.integers(0, 5, 30)
         ws: dict = {}
-        first = forward(params, x, 33, labels, workspace=ws)
+        first = _kept(params, x, 33, labels, ws)
         tables = _label_tables(ws)
         assert len(tables) == 4
         rows = dict(ws["time_rows"][33])
         assert len(rows) == 4
         params.tensors["label_emb"] += 1.0
         params.tensors["time_w"] += 1.0
-        assert np.array_equal(forward(params, x, 33, labels, workspace=ws), first)
+        assert np.array_equal(_kept(params, x, 33, labels, ws), first)
         assert all(now is then for now, then in zip(_label_tables(ws), tables))
         assert all(ws["time_rows"][33][k] is v for k, v in rows.items())
         assert not np.array_equal(forward(params, x, 33, labels), first)
@@ -317,10 +324,10 @@ class TestSplitFilmAndWorkspace:
                             lambda t, dim: embedded.append(np.copy(t)) or real(t, dim))
         ws: dict = {}
         for t in (5, 7, np.int64(5), 9, 7, np.int32(9)):
-            forward(params, x, t, labels, workspace=ws)
+            _kept(params, x, t, labels, ws)
         assert sorted(ws["time_rows"]) == [5, 7, 9] and len(embedded) == 3
-        forward(params, x, np.full(25, 11), labels, workspace=ws)
-        forward(params, x, 11.0, labels, workspace=ws)
+        _kept(params, x, np.full(25, 11), labels, ws)
+        _kept(params, x, 11.0, labels, ws)
         assert sorted(ws["time_rows"]) == [5, 7, 9] and len(embedded) == 5
 
     @pytest.mark.parametrize("t", [57, np.int64(3), 57.5, "per-row"])
@@ -337,7 +344,7 @@ class TestSplitFilmAndWorkspace:
         want = _forward_cached(params, x, {}, t, labels, keep=True)[0]
         ws: dict = {}
         for _ in range(2):
-            assert forward(params, x, t, labels, workspace=ws).tobytes() == want.tobytes()
+            assert _kept(params, x, t, labels, ws).tobytes() == want.tobytes()
         assert forward(params, x, t, labels).tobytes() == want.tobytes()
 
     def test_residual_head_eval_matches_the_training_path_bitwise(self):
@@ -735,22 +742,6 @@ class TestTrainingWorkspace:
     """A workspace kept across training batches changes no bit of what a
     fresh one gives, whatever changed between the calls."""
 
-    def test_masks_drawn_into_kept_blocks_match_fresh_draws(self):
-        theta = _small_net(np.random.default_rng(49), hidden=(16, 12))
-        ws: dict = {}
-        kept, fresh = np.random.default_rng(50), np.random.default_rng(50)
-        blocks = None
-        for n in (64, 64, 56, 64):
-            got = dropout_masks(theta, n, 0.1, kept, ws)
-            want = [(fresh.random((n, width)) >= 0.1) / 0.9 for width in theta.hidden]
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-            assert all(g.shape == w.shape and g.dtype == w.dtype for g, w in zip(got, want))
-            assert kept.bit_generator.state == fresh.bit_generator.state
-            ids = [id(g) for g in got]
-            if n == 64 and blocks is not None and blocks[0] == 64:
-                assert ids == blocks[1]
-            blocks = (n, ids)
-
     def test_kept_workspace_gives_the_bits_of_a_fresh_one(self):
         """Through one workspace: a batch, an Adam-like change to both
         parameter sets, a smaller batch, then the first shape again.  Each
@@ -766,15 +757,15 @@ class TestTrainingWorkspace:
         for n in (64, 56, 64):
             x0, zc2, h = (rng.standard_normal((n, 3)) for _ in range(3))
             labels = rng.integers(0, 5, n)
-            t, eps, masks = draw_batch_noise(theta, n, SCHED, rng, 0.1, ws)
+            t, eps, masks = draw_batch_noise(theta, n, SCHED, rng, 0.1)
             got = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.5, SCHED,
                              destd, workspace=ws)
-            want = loss_total(theta, phi, x0, zc2, h, labels, t, eps,
-                              [mask.copy() for mask in masks], 0.5, SCHED, destd)
+            want = loss_total(theta, phi, x0, zc2, h, labels, t, eps, masks, 0.5, SCHED, destd)
             assert got[0] == want[0]
             assert got[1].flat.tobytes() == want[1].flat.tobytes()
             assert got[2].flat.tobytes() == want[2].flat.tobytes()
             assert got[1] is ws["theta"]["grads"] and got[2] is ws["phi"]["grads"]
+            assert "tables" in ws["theta"] and "tables" not in ws["phi"]
             for params in (theta, phi):
                 params.tensors.flat[...] += 0.05 * rng.standard_normal(params.tensors.flat.size)
 
@@ -823,6 +814,57 @@ class TestFlatBuffers:
         self._assert_views(grads)
         assert list(grads) == list(theta.tensors)
         assert all(grads[k].shape == theta.tensors[k].shape for k in grads)
+
+
+class TestLayerViews:
+    """The layer views a parameter record builds once follow every writer
+    of its tensors: after each write, a forward on a new workspace gives the
+    bits of a freshly built record that holds copies of the tensors."""
+
+    @staticmethod
+    def _run(params, x, labels):
+        if params.cond_dim:
+            return forward(params, x[:, :params.dim], 37, labels)
+        return predict_zc2(params, x[:, :params.dim], x[:, params.dim:])
+
+    def _assert_current(self, params, x, labels):
+        """``params`` runs as a fresh record holding copies of its tensors,
+        whose views the test builds from those copies, so the reference
+        shares no memory with ``params`` and owes nothing to how a record
+        builds its views."""
+        copy = MLPParams(params.dim, params.hidden, params.n_labels, params.cond_dim,
+                         params.time_dim)
+        copy.tensors.flat[...] = params.tensors.flat
+        T = {name: arr.copy() for name, arr in params.tensors.items()}
+        copy.layers = [(T[f"layer{i}_w"].T, T[f"layer{i}_b"], film)
+                       for i, (_, _, film) in enumerate(params.layers)]
+        copy.out = (T["out_w"].T, T["out_b"])
+        assert self._run(params, x, labels).tobytes() == self._run(copy, x, labels).tobytes()
+
+    @pytest.mark.parametrize("hidden", [(6, 4), ()], ids=["hidden", "no-hidden"])
+    @pytest.mark.parametrize("head", [False, True], ids=["denoiser", "residual"])
+    def test_views_follow_adam_load_and_gradient_check(self, hidden, head, tmp_path):
+        rng = np.random.default_rng(52)
+        theta = _perturb(_small_net(rng, hidden=hidden, cond_dim=3), rng)
+        phi = _perturb(init_residual(2, hidden, rng), rng)
+        x = rng.standard_normal((9, 4))
+        labels = rng.integers(0, 3, 9)
+        which = "phi" if head else "theta"
+        bundle = ModelBundle(theta, phi, Standardizer(mean=np.zeros(2), std=np.ones(2)))
+        params = getattr(bundle, which)
+        flat = params.tensors.flat
+        adam_step(flat, rng.standard_normal(flat.size), AdamState.for_buffer(flat), 0.05)
+        self._assert_current(params, x, labels)
+        path = str(tmp_path / "model.txt")
+        save_model(path, bundle, SCHED)
+        params = getattr(load_model(path)[0], which)
+        self._assert_current(params, x, labels)
+
+        def loss_fn():
+            self._assert_current(params, x, labels)
+            return 0.0, {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+
+        gradient_check(loss_fn, params.tensors)
 
 
 class TestTrainLoop:

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from priorshift import denoiser as denoiser_mod
 from priorshift import prior as prior_mod
 from priorshift import sampler as sampler_mod
-from priorshift.denoiser import eval_loss_diff, forward, init_denoiser, init_residual, \
-    predict_zc2
+from priorshift.denoiser import bind_forward, eval_loss_diff, forward, init_denoiser, \
+    init_residual, predict_zc2
 from priorshift.harness import WorldSpec, build_context, gen_dataset, gen_world
 from priorshift.latent import (
     BLOCK_VALUES,
@@ -315,12 +315,12 @@ class TestBoundSteps:
             arr += 0.2 * rng.standard_normal(arr.shape)
         labels = rng.integers(0, 4, 21)
         step = model_eps_source(theta)(labels, range(SCHED.T))
-        ws: dict = {}
+        kept = bind_forward(theta, labels, {})
         for t in (99, 50, 0):
             x = rng.normal(0, 1, (21, 3))
             got = step(x, t)
             assert got.tobytes() == forward(theta, x, t, labels).tobytes()
-            assert got.tobytes() == forward(theta, x, t, labels, workspace=ws).tobytes()
+            assert got.tobytes() == kept(x, t).tobytes()
 
 
 def _stepwise(x: np.ndarray, t_start: int, eps_at, sched: Schedule) -> np.ndarray:
