@@ -16,7 +16,7 @@ rev=$1
 out=$2
 [ ! -e "$out" ] || { echo "$0: $out already exists" >&2; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
-git -C "$root" rev-parse --verify --quiet "$rev^{commit}" >/dev/null ||
+git -C "$root" rev-parse --verify --quiet "$rev^{commit}" >/dev/null 2>&1 ||
     { echo "$0: $rev is not a commit" >&2; exit 2; }
 
 mkdir -p "$out/rev-tree"

@@ -1,11 +1,13 @@
 """Analytic conditional Gaussian-mixture priors.
 
 Everything the corruption process does to a diagonal mixture stays in
-closed form: the noised marginal is again a mixture, its score (and hence
-the exact noise prediction) is a responsibility-weighted sum, and a single
-Gaussian component admits a conjugate clean-frame posterior.  A gridded
-posterior covers the general mixture case in one dimension, and a Bayes
-two-class rule turns a pair of priors into a nativeness probability.
+closed form: the mixture noised to a step is again a mixture, with means
+sqrt(ab) mean and variances ab var + 1 - ab, so :func:`logpdf_batch` is
+the one density kernel for both; its score (and hence the exact noise
+prediction) is a responsibility-weighted sum, and a single Gaussian
+component admits a conjugate clean-frame posterior.  A gridded posterior
+covers the general mixture case in one dimension, and a Bayes two-class
+rule turns a pair of priors into a nativeness probability.
 """
 from __future__ import annotations
 
@@ -111,33 +113,6 @@ def expit(z: np.ndarray) -> np.ndarray:
     return np.array([_expit_one(v) for v in np.asarray(z, dtype=np.float64).tolist()])
 
 
-def _log_marginal(p: ConditionalGMM, labels, x, ab: float = 1.0) -> np.ndarray:
-    """Per-frame log density of the mixture corrupted to cumulative level
-    ``ab`` (1 is clean): the :func:`logsumexp` over components of the log
-    joint, log weight plus log density.  Direct form: squares of the
-    frames' offsets, so values far from the mass overflow to a density of
-    zero rather than to inf - inf.  Rows go through in blocks of at most
-    ``BLOCK_VALUES`` (row, component, dim) values; each row's result
-    depends on that row alone."""
-    x = frame_block(x, p.dim, "prior")
-    labels = check_labels(labels, p.n_labels)
-    if labels.shape != x.shape[:1]:
-        raise ValueError(f"{x.shape[0]} frames for {labels.size} labeled rows")
-    m = np.sqrt(ab) * p.means
-    v = ab * p.variances + (1.0 - ab)
-    with np.errstate(divide="ignore"):
-        lw = np.log(p.weights)
-    out = np.empty(x.shape[0])
-    rows = max(1, BLOCK_VALUES // (p.n_components * p.dim))
-    for lo in range(0, x.shape[0], rows):
-        k = labels[lo:lo + rows]
-        vk = v[k]
-        diff = x[lo:lo + rows, None, :] - m[k]
-        out[lo:lo + rows] = logsumexp(
-            lw[k] - 0.5 * (diff * diff / vk + np.log(vk) + _LOG_2PI).sum(axis=2))
-    return out
-
-
 class _ExactWork:
     """The blocks :func:`exact_eps_batch` works in on ``n`` rows of C
     components in d dimensions, one row block at a time (at most
@@ -237,16 +212,28 @@ def sample_frames(p: ConditionalGMM, labels: np.ndarray, rng: np.random.Generato
 
 
 def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Uncorrupted mixture log density per frame."""
-    return _log_marginal(p, labels, x)
-
-
-def noised_marginal_logpdf_batch(
-    p: ConditionalGMM, labels: np.ndarray, t: int, x: np.ndarray, sched: Schedule
-) -> np.ndarray:
-    """Log density of the corrupted marginal at step ``t``, one value per frame."""
-    ab = _alpha_bar_one(sched, t)
-    return _log_marginal(p, labels, x, ab)
+    """Per-frame mixture log density, clean or noised (a noised mixture is
+    again a mixture): the :func:`logsumexp` over components of the log
+    joint, log weight plus log density.  Direct form: squares of the
+    frames' offsets, so values far from the mass overflow to a density of
+    zero rather than to inf - inf.  Rows go through in blocks of at most
+    ``BLOCK_VALUES`` (row, component, dim) values; each row's result
+    depends on that row alone."""
+    x = frame_block(x, p.dim, "prior")
+    labels = check_labels(labels, p.n_labels)
+    if labels.shape != x.shape[:1]:
+        raise ValueError(f"{x.shape[0]} frames for {labels.size} labeled rows")
+    with np.errstate(divide="ignore"):
+        lw = np.log(p.weights)
+    out = np.empty(x.shape[0])
+    rows = max(1, BLOCK_VALUES // (p.n_components * p.dim))
+    for lo in range(0, x.shape[0], rows):
+        k = labels[lo:lo + rows]
+        vk = p.variances[k]
+        diff = x[lo:lo + rows, None, :] - p.means[k]
+        out[lo:lo + rows] = logsumexp(
+            lw[k] - 0.5 * (diff * diff / vk + np.log(vk) + _LOG_2PI).sum(axis=2))
+    return out
 
 
 def exact_eps_batch(
@@ -336,8 +323,7 @@ def resolving_points(p: ConditionalGMM, t: int, span: float, sched: Schedule) ->
     slimmest component, which lies above 1e-6 of its peak over
     2 sqrt(2 ln 1e6) standard deviations.  The count is a whole-valued
     float: past float range it is inf rather than an OverflowError."""
-    ab = _alpha_bar_one(sched, t)
-    sd = np.sqrt(1.0 / (1.0 / p.variances.min() + ab / (1.0 - ab)))
+    sd = np.sqrt(gaussian_posterior_moments(0.0, p.variances.min(), t, 0.0, sched)[1])
     width = float(2.0 * np.sqrt(-2.0 * np.log(_RESOLVE_FLOOR)) * sd)
     return float(np.ceil(_RESOLVE_POINTS * span / width)) + 1.0
 

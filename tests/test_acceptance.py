@@ -32,7 +32,7 @@ from priorshift.prior import (
     exact_eps_batch,
     gaussian_posterior_moments,
     grid_moments,
-    noised_marginal_logpdf_batch,
+    logpdf_batch,
     posterior_grid,
     standardized,
 )
@@ -115,13 +115,15 @@ def test_criterion_02_score_oracle_equivalence():
         ab = alpha_bar_at(SCHED, t)
         x = rng.normal(0, 2, d)
         label = np.zeros(1, dtype=int)
+        # The noised marginal is again a mixture.
+        pt = ConditionalGMM(p.weights, np.sqrt(ab) * p.means, ab * p.variances + (1.0 - ab))
         grad = np.empty(d)
         for j in range(d):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            lp = noised_marginal_logpdf_batch(p, label, t, xp[None, :], SCHED)[0]
-            lm = noised_marginal_logpdf_batch(p, label, t, xm[None, :], SCHED)[0]
+            lp = logpdf_batch(pt, label, xp[None, :])[0]
+            lm = logpdf_batch(pt, label, xm[None, :])[0]
             grad[j] = (lp - lm) / (2 * h)
         want = -np.sqrt(1 - ab) * grad
         got = exact_eps_batch(p, label, t, x[None, :], SCHED)[0]

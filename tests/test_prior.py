@@ -18,7 +18,6 @@ from priorshift.prior import (
     logpdf_batch,
     marginal_1d,
     native_class_prob_batch,
-    noised_marginal_logpdf_batch,
     noised_tables,
     posterior_grid,
     sample_frames,
@@ -45,6 +44,13 @@ L0 = np.zeros(1, dtype=int)
 
 def _one(x):
     return np.asarray(x, dtype=np.float64)[None, :]
+
+
+def _noised(p, t):
+    """``p`` corrupted to step ``t``: again a mixture, with means sqrt(ab) mean
+    and variances ab var + 1 - ab, whose density is ``logpdf_batch``'s."""
+    ab = alpha_bar_at(SCHED, t)
+    return ConditionalGMM(p.weights, np.sqrt(ab) * p.means, ab * p.variances + (1.0 - ab))
 
 
 def _draw(p, n, rng):
@@ -134,7 +140,7 @@ class TestNoisedMarginal:
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         for t in (0, 17, 50, 99):
             for x in (-1.3, 0.0, 2.4):
-                got = noised_marginal_logpdf_batch(p, L0, t, np.array([[x]]), SCHED)[0]
+                got = logpdf_batch(_noised(p, t), L0, np.array([[x]]))[0]
                 assert_allclose(got, _gauss_logpdf(x, 0.0, 1.0), rtol=1e-12)
 
     def test_single_component_closed_form(self):
@@ -144,7 +150,7 @@ class TestNoisedMarginal:
         x = np.array([0.3, -1.1])
         want = (_gauss_logpdf(x[0], np.sqrt(ab) * 1.5, ab * 0.7 + 1 - ab)
                 + _gauss_logpdf(x[1], np.sqrt(ab) * -0.5, ab * 2.0 + 1 - ab))
-        got = noised_marginal_logpdf_batch(p, L0, t, _one(x), SCHED)[0]
+        got = logpdf_batch(_noised(p, t), L0, _one(x))[0]
         assert_allclose(got, want, rtol=1e-12)
 
     def test_matches_monte_carlo_marginalization(self):
@@ -159,21 +165,23 @@ class TestNoisedMarginal:
             kern /= np.sqrt(2 * np.pi * (1 - ab))
             est = kern.mean()
             se = kern.std() / np.sqrt(kern.size)
-            got = np.exp(noised_marginal_logpdf_batch(p, L0, t, np.array([[x_t]]), SCHED)[0])
+            got = np.exp(logpdf_batch(_noised(p, t), L0, np.array([[x_t]]))[0])
             assert abs(got - est) < 4 * se
 
     def test_zero_step_approaches_prior(self):
         p = ConditionalGMM.from_components([0.5, 0.5], [[-2.0], [2.0]], [[1.0], [1.0]])
         x = np.array([0.7])
-        got = noised_marginal_logpdf_batch(p, L0, 0, _one(x), SCHED)[0]
+        got = logpdf_batch(_noised(p, 0), L0, _one(x))[0]
         assert_allclose(got, logpdf_batch(p, L0, _one(x))[0], atol=1e-3)
 
     def test_timestep_range_checked(self):
+        """Neither the noised mixture nor its score exists off the schedule."""
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            noised_marginal_logpdf_batch(p, L0, -1, np.array([[0.0]]), SCHED)[0]
-        with pytest.raises(ValueError):
-            noised_marginal_logpdf_batch(p, L0, SCHED.T, np.array([[0.0]]), SCHED)[0]
+        for t in (-1, SCHED.T):
+            with pytest.raises(ValueError, match="outside"):
+                _noised(p, t)
+            with pytest.raises(ValueError, match="outside"):
+                exact_eps_batch(p, L0, t, np.array([[0.0]]), SCHED)
 
 
 class TestExactEps:
@@ -205,13 +213,14 @@ class TestExactEps:
             t = int(rng.integers(0, SCHED.T))
             ab = alpha_bar_at(SCHED, t)
             x = rng.normal(0, 2, d)
+            pt = _noised(p, t)
             grad = np.empty(d)
             for j in range(d):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                grad[j] = (noised_marginal_logpdf_batch(p, L0, t, _one(xp), SCHED)[0]
-                           - noised_marginal_logpdf_batch(p, L0, t, _one(xm), SCHED)[0]) / (2 * h)
+                grad[j] = (logpdf_batch(pt, L0, _one(xp))[0]
+                           - logpdf_batch(pt, L0, _one(xm))[0]) / (2 * h)
             want = -np.sqrt(1 - ab) * grad
             got = exact_eps_batch(p, L0, t, _one(x), SCHED)[0]
             assert np.linalg.norm(got - want) <= 1e-6 * max(np.linalg.norm(want), 1e-9)
@@ -415,9 +424,9 @@ class TestNoisedTableKernel:
 
 
 class TestRowBlocks:
-    """``exact_eps_batch`` and the mixture log density under ``logpdf_batch``,
-    ``noised_marginal_logpdf_batch`` and ``native_class_prob_batch`` walk
-    their rows in blocks of at most ``BLOCK_VALUES`` values."""
+    """``exact_eps_batch`` and the mixture log density, clean or noised,
+    under ``logpdf_batch`` and ``native_class_prob_batch``, walk their rows
+    in blocks of at most ``BLOCK_VALUES`` values."""
 
     @pytest.mark.parametrize("values", [1, 50, 700])
     def test_blocks_give_the_bits_of_one_block(self, monkeypatch, values):
@@ -431,7 +440,7 @@ class TestRowBlocks:
             tables = noised_tables(p, labels, range(30), SCHED)
             return [exact_eps_batch(tables, None, 17, x, SCHED),
                     exact_eps_batch(p, labels, 29, x, SCHED),
-                    noised_marginal_logpdf_batch(p, labels, 12, x, SCHED),
+                    logpdf_batch(_noised(p, 12), labels, x),
                     native_class_prob_batch(p, q, labels, x)]
         whole = run()
         monkeypatch.setattr(prior, "BLOCK_VALUES", values)
@@ -471,7 +480,6 @@ class TestStepRule:
         p = ConditionalGMM.from_components([1.0], [[0.0]], [[1.0]])
         x = np.zeros((1, 1))
         for call in (lambda: exact_eps_batch(p, L0, bad, x, SCHED),
-                     lambda: noised_marginal_logpdf_batch(p, L0, bad, x, SCHED),
                      lambda: gaussian_posterior_moments(0.0, 1.0, bad, 0.5, SCHED),
                      lambda: alpha_bar_at(SCHED, bad)):
             with pytest.raises(ValueError, match=re.escape(f"timestep {bad!r} is not an integer")):
