@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ConditionalGMM:
             raise ValueError(
                 f"inconsistent shapes: weights {w.shape}, means {m.shape}, variances {v.shape}"
             )
-        if (w < 0).any() or not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
+        if (w < 0).any() or not (np.abs(w.sum(axis=1) - 1.0) <= 1e-12).all():
             raise ValueError("mixture weights must be nonnegative and sum to 1 per label")
         if not (v > 0).all():
             raise ValueError("component variances must be strictly positive")
@@ -113,14 +114,34 @@ def expit(z: np.ndarray) -> np.ndarray:
     return np.array([_expit_one(v) for v in np.asarray(z, dtype=np.float64).tolist()])
 
 
+class _Views(NamedTuple):
+    """The work blocks of :class:`_ExactWork` cut to the rows of one block,
+    and the views of them that the kernel writes and reads."""
+
+    gathered: np.ndarray  # (n, C, 2d + 1) table rows
+    terms: np.ndarray  # their P and sμP
+    feats: np.ndarray  # (n, 2d + 1) features
+    half_sq: np.ndarray  # their -x²/2
+    frames: np.ndarray  # their x
+    lj: np.ndarray  # (n, C) log joint
+    lj_cols: tuple  # its columns
+    resp: np.ndarray  # (n, C) responsibilities
+    resp_cols: tuple  # their columns
+    acc: np.ndarray  # (n, 2d) weighted sums
+    acc_p: np.ndarray  # of P
+    acc_smp: np.ndarray  # of sμP
+    diff: np.ndarray  # (n, d) x·ΣrP - ΣrsμP
+
+
 class _ExactWork:
     """The blocks :func:`exact_eps_batch` works in on ``n`` rows of C
     components in d dimensions, one row block at a time (at most
     ``BLOCK_VALUES`` gathered table values, at least one row): the features
     (-x²/2, x, 1), whose ones column is set here, once; the gathered table
-    rows; the log joint; and the responsibility-weighted sums of P and
-    sμP.  The kernel's other temporaries are fresh: numpy writes a small
-    contiguous block faster than a strided view of a kept one."""
+    rows; the log joint; the responsibilities; their weighted sums of P
+    and sμP; and x·ΣrP - ΣrsμP.  Each is contiguous in its rows, so a cut
+    to fewer rows is too.  The max and the normalizer, one column each,
+    are fresh."""
 
     def __init__(self, n: int, C: int, d: int):
         self.rows = rows = min(max(n, 1), max(1, BLOCK_VALUES // (C * (2 * d + 1))))
@@ -128,7 +149,19 @@ class _ExactWork:
         self.feats[:, 2 * d] = 1.0
         self.gathered = np.empty((rows, C, 2 * d + 1))
         self.lj = np.empty((rows, C))
+        self.resp = np.empty((rows, C))
         self.acc = np.empty((rows, 2 * d))
+        self.diff = np.empty((rows, d))
+
+    def cut(self, n: int) -> _Views:
+        """The blocks' first ``n`` rows."""
+        d = self.diff.shape[1]
+        gathered, feats, lj, resp, acc = (a[:n] for a in (self.gathered, self.feats, self.lj,
+                                                          self.resp, self.acc))
+        return _Views(gathered=gathered, terms=gathered[:, :, :2 * d], feats=feats,
+                      half_sq=feats[:, :d], frames=feats[:, d:2 * d], lj=lj,
+                      lj_cols=tuple(lj.T), resp=resp, resp_cols=tuple(resp.T), acc=acc,
+                      acc_p=acc[:, :d], acc_smp=acc[:, d:], diff=self.diff[:n])
 
 
 @dataclass(frozen=True)
@@ -140,15 +173,25 @@ class NoisedTables:
     ``table[steps.index(t)]`` holds, per label and component, P and sμP
     (d values each) and K = log w - (Σ sμ²P + Σ log v + d log 2π)/2: the
     log joint of a frame x is then -x²/2·P + x·sμP + K.  ``rows`` holds
-    each row's entry in the table, and ``work`` the blocks every
-    :func:`exact_eps_batch` call on the tables works in, made with them:
-    each call overwrites them, so the tables serve one call at a time.
+    each row's entry in the table, and ``sched`` the schedule the tables
+    were built on.  What each :func:`exact_eps_batch` call on the tables
+    looks up is resolved with them: ``shape``, the (n, d) shape of the
+    frames they are bound to; ``at``, by step, that step's table and
+    sqrt(1 - ab_t); and ``blocks``, per row block of the frames, its
+    slice of the rows, their entries in the table, and the views of work
+    blocks made with the tables, cut to its row count (every full block
+    shares one cut, and a tail block is a shorter cut of the same blocks).
+    Each call overwrites the work blocks, so the tables serve one call at
+    a time.
     """
 
     steps: range
     table: np.ndarray
     rows: np.ndarray
-    work: _ExactWork = field(repr=False, compare=False)
+    sched: Schedule = field(repr=False, compare=False)
+    shape: tuple[int, int] = field(repr=False, compare=False)
+    at: dict = field(repr=False, compare=False)
+    blocks: tuple[tuple[slice, np.ndarray, _Views], ...] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -158,9 +201,9 @@ class NoisedTables:
 def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> NoisedTables:
     """The tables of ``p`` noised to each step of ``steps``, for the rows of
     ``labels``: built once for a reverse chain, they hold the x-independent
-    work of :func:`exact_eps_batch` for its steps.  Only the labels'
-    distinct mixtures get an entry.  Steps are built in blocks
-    of at most ``BLOCK_VALUES`` noised values, so that with many
+    work of :func:`exact_eps_batch` for its steps, and what its calls look
+    up.  Only the labels' distinct mixtures get an entry.  Steps are built
+    in blocks of at most ``BLOCK_VALUES`` noised values, so that with many
     labels the temporaries stay in cache; every entry's bits are those of
     a one-block build.  P and sμP are written straight into the table:
     glibc hands blocks of their size back between chains, so copies of
@@ -169,12 +212,12 @@ def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> N
     mean, var = p.means[keep], p.variances[keep]
     with np.errstate(divide="ignore"):
         lw = np.log(p.weights[keep])
-    ab_all = alpha_bar_at(sched, np.array(steps, dtype=np.int64))[:, :, None, None]
+    ab_all = alpha_bar_at(sched, np.array(steps, dtype=np.int64))
     d = p.dim
     table = np.empty(ab_all.shape[:1] + mean.shape[:2] + (2 * d + 1,))
     block = max(1, BLOCK_VALUES // mean.size)
     for lo in range(0, table.shape[0], block):
-        ab = ab_all[lo:lo + block]
+        ab = ab_all[lo:lo + block, :, None, None]
         out = table[lo:lo + block]
         prec, smp = out[..., :d], out[..., d:2 * d]
         v = ab * var + (1.0 - ab)
@@ -183,8 +226,15 @@ def noised_tables(p: ConditionalGMM, labels, steps: range, sched: Schedule) -> N
         np.multiply(smu, prec, out=smp)
         out[..., 2 * d] = lw - 0.5 * (np.einsum("slcd,slcd->slc", smu, smp)
                                       + np.einsum("slcd->slc", np.log(v, out=v)) + d * _LOG_2PI)
-    work = _ExactWork(rows.shape[0], p.n_components, d)
-    return NoisedTables(steps=steps, table=table, rows=rows, work=work)
+    n = rows.shape[0]
+    work = _ExactWork(n, p.n_components, d)
+    size = work.rows
+    full = work.cut(size)
+    blocks = tuple((slice(lo, lo + size), rows[lo:lo + size],
+                    full if n - lo >= size else work.cut(n - lo)) for lo in range(0, n, size))
+    at = dict(zip(steps, zip(table, np.sqrt(1.0 - ab_all[:, 0]).tolist())))
+    return NoisedTables(steps=steps, table=table, rows=rows, sched=sched, shape=(n, d), at=at,
+                        blocks=blocks)
 
 
 def _alpha_bar_one(sched: Schedule, t) -> float:
@@ -236,6 +286,9 @@ def logpdf_batch(p: ConditionalGMM, labels: np.ndarray, x: np.ndarray) -> np.nda
     return out
 
 
+_F64 = np.dtype(np.float64)
+
+
 def exact_eps_batch(
     p: ConditionalGMM | NoisedTables, labels, t: int, x: np.ndarray, sched: Schedule
 ) -> np.ndarray:
@@ -246,19 +299,31 @@ def exact_eps_batch(
     max-shifted softmax of the log joint.  ``p`` is a mixture with one
     label per row of ``x``, or the :class:`NoisedTables` of one bound to
     the rows of ``x`` and built on ``sched``, with ``labels`` None; either
-    way one kernel runs, so the two give the same bits.  Each row's result
-    depends on that row alone: the contractions are ``np.einsum`` loops
-    over one row, never BLAS, and the max and the normalizer loop over
-    components.  So rows go through in blocks of at most ``BLOCK_VALUES``
-    gathered table values, in the work blocks made with the tables, and
-    the memory a call takes beyond its result stays bounded for any frame
-    count.
+    way one kernel runs, so the two give the same bits.  A call on tables
+    whose ``x`` is the bound (n, d) float64 block and whose ``t`` is one
+    of their steps as an int checks nothing more and looks nothing up:
+    the tables resolved the rest when they were built.  Any other call
+    is checked as a whole, and a frame block that is not float64 is
+    coerced.  Each row's result depends on that row alone: the
+    contractions are ``np.einsum`` loops over one row, never BLAS, and the
+    max and the normalizer loop over components.  So rows go through in
+    blocks of at most ``BLOCK_VALUES`` gathered table values, in the work
+    blocks made with the tables, and the memory a call takes beyond its
+    result stays bounded for any frame count.  The result is a fresh
+    array.
     """
-    ab = _alpha_bar_one(sched, t)
+    if type(p) is NoisedTables and labels is None and sched is p.sched and type(t) is int \
+            and type(x) is np.ndarray and x.dtype is _F64 and x.shape == p.shape:
+        step = p.at.get(t)
+        if step is not None:
+            return _exact_kernel(p.blocks, *step, x)
+    _alpha_bar_one(sched, t)  # checks t
     x = frame_block(x, p.dim, "prior")
     if isinstance(p, NoisedTables):
         if labels is not None:
             raise ValueError("noised tables are bound to their rows; pass labels=None")
+        if sched is not p.sched and not np.array_equal(sched.alpha_bar, p.sched.alpha_bar):
+            raise ValueError("noised tables were built on another schedule")
         tables = p
     else:
         tables = noised_tables(p, labels, range(t, t + 1), sched)
@@ -267,31 +332,32 @@ def exact_eps_batch(
     if t not in tables.steps:
         raise ValueError(f"step {t} outside the tables' steps "
                          f"[{tables.steps.start}, {tables.steps.stop - 1}]")
-    step = tables.table[tables.steps.index(t)]
-    d = x.shape[1]
-    scale = np.sqrt(1.0 - ab)
+    return _exact_kernel(tables.blocks, *tables.at[int(t)], x)
+
+
+def _exact_kernel(blocks: tuple, table: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """:func:`exact_eps_batch` on checked (n, d) float64 frames ``x``, given
+    one step's ``table`` and sqrt(1 - ab_t), row block by row block."""
     out = np.empty(x.shape)
-    wk = tables.work
-    rows = wk.rows
-    for lo in range(0, x.shape[0], rows):
-        xb = x[lo:lo + rows]
-        n = xb.shape[0]
-        w = step.take(tables.rows[lo:lo + rows], axis=0, out=wk.gathered[:n], mode="clip")
-        feats = wk.feats[:n]
-        np.multiply(-0.5 * xb, xb, out=feats[:, :d])
-        feats[:, d:2 * d] = xb
-        lj = np.einsum("nk,nck->nc", feats, w, out=wk.lj[:n])
-        top = lj[:, 0]
-        for c in range(1, lj.shape[1]):
-            top = np.maximum(top, lj[:, c])
-        resp = np.exp(lj - top[:, None])
-        norm = resp[:, 0]
-        for c in range(1, lj.shape[1]):
-            norm = norm + resp[:, c]
+    for rows, entries, (gathered, terms, feats, half_sq, frames, lj, lj_cols, resp, resp_cols,
+                        acc, acc_p, acc_smp, diff) in blocks:
+        xb = x[rows]
+        table.take(entries, axis=0, out=gathered, mode="clip")
+        np.multiply(-0.5 * xb, xb, out=half_sq)
+        frames[...] = xb
+        np.einsum("nk,nck->nc", feats, gathered, out=lj)
+        top = lj_cols[0]
+        for col in lj_cols[1:]:
+            top = np.maximum(top, col)
+        np.exp(np.subtract(lj, top[:, None], out=resp), out=resp)
+        norm = resp_cols[0]
+        for col in resp_cols[1:]:
+            norm = norm + col
         resp /= norm[:, None]
         # K stays out: an unused slot's K is -inf, and its zero weight times it nan.
-        acc = np.einsum("nc,nck->nk", resp, w[:, :, :2 * d], out=wk.acc[:n])
-        np.multiply(scale, xb * acc[:, :d] - acc[:, d:], out=out[lo:lo + rows])
+        np.einsum("nc,nck->nk", resp, terms, out=acc)
+        np.subtract(np.multiply(xb, acc_p, out=diff), acc_smp, out=diff)
+        np.multiply(scale, diff, out=out[rows])
     return out
 
 

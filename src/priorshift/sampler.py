@@ -14,9 +14,10 @@ arithmetic once, when it starts: it binds its predictor to the block's
 labels and the steps it will run, which gives the ``step(x, t)`` every
 reverse step calls, and reads the schedule's scales for those steps.
 Then each step updates the chain's own frame blocks in place.  A bound
-exact step works in blocks made with its noised tables, and a bound model
-step in its source's workspace, so after the first step a chain allocates
-little beyond each step's noise prediction.  Conversion returns frames
+exact step works in blocks made with its noised tables, which also hold
+each step's table and scale, and a bound model step in its source's
+workspace, so after the first step a chain allocates little beyond each
+step's noise prediction.  Conversion returns frames
 only: callers score them with :func:`frame_metrics`.
 """
 from __future__ import annotations
@@ -87,8 +88,10 @@ def denoise_from(x: np.ndarray, t_start: int, predictor: Predictor, labels: np.n
 def prior_eps_source(p: ConditionalGMM, sched: Schedule) -> Predictor:
     """Exact predictor from an analytic mixture over the same frame space.
     Binding builds the noised tables of the labels' distinct mixtures for
-    the bound steps, with the blocks the kernel works in; every step calls
-    :func:`exact_eps_batch` on them."""
+    the bound steps, which resolve what the kernel looks up: its row
+    blocks with the blocks it works in, and each step's table and scale.
+    Every step calls :func:`exact_eps_batch` on them by this module's
+    name, so a function put in its place sees every step."""
 
     def bind(labels: np.ndarray, steps: range) -> EpsStep:
         tables = noised_tables(p, labels, steps, sched)

@@ -355,11 +355,21 @@ class TestSplitFilmAndWorkspace:
         assert predict_zc2(phi, h, zc1).tobytes() == want.tobytes()
 
     def test_silu_is_quiet_at_extremes_and_matches_expit(self):
+        """Through the forward core, which holds the SiLU's errstate: a
+        one-unit head whose pre-activation and output are its first input,
+        in eval and in training."""
         rng = np.random.default_rng(43)
         x = np.concatenate([[-1000.0, -50.0, 0.0, 50.0, 1000.0], rng.normal(0, 6, 500)])
         z_want, s_want = x * expit(x), expit(x)
+        phi = init_residual(1, (1,), rng)
+        phi.tensors["layer0_w"][...] = [[1.0, 0.0]]
+        phi.tensors["out_w"][...] = 1.0
+        rows = np.stack([x, rng.standard_normal(x.size)], axis=1)
         with np.errstate(all="raise"):
-            z, s = _silu(x)
+            z = _forward_cached(phi, rows, {})[0][:, 0]
+            z_kept, cache = _forward_cached(phi, rows, {}, keep=True)
+        s = cache[3][0][4][:, 0]
+        assert z.tobytes() == z_kept[:, 0].tobytes()
         assert_allclose(z, z_want, rtol=1e-15, atol=0)
         assert_allclose(s, s_want, rtol=1e-15, atol=0)
         assert z[0] == 0.0 and z[4] == 1000.0

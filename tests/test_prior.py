@@ -23,7 +23,7 @@ from priorshift.prior import (
     sample_frames,
     standardized,
 )
-from priorshift.schedule import Schedule, alpha_bar_at, default_schedule
+from priorshift.schedule import Schedule, alpha_bar_at, default_schedule, linear_schedule
 
 SCHED = default_schedule()
 
@@ -63,6 +63,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConditionalGMM(weights=np.array([[0.5, 0.4]]),
                            means=np.zeros((1, 2, 1)), variances=np.ones((1, 2, 1)))
+
+    def test_weight_sum_rule_matches_allclose(self):
+        """A label's weights may sum to 1 within 1e-12, as
+        ``np.allclose(sum, 1, rtol=0, atol=1e-12)`` has it: each sum here,
+        the one weight of a one-component label, is accepted exactly when
+        that call holds.  1 + 1e-12 rounds above the edge and 1 - 1e-12
+        inside it, so each edge is met from both sides."""
+        sums = [1.0, np.nan, np.inf]
+        for edge in (1 + 1e-12, 1 - 1e-12, 1 + 2e-12, 1 - 2e-12):
+            sums += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+        accepted = []
+        for s in sums:
+            try:
+                ConditionalGMM(weights=np.array([[s]]), means=np.zeros((1, 1, 1)),
+                               variances=np.ones((1, 1, 1)))
+                accepted.append(True)
+            except ValueError as e:
+                assert "sum to 1" in str(e)
+                accepted.append(False)
+        assert accepted == [bool(np.allclose(s, 1.0, rtol=0, atol=1e-12)) for s in sums]
+        assert accepted[:3] == [True, False, False]
+        assert accepted[3:9] == [True, False, False, False, True, True]
+        assert not any(accepted[9:])
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -385,6 +408,58 @@ class TestNoisedTableKernel:
             exact_eps_batch(tables, None, 20, x, SCHED)
         with pytest.raises(ValueError, match="labels=None"):
             exact_eps_batch(tables, labels, 5, x, SCHED)
+
+    def test_bound_calls_over_row_blocks(self):
+        """Tables bound to 2,433 rows of C = 3 components in d = 4: two row
+        blocks of 1,213 rows and a tail block of 7.  A bound call at each
+        of their steps gives the bits of the one-step mixture path, and its
+        result is a fresh array that the next call leaves alone.  A call
+        that is not on the bound float64 block, an int step of the tables
+        and their schedule is checked as before: coerced, or refused with
+        the same message."""
+        rng = np.random.default_rng(108)
+        C, d = 3, 4
+        p = _random_mixture(rng, 5, C, d)
+        rows = prior.BLOCK_VALUES // (C * (2 * d + 1))
+        n = 2 * rows + 7
+        labels = rng.integers(0, 5, n)
+        labels[-1] = 0
+        tables = noised_tables(p, labels, range(3, 40), SCHED)
+        assert [b[0] for b in tables.blocks] == [
+            slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 3 * rows)]
+        assert tables.blocks[2][2].gathered.shape == (7, C, 2 * d + 1)
+        x = rng.normal(0, 2, (n, d))
+        for t in tables.steps:
+            assert (exact_eps_batch(tables, None, t, x, SCHED).tobytes()
+                    == exact_eps_batch(p, labels, t, x, SCHED).tobytes())
+        first = exact_eps_batch(tables, None, 10, x, SCHED)
+        kept = first.copy()
+        work = [a for _, _, views in tables.blocks for a in views if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(first, a) for a in work)
+        exact_eps_batch(tables, None, 11, -x, SCHED)
+        assert first.tobytes() == kept.tobytes()
+        for frames in (x.tolist(), x.astype(np.float32), np.asfortranarray(x)):
+            assert (exact_eps_batch(tables, None, 10, frames, SCHED).tobytes()
+                    == exact_eps_batch(p, labels, 10, frames, SCHED).tobytes())
+        for t in (np.int64(10), np.asarray(10)):
+            assert exact_eps_batch(tables, None, t, x, SCHED).tobytes() == kept.tobytes()
+        assert exact_eps_batch(tables, None, 10, x, default_schedule()).tobytes() == kept.tobytes()
+        refused = [
+            (x[:, :3], None, 10, SCHED, rf"frames shape \({n}, 3\) does not match prior dim 4"),
+            (x[:, :3].tolist(), None, 10, SCHED,
+             rf"frames shape \({n}, 3\) does not match prior dim 4"),
+            (x[:-1], None, 10, SCHED, f"{n - 1} frames for {n} labeled rows"),
+            (x, None, 40, SCHED, r"step 40 outside the tables' steps \[3, 39\]"),
+            (x, None, 2, SCHED, r"step 2 outside the tables' steps \[3, 39\]"),
+            (x, None, SCHED.T, SCHED, rf"timestep {SCHED.T} outside \[0, {SCHED.T - 1}\]"),
+            (x, None, 10.0, SCHED, "timestep 10.0 is not an integer"),
+            (x, labels, 10, SCHED, "labels=None"),
+            (x, None, 10, linear_schedule(1e-4, 3e-2, SCHED.T),
+             "noised tables were built on another schedule"),
+        ]
+        for frames, lab, t, sched, message in refused:
+            with pytest.raises(ValueError, match=message):
+                exact_eps_batch(tables, lab, t, frames, sched)
 
     def test_blocked_build_gives_the_bits_of_one_block(self, monkeypatch):
         rng = np.random.default_rng(103)
