@@ -17,8 +17,8 @@ Then each step updates the chain's own frame blocks in place.  A bound
 exact step works in blocks made with its noised tables, which also hold
 each step's table and scale, and a bound model step in its source's
 workspace, so after the first step a chain allocates little beyond each
-step's noise prediction.  Conversion returns frames
-only: callers score them with :func:`frame_metrics`.
+step's noise prediction.  Conversion returns frames only: callers score
+them with :func:`frame_metrics`.
 """
 from __future__ import annotations
 

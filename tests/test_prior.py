@@ -423,7 +423,7 @@ class TestNoisedTableKernel:
         rows = prior.BLOCK_VALUES // (C * (2 * d + 1))
         n = 2 * rows + 7
         labels = rng.integers(0, 5, n)
-        labels[-1] = 0
+        labels[-1] = 0  # the tail block meets label 0's zero-weight slot
         tables = noised_tables(p, labels, range(3, 40), SCHED)
         assert [b[0] for b in tables.blocks] == [
             slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 3 * rows)]
